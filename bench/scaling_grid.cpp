@@ -25,6 +25,9 @@
 //     seeds. ScenarioResults must be bit-identical; the wall-clock ratio is
 //     reported too, and is honest about Amdahl: protocol work shared by both
 //     channels bounds the end-to-end gain well below the channel-layer ratio.
+//     Each row also reports its memory footprint: VmRSS right after setup()
+//     and VmHWM over the run (the peak mark is reset before each run; both
+//     are the max over the row's seeds).
 //
 //  3. --differential: the same full scenario run on the timer-wheel kernel
 //     and again on the binary-heap kernel (env toggled in-process between
@@ -37,10 +40,12 @@
 //                     [--skip-brute] [--skip-scenario] [--differential]
 //                     [--json=BENCH_scaling.json]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <numbers>
 #include <string>
@@ -63,6 +68,21 @@ namespace {
 /// bookkeeping (shared by both channels) from masking the query cost.
 constexpr double kChannelDegree = 3.0;
 constexpr double kBeaconHz = 10.0;
+
+/// A kB-valued line of /proc/self/status ("VmRSS:", "VmHWM:") in MiB; 0 when
+/// unreadable.
+double proc_status_mib(const std::string& key) {
+    std::ifstream f("/proc/self/status");
+    for (std::string line; std::getline(f, line);)
+        if (line.rfind(key, 0) == 0) return std::atof(line.c_str() + key.size()) / 1024.0;
+    return 0.0;
+}
+
+/// Reset VmHWM to the current RSS so the next read covers only later work.
+void reset_peak_rss() {
+    std::ofstream f("/proc/self/clear_refs");
+    f << "5";
+}
 
 // ---- Section 0: event-kernel churn -------------------------------------
 
@@ -331,6 +351,11 @@ int main(int argc, char** argv) {
     base.pause_s = pause;
 
     std::vector<experiment::PointRecord> points;
+    struct Footprint {
+        double setup_rss_mib{0.0};
+        double peak_rss_mib{0.0};
+    };
+    std::vector<Footprint> footprints;
     double scen_speedup = 0.0;
     bool scen_identical = true;
     const auto wall = [](const workload::ScenarioResult& r) { return r.perf.wall_seconds; };
@@ -340,24 +365,30 @@ int main(int argc, char** argv) {
                     "(mean degree ~%.0f), %d seed(s)\n\n",
                     nodes, seconds, side, side, degree, seeds);
 
-        experiment::SweepSpec spec;
-        spec.base = base;
-        spec.axes = {experiment::Axis::variants(
-            "channel", skip_brute ? std::vector<std::string>{"grid"}
-                                  : std::vector<std::string>{"grid", "brute"},
-            [](workload::ScenarioConfig& cfg, double v) {
-                cfg.phy.brute_force = static_cast<int>(v) == 1;
-            })};
-        spec.seeds_per_point = static_cast<std::size_t>(seeds);
-        spec.seed_base = 42;
-
         // Serial on purpose: the two variants share the machine, so parallel
-        // execution would skew the wall-clock comparison.
-        points = experiment::SweepRunner(spec).run();
+        // execution would skew the wall-clock comparison (and the RSS reads).
+        for (int variant = 0; variant < (skip_brute ? 1 : 2); ++variant) {
+            const bool brute = variant == 1;
+            experiment::PointRecord& pt = points.emplace_back();
+            pt.labels = {brute ? "brute" : "grid"};
+            Footprint& fp = footprints.emplace_back();
+            for (int s = 0; s < seeds; ++s) {
+                workload::ScenarioConfig cfg = base;
+                cfg.phy.brute_force = brute;
+                cfg.seed = 42 + static_cast<std::uint64_t>(s);
+                reset_peak_rss();
+                workload::ScenarioRunner runner(cfg);
+                runner.setup();
+                fp.setup_rss_mib = std::max(fp.setup_rss_mib, proc_status_mib("VmRSS:"));
+                pt.runs.push_back({cfg.seed, runner.run()});
+                fp.peak_rss_mib = std::max(fp.peak_rss_mib, proc_status_mib("VmHWM:"));
+            }
+        }
 
-        util::TablePrinter table(
-            {"channel", "wall (s)", "events/s", "events", "peak queue", "pdr"});
-        for (const experiment::PointRecord& pt : points) {
+        util::TablePrinter table({"channel", "wall (s)", "events/s", "events", "peak queue",
+                                  "pdr", "setup RSS (MiB)", "peak RSS (MiB)"});
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const experiment::PointRecord& pt = points[i];
             const auto& r0 = pt.runs.front().result;
             table.row()
                 .cell(pt.labels[0])
@@ -365,7 +396,9 @@ int main(int argc, char** argv) {
                 .cell(pt.mean(eps), 0)
                 .cell(static_cast<long long>(r0.events_processed))
                 .cell(static_cast<long long>(r0.perf.peak_queue_depth))
-                .cell(r0.delivery_fraction, 3);
+                .cell(r0.delivery_fraction, 3)
+                .cell(footprints[i].setup_rss_mib, 1)
+                .cell(footprints[i].peak_rss_mib, 1);
         }
         table.print();
 
@@ -456,10 +489,13 @@ int main(int argc, char** argv) {
             w.key("scenario").begin_object();
             w.key("mean_degree").value(degree);
             w.key("area_side_m").value(side);
-            for (const experiment::PointRecord& pt : points) {
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const experiment::PointRecord& pt = points[i];
                 w.key(pt.labels[0]).begin_object();
                 w.key("wall_seconds").value(pt.mean(wall));
                 w.key("events_per_sec").value(pt.mean(eps));
+                w.key("setup_rss_mib").value(footprints[i].setup_rss_mib);
+                w.key("peak_rss_mib").value(footprints[i].peak_rss_mib);
                 w.key("result");
                 experiment::result_to_json(w, pt.runs.front().result, /*include_perf=*/true);
                 w.end_object();

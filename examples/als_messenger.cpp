@@ -43,12 +43,8 @@ int main(int argc, char** argv) {
         for (int yi = 0; yi < 2; ++yi)
             positions.push_back(Vec2{75.0 + xi * 150.0, 75.0 + yi * 150.0});
 
-    std::vector<crypto::NodeIdNum> universe;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        engine.register_node(i);
-        universe.push_back(i);
-    }
-    std::printf("issued %zu certificates from the toy CA\n\n", universe.size());
+    for (std::size_t i = 0; i < positions.size(); ++i) engine.register_node(i);
+    std::printf("issued %zu certificates from the toy CA\n\n", engine.valid_users().size());
 
     const NodeId alice = 0, bob = 15;
     mac::MacParams mac_params;
@@ -67,7 +63,7 @@ int main(int argc, char** argv) {
         net::Node& node = network.add_node(
             std::make_unique<mobility::StationaryMobility>(pos), mac_params);
         auto agent = std::make_unique<AgfwAgent>(
-            node, params, engine, universe,
+            node, params, engine,
             [](NodeId) -> std::optional<Vec2> { return std::nullopt; },
             [&](NodeId at, const net::Packet& pkt) {
                 if (at != bob) return;

@@ -43,12 +43,10 @@ util::Bytes hello_signing_bytes(const Packet& pkt) {
 }  // namespace
 
 AgfwAgent::AgfwAgent(net::Node& node, Params params, crypto::CryptoEngine& engine,
-                     std::vector<crypto::NodeIdNum> ring_universe, LocateFn locate,
-                     DeliverFn deliver)
+                     LocateFn locate, DeliverFn deliver)
     : node_(node),
       params_(params),
       engine_(engine),
-      ring_universe_(std::move(ring_universe)),
       locate_(std::move(locate)),
       deliver_(std::move(deliver)),
       pseudonyms_(engine, node.id(), node.rng()),
@@ -215,13 +213,14 @@ void AgfwAgent::send_hello() {
     if (params_.authenticated_hello) {
         // Ring = self + k distinct others, randomly drawn from all valid
         // users (§3.1.2), shuffled so the signer's slot is not positional.
-        const std::size_t want = std::min(params_.ring_k, ring_universe_.size() - 1);
+        const std::span<const crypto::NodeIdNum> users = engine_.valid_users();
+        const std::size_t want = std::min(params_.ring_k, users.size() - 1);
         std::vector<crypto::NodeIdNum> ring;
         ring.reserve(want + 1);
         ring.push_back(node_.id());
         while (ring.size() < want + 1) {
-            const auto pick = ring_universe_[static_cast<std::size_t>(
-                node_.rng().uniform_int(0, static_cast<std::int64_t>(ring_universe_.size()) - 1))];
+            const auto pick = users[static_cast<std::size_t>(
+                node_.rng().uniform_int(0, static_cast<std::int64_t>(users.size()) - 1))];
             if (std::find(ring.begin(), ring.end(), pick) == ring.end())
                 ring.push_back(pick);
         }
@@ -269,12 +268,8 @@ void AgfwAgent::handle_hello(const PacketPtr& pkt) {
     // §4 cert-by-reference: fetch (and thereafter cache) unknown certificates.
     if (params_.certs_by_reference) {
         std::size_t unknown = 0;
-        for (const auto id : pkt->ring_members) {
-            if (!known_certs_.contains(id)) {
-                known_certs_.emplace(id, true);
-                ++unknown;
-            }
-        }
+        for (const auto id : pkt->ring_members)
+            if (known_certs_.insert(id).second) ++unknown;
         if (unknown > 0) {
             stats_.cert_fetches += unknown;
             stats_.control_bytes += unknown * engine_.certificate_bytes();

@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/ant.hpp"
@@ -134,11 +135,9 @@ class AgfwAgent final : public net::RoutingAgent {
     using DeliverFn = std::function<void(NodeId, const Packet&)>;
     using LocateFn = std::function<std::optional<Vec2>(NodeId)>;
 
-    /// `ring_universe` lists all valid user identities the sender may draw
-    /// ring members from (§3.1.2: "randomly select k public keys among all
-    /// valid users").
-    AgfwAgent(net::Node& node, Params params, crypto::CryptoEngine& engine,
-              std::vector<crypto::NodeIdNum> ring_universe, LocateFn locate,
+    /// Authenticated hellos draw ring members from `engine.valid_users()`
+    /// (§3.1.2: "randomly select k public keys among all valid users").
+    AgfwAgent(net::Node& node, Params params, crypto::CryptoEngine& engine, LocateFn locate,
               DeliverFn deliver);
 
     /// Attach the anonymous location service (§3.3) in place of the oracle.
@@ -229,7 +228,6 @@ class AgfwAgent final : public net::RoutingAgent {
     net::Node& node_;
     Params params_;
     crypto::CryptoEngine& engine_;
-    std::vector<crypto::NodeIdNum> ring_universe_;
     LocateFn locate_;
     DeliverFn deliver_;
 
@@ -251,7 +249,7 @@ class AgfwAgent final : public net::RoutingAgent {
     std::vector<std::uint64_t> ack_batch_;
     sim::EventId ack_flush_event_{sim::kInvalidEvent};
     /// Certificates this node already holds (§4 cert-by-reference model).
-    std::unordered_map<crypto::NodeIdNum, bool> known_certs_;
+    std::unordered_set<crypto::NodeIdNum> known_certs_;
 
     std::unique_ptr<routing::LocationService> ls_;
     /// ALS result cache: dst -> (location, resolved-at).

@@ -58,6 +58,7 @@ void RealCryptoEngine::register_node(NodeIdNum id) {
     m.keys = rsa_generate(rng_, modulus_bits_);
     m.cert = ca_.issue(id, m.keys.pub);
     nodes_.emplace(id, std::move(m));
+    valid_users_.push_back(id);
 }
 
 bool RealCryptoEngine::has_node(NodeIdNum id) const { return nodes_.contains(id); }
@@ -197,7 +198,9 @@ std::size_t RealCryptoEngine::certificate_bytes() const {
 ModeledCryptoEngine::ModeledCryptoEngine(std::uint64_t seed, std::size_t modulus_bits)
     : CryptoEngine(seed), seed_(seed), modulus_bits_(modulus_bits) {}
 
-void ModeledCryptoEngine::register_node(NodeIdNum id) { nodes_[id] = true; }
+void ModeledCryptoEngine::register_node(NodeIdNum id) {
+    if (nodes_.insert(id).second) valid_users_.push_back(id);
+}
 
 bool ModeledCryptoEngine::has_node(NodeIdNum id) const { return nodes_.contains(id); }
 

@@ -5,6 +5,8 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "crypto/cert.hpp"
 #include "crypto/feistel.hpp"
@@ -63,6 +65,10 @@ class CryptoEngine {
     /// operation naming this id. Idempotent.
     virtual void register_node(NodeIdNum id) = 0;
     virtual bool has_node(NodeIdNum id) const = 0;
+
+    /// Every registered id, in first-registration order: the PKI's set of
+    /// valid users that ring members are drawn from (§3.1.2).
+    std::span<const NodeIdNum> valid_users() const { return valid_users_; }
 
     /// §3.1.1: n = hash(pr, id) truncated to 48 bits; never returns the
     /// reserved value 0. Cheap in both engines (it is just a hash).
@@ -131,6 +137,8 @@ class CryptoEngine {
     explicit CryptoEngine(std::uint64_t seed);
 
     CryptoCosts costs_;
+    /// Appended by register_node on an id's first registration.
+    std::vector<NodeIdNum> valid_users_;
 
   private:
     FeistelPermutation uid_prp_;
@@ -218,7 +226,7 @@ class ModeledCryptoEngine final : public CryptoEngine {
 
     std::uint64_t seed_;
     std::size_t modulus_bits_;
-    std::unordered_map<NodeIdNum, bool> nodes_;
+    std::unordered_set<NodeIdNum> nodes_;
 };
 
 }  // namespace geoanon::crypto

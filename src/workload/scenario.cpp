@@ -118,12 +118,8 @@ void ScenarioRunner::build_nodes() {
     mac_params.anonymous_source = agfw && config_.anonymous_mac;
 
     // Everyone is a valid certified user; rings draw from the whole network.
-    std::vector<crypto::NodeIdNum> universe;
-    universe.reserve(config_.num_nodes);
-    for (std::size_t i = 0; i < config_.num_nodes; ++i) {
+    for (std::size_t i = 0; i < config_.num_nodes; ++i)
         engine_->register_node(static_cast<crypto::NodeIdNum>(i));
-        universe.push_back(static_cast<crypto::NodeIdNum>(i));
-    }
 
     mobility::RandomWaypoint::Params rwp;
     rwp.min_speed_mps = config_.min_speed_mps;
@@ -149,8 +145,8 @@ void ScenarioRunner::build_nodes() {
             ap.authenticated_hello = config_.authenticated_hello;
             ap.ring_k = config_.ring_k;
             ap.charge_crypto_costs = config_.charge_crypto_costs;
-            auto agent = std::make_unique<core::AgfwAgent>(node, ap, *engine_, universe,
-                                                           locate, deliver);
+            auto agent =
+                std::make_unique<core::AgfwAgent>(node, ap, *engine_, locate, deliver);
             agfw_agents_.push_back(agent.get());
             node.set_agent(std::move(agent));
         } else {

@@ -4,6 +4,7 @@
 #include <set>
 #include <vector>
 
+#include "agfw_rig.hpp"
 #include "core/agfw.hpp"
 #include "crypto/engine.hpp"
 #include "mobility/mobility.hpp"
@@ -19,54 +20,10 @@ using net::Packet;
 using util::SimTime;
 using util::Vec2;
 
-/// Static AGFW network rig with a modeled crypto engine and perfect oracle.
-struct AgfwNet {
-    explicit AgfwNet(std::vector<Vec2> positions, AgfwAgent::Params params = {},
-                     bool real_crypto = false)
-        : network(phy::PhyParams{}, 13) {
-        // Real crypto uses the paper's 512-bit keys: the AGFW trapdoor
-        // payload (src, loc_s, tag_d) needs one full RSA block.
-        if (real_crypto)
-            engine = std::make_unique<crypto::RealCryptoEngine>(5, 512);
-        else
-            engine = std::make_unique<crypto::ModeledCryptoEngine>(5, 512);
-
-        std::vector<crypto::NodeIdNum> universe;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-            engine->register_node(i);
-            universe.push_back(i);
-        }
-
-        mac::MacParams mac_params;
-        mac_params.use_rtscts = false;
-        mac_params.anonymous_source = true;
-
-        for (const Vec2& pos : positions) {
-            net::Node& node = network.add_node(
-                std::make_unique<mobility::StationaryMobility>(pos), mac_params);
-            auto agent = std::make_unique<AgfwAgent>(
-                node, params, *engine, universe,
-                [this](NodeId id) -> std::optional<Vec2> {
-                    return network.true_position(id);
-                },
-                [this](NodeId at, const Packet& pkt) {
-                    deliveries.emplace_back(at, pkt);
-                });
-            agents.push_back(agent.get());
-            node.set_agent(std::move(agent));
-        }
-        network.start_agents();
-    }
-
-    void warm_up(double seconds = 5.0) {
-        network.sim().run_until(SimTime::seconds(seconds));
-    }
-    void run_until(double seconds) { network.sim().run_until(SimTime::seconds(seconds)); }
-
-    net::Network network;
-    std::unique_ptr<crypto::CryptoEngine> engine;
-    std::vector<AgfwAgent*> agents;
-    std::vector<std::pair<NodeId, Packet>> deliveries;
+/// The shared static rig plus a boot-time warm-up.
+struct AgfwNet : test::AgfwRig {
+    using AgfwRig::AgfwRig;
+    void warm_up(double seconds = 5.0) { run_until(seconds); }
 };
 
 TEST(Agfw, HellosBuildAnonymousNeighborTable) {
@@ -176,8 +133,7 @@ TEST(Agfw, UnreachableNextHopFallsBackToAlternate) {
 
     net::Network network(phy::PhyParams{}, 17);
     crypto::ModeledCryptoEngine engine(5, 512);
-    std::vector<crypto::NodeIdNum> universe{0, 1, 2, 3};
-    for (auto id : universe) engine.register_node(id);
+    for (crypto::NodeIdNum id = 0; id < 4; ++id) engine.register_node(id);
     mac::MacParams mp;
     mp.use_rtscts = false;
     mp.anonymous_source = true;
@@ -186,7 +142,7 @@ TEST(Agfw, UnreachableNextHopFallsBackToAlternate) {
     auto add = [&](std::unique_ptr<mobility::MobilityModel> mob) {
         net::Node& node = network.add_node(std::move(mob), mp);
         auto agent = std::make_unique<AgfwAgent>(
-            node, params, engine, universe,
+            node, params, engine,
             [&network](NodeId id) -> std::optional<Vec2> {
                 // Oracle pinned to t=0 positions so the destination location
                 // stays stable even after the ghost jumps.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "crypto/cert.hpp"
 #include "crypto/engine.hpp"
@@ -76,6 +78,13 @@ class EngineTest : public ::testing::Test {
 
 using EngineTypes = ::testing::Types<RealCryptoEngine, ModeledCryptoEngine>;
 TYPED_TEST_SUITE(EngineTest, EngineTypes);
+
+TYPED_TEST(EngineTest, ValidUsersKeepFirstRegistrationOrder) {
+    this->engine_.register_node(7);
+    this->engine_.register_node(2);  // already registered: no second entry
+    const std::vector<NodeIdNum> want{1, 2, 3, 7};
+    EXPECT_TRUE(std::ranges::equal(this->engine_.valid_users(), want));
+}
 
 TYPED_TEST(EngineTest, PseudonymsAre48BitNonZero) {
     for (int i = 0; i < 200; ++i) {

@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "agfw_rig.hpp"
 #include "core/agfw.hpp"
 #include "crypto/engine.hpp"
 #include "fault/fault.hpp"
@@ -23,44 +24,7 @@ using util::SimTime;
 using util::Vec2;
 
 /// Static AGFW rig (modeled crypto, perfect oracle) for fault experiments.
-struct FaultNet {
-    explicit FaultNet(std::vector<Vec2> positions, AgfwAgent::Params params = {})
-        : network(phy::PhyParams{}, 13) {
-        engine = std::make_unique<crypto::ModeledCryptoEngine>(5, 512);
-        std::vector<crypto::NodeIdNum> universe;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-            engine->register_node(i);
-            universe.push_back(i);
-        }
-        mac::MacParams mp;
-        mp.use_rtscts = false;
-        mp.anonymous_source = true;
-        for (const Vec2& pos : positions) {
-            net::Node& node = network.add_node(
-                std::make_unique<mobility::StationaryMobility>(pos), mp);
-            auto agent = std::make_unique<AgfwAgent>(
-                node, params, *engine, universe,
-                [this](NodeId id) -> std::optional<Vec2> {
-                    return network.true_position(id);
-                },
-                [this](NodeId at, const Packet& pkt) {
-                    deliveries.emplace_back(at, pkt);
-                });
-            agents.push_back(agent.get());
-            node.set_agent(std::move(agent));
-        }
-        network.start_agents();
-    }
-
-    void run_until(double seconds) {
-        network.sim().run_until(SimTime::seconds(seconds));
-    }
-
-    net::Network network;
-    std::unique_ptr<crypto::CryptoEngine> engine;
-    std::vector<AgfwAgent*> agents;
-    std::vector<std::pair<NodeId, Packet>> deliveries;
-};
+using FaultNet = test::AgfwRig;
 
 TEST(FaultPlanBasics, EmptyDetection) {
     FaultPlan plan;

@@ -78,11 +78,7 @@ struct AlsNet {
             for (int yi = 0; yi < 2; ++yi)
                 positions.push_back(Vec2{75.0 + xi * 150.0, 75.0 + yi * 150.0});
 
-        std::vector<crypto::NodeIdNum> universe;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-            engine->register_node(i);
-            universe.push_back(i);
-        }
+        for (std::size_t i = 0; i < positions.size(); ++i) engine->register_node(i);
         mac::MacParams mp;
         mp.use_rtscts = false;
         mp.anonymous_source = true;
@@ -92,7 +88,7 @@ struct AlsNet {
             net::Node& node = network.add_node(
                 std::make_unique<mobility::StationaryMobility>(pos), mp);
             auto agent = std::make_unique<AgfwAgent>(
-                node, params, *engine, universe,
+                node, params, *engine,
                 [](NodeId) -> std::optional<Vec2> { return std::nullopt; },
                 [this](NodeId at, const Packet& pkt) {
                     deliveries.emplace_back(at, pkt);
@@ -268,11 +264,7 @@ TEST(Als, HeterogeneousPlainAndAnonymousCoexist) {
     for (int xi = 0; xi < 10; ++xi)
         for (int yi = 0; yi < 2; ++yi)
             positions.push_back(Vec2{75.0 + xi * 150.0, 75.0 + yi * 150.0});
-    std::vector<crypto::NodeIdNum> universe;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        engine.register_node(i);
-        universe.push_back(i);
-    }
+    for (std::size_t i = 0; i < positions.size(); ++i) engine.register_node(i);
     mac::MacParams mp;
     mp.use_rtscts = false;
     mp.anonymous_source = true;
@@ -282,7 +274,7 @@ TEST(Als, HeterogeneousPlainAndAnonymousCoexist) {
         net::Node& node = network.add_node(
             std::make_unique<mobility::StationaryMobility>(pos), mp);
         auto agent = std::make_unique<AgfwAgent>(
-            node, AgfwAgent::Params{}, engine, universe,
+            node, AgfwAgent::Params{}, engine,
             [](NodeId) -> std::optional<Vec2> { return std::nullopt; }, nullptr);
         std::vector<NodeId> contacts;
         for (std::size_t c = 0; c < positions.size(); ++c)
@@ -369,11 +361,7 @@ struct FailoverRig {
             c + Vec2{-400, 40}, c + Vec2{-300, 0}, c + Vec2{-200, 10},
             c + Vec2{-100, 0},  c + Vec2{0, 0},    c + Vec2{-400, 0}};
 
-        std::vector<crypto::NodeIdNum> universe;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-            engine->register_node(i);
-            universe.push_back(i);
-        }
+        for (std::size_t i = 0; i < positions.size(); ++i) engine->register_node(i);
         mac::MacParams mp;
         mp.use_rtscts = false;
         mp.anonymous_source = true;
@@ -381,7 +369,7 @@ struct FailoverRig {
             net::Node& node = network.add_node(
                 std::make_unique<mobility::StationaryMobility>(pos), mp);
             auto agent = std::make_unique<AgfwAgent>(
-                node, AgfwAgent::Params{}, *engine, universe,
+                node, AgfwAgent::Params{}, *engine,
                 [](NodeId) -> std::optional<Vec2> { return std::nullopt; }, nullptr);
             // Only the target beacons updates, anticipating requester Q.
             const std::vector<NodeId> contacts =

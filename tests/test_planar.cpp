@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "agfw_rig.hpp"
 #include "core/agfw.hpp"
 #include "core/planar.hpp"
 #include "crypto/engine.hpp"
@@ -141,46 +142,21 @@ TEST(Planar, RightHandEmptyReturnsNullopt) {
 ///        B(150,200)   C(350,240)
 ///                            E(480,120)
 ///   S(0,0)   A(200,0)   [void]   D(550,0)
-struct VoidNet {
-    explicit VoidNet(bool enable_perimeter) : network(phy::PhyParams{}, 41) {
-        engine = std::make_unique<crypto::ModeledCryptoEngine>(5, 512);
-        const std::vector<Vec2> positions{
-            {0, 0}, {200, 0}, {150, 200}, {350, 240}, {480, 120}, {550, 0}};
-        std::vector<crypto::NodeIdNum> universe;
-        for (std::size_t i = 0; i < positions.size(); ++i) {
-            engine->register_node(i);
-            universe.push_back(i);
-        }
-        mac::MacParams mp;
-        mp.use_rtscts = false;
-        mp.anonymous_source = true;
-        AgfwAgent::Params params;
-        params.enable_perimeter = enable_perimeter;
-        // Disable the NL-ACK alternate-next-hop recovery so the test
-        // isolates perimeter mode (rerouting alone can also skirt the void).
-        params.reroute_limit = 0;
-        for (const Vec2& pos : positions) {
-            net::Node& node = network.add_node(
-                std::make_unique<mobility::StationaryMobility>(pos), mp);
-            auto agent = std::make_unique<AgfwAgent>(
-                node, params, *engine, universe,
-                [this](NodeId id) -> std::optional<Vec2> {
-                    return network.true_position(id);
-                },
-                [this](NodeId at, const Packet& pkt) {
-                    deliveries.emplace_back(at, pkt);
-                });
-            agents.push_back(agent.get());
-            node.set_agent(std::move(agent));
-        }
-        network.start_agents();
-        network.sim().run_until(SimTime::seconds(5));
+struct VoidNet : test::AgfwRig {
+    explicit VoidNet(bool enable_perimeter)
+        : AgfwRig({{0, 0}, {200, 0}, {150, 200}, {350, 240}, {480, 120}, {550, 0}},
+                  params(enable_perimeter), /*real_crypto=*/false, /*network_seed=*/41) {
+        run_until(5);
     }
 
-    net::Network network;
-    std::unique_ptr<crypto::CryptoEngine> engine;
-    std::vector<AgfwAgent*> agents;
-    std::vector<std::pair<NodeId, Packet>> deliveries;
+    static AgfwAgent::Params params(bool enable_perimeter) {
+        AgfwAgent::Params p;
+        p.enable_perimeter = enable_perimeter;
+        // Disable the NL-ACK alternate-next-hop recovery so the test
+        // isolates perimeter mode (rerouting alone can also skirt the void).
+        p.reroute_limit = 0;
+        return p;
+    }
 };
 
 TEST(Perimeter, GreedyAloneDropsAtTheVoid) {

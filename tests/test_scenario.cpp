@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #include "workload/scenario.hpp"
 
 namespace {
@@ -99,6 +103,44 @@ TEST(Scenario, AuthenticatedHellosCostControlBytes) {
     const ScenarioResult auth = ScenarioRunner(auth_cfg).run();
     EXPECT_GT(auth.control_bytes, plain.control_bytes * 3);
     EXPECT_GT(auth.cert_fetches, 0u);
+}
+
+TEST(Scenario, AuthenticatedHelloRingDrawsArePinned) {
+    // Values captured when each agent still held its own copy of the id
+    // list: a change in the shared list's order or size, or in the ring's
+    // RNG draws, moves them.
+    ScenarioConfig cfg = small_config(Scheme::kAgfwAck, 6);
+    cfg.authenticated_hello = true;
+    cfg.ring_k = 4;
+    cfg.agfw.certs_by_reference = true;
+    const ScenarioResult r = ScenarioRunner(cfg).run();
+    EXPECT_EQ(r.metrics.counter("agfw.hello_verified"), 17346u);
+    EXPECT_EQ(r.cert_fetches, 1600u);
+    EXPECT_EQ(r.control_bytes, 1178909u);
+    EXPECT_EQ(r.events_processed, 117671u);
+    EXPECT_EQ(r.app_delivered, 4221u);
+}
+
+/// Resident set size in MiB from /proc/self/status; negative if unreadable.
+double vm_rss_mib() {
+    std::ifstream f("/proc/self/status");
+    for (std::string line; std::getline(f, line);)
+        if (line.rfind("VmRSS:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
+    return -1.0;
+}
+
+TEST(Scenario, AgfwSetupFootprintIsLinearInNodes) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+    GTEST_SKIP() << "sanitizer shadow memory inflates RSS";
+#endif
+    const double before = vm_rss_mib();
+    if (before < 0.0) GTEST_SKIP() << "/proc/self/status is unreadable";
+    ScenarioConfig cfg = small_config(Scheme::kAgfwAck);
+    cfg.num_nodes = 5000;
+    ScenarioRunner runner(cfg);
+    runner.setup();
+    // A per-agent copy of the 5000-id ring universe alone would be 190 MiB.
+    EXPECT_LT(vm_rss_mib() - before, 64.0);
 }
 
 TEST(Scenario, LocationServiceModeRuns) {
