@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "crypto/engine.hpp"
 #include "crypto/feistel.hpp"
 #include "crypto/ring_signature.hpp"
@@ -45,6 +47,34 @@ void BM_Sha256_1KiB(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256_1KiB);
 
+/// One 64-byte compression through `compress`: the unit every modeled
+/// crypto call is made of (DESIGN.md §17 counts blocks per call).
+void compress_loop(benchmark::State& state, Sha256::Compress compress) {
+    Sha256::State s{};
+    std::array<std::uint8_t, Sha256::kBlockSize> block{};
+    for (auto _ : state) {
+        compress(s, block.data());
+        block[0] = static_cast<std::uint8_t>(s[0]);  // chain blocks: no hoisting
+    }
+    benchmark::DoNotOptimize(s);
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
+}
+
+void BM_Sha256Compress_Portable(benchmark::State& state) {
+    compress_loop(state, &Sha256::compress_portable);
+}
+BENCHMARK(BM_Sha256Compress_Portable);
+
+void BM_Sha256Compress_Hardware(benchmark::State& state) {
+    const Sha256::Compress hw = Sha256::compress_hardware();
+    if (hw == nullptr) {
+        state.SkipWithError("this CPU lacks the x86 SHA extensions");
+        return;
+    }
+    compress_loop(state, hw);
+}
+BENCHMARK(BM_Sha256Compress_Hardware);
+
 void BM_RsaKeygen512(benchmark::State& state) {
     util::Rng rng(7);
     for (auto _ : state) benchmark::DoNotOptimize(rsa_generate(rng, 512));
@@ -78,6 +108,7 @@ void BM_TrapdoorOpen_Real(benchmark::State& state) {
 BENCHMARK(BM_TrapdoorOpen_Real)->Unit(benchmark::kMicrosecond);
 
 void BM_TrapdoorOpen_Modeled(benchmark::State& state) {
+    // The owner's successful open.
     ModeledCryptoEngine engine(3, 512);
     engine.register_node(1);
     util::Rng rng(5);
@@ -86,6 +117,27 @@ void BM_TrapdoorOpen_Modeled(benchmark::State& state) {
     for (auto _ : state) benchmark::DoNotOptimize(engine.try_open_trapdoor(1, trapdoor));
 }
 BENCHMARK(BM_TrapdoorOpen_Modeled)->Unit(benchmark::kMicrosecond);
+
+void BM_TrapdoorOpen_Modeled_Reject(benchmark::State& state) {
+    // A bystander in the last-hop region trying a trapdoor that is not its
+    // own: the common case (~97% of attempts in the privacy scenarios).
+    ModeledCryptoEngine engine(3, 512);
+    engine.register_node(1);
+    engine.register_node(2);
+    util::Rng rng(5);
+    const util::Bytes payload(32, 0x22);
+    const auto trapdoor = engine.make_trapdoor(1, payload, rng);
+    for (auto _ : state) benchmark::DoNotOptimize(engine.try_open_trapdoor(2, trapdoor));
+}
+BENCHMARK(BM_TrapdoorOpen_Modeled_Reject)->Unit(benchmark::kMicrosecond);
+
+void BM_AnonymizeUid(benchmark::State& state) {
+    // The uid PRP every AGFW data packet passes through at its source.
+    ModeledCryptoEngine engine(3, 512);
+    std::uint64_t uid = 1;
+    for (auto _ : state) benchmark::DoNotOptimize(engine.anonymize_uid(uid++));
+}
+BENCHMARK(BM_AnonymizeUid);
 
 void BM_RingSign(benchmark::State& state) {
     auto& k = keys();

@@ -104,13 +104,9 @@ bool AgfwAgent::in_last_hop_region(const Vec2& dst_loc) const {
            node_.radio().phy_params().range_m;
 }
 
-void AgfwAgent::mark_seen(std::uint64_t uid) { seen_[uid] = node_.sim().now(); }
-
 void AgfwAgent::purge_soft_state() {
     const SimTime now = node_.sim().now();
-    std::erase_if(seen_, [&](const auto& kv) {
-        return now - kv.second > params_.seen_ttl;
-    });
+    seen_.expire(now, params_.seen_ttl);
     std::erase_if(blacklist_, [&](const auto& kv) { return kv.second <= now; });
 }
 

@@ -10,6 +10,7 @@
 #include "core/ant.hpp"
 #include "core/pseudonym.hpp"
 #include "core/pseudonym_policy.hpp"
+#include "core/seen_window.hpp"
 #include "crypto/engine.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -211,7 +212,7 @@ class AgfwAgent final : public net::RoutingAgent {
 
     bool in_last_hop_region(const Vec2& dst_loc) const;
     bool seen(std::uint64_t uid) const { return seen_.contains(uid); }
-    void mark_seen(std::uint64_t uid);
+    void mark_seen(std::uint64_t uid) { seen_.mark(uid, node_.sim().now()); }
     void purge_soft_state();
     std::vector<Pseudonym> active_blacklist() const;
     void charge(util::SimTime cost, std::function<void()> done);
@@ -242,7 +243,7 @@ class AgfwAgent final : public net::RoutingAgent {
     util::SimTime vpc_phase_{};
     bool rotated_once_{false};
 
-    std::unordered_map<std::uint64_t, util::SimTime> seen_;
+    SeenWindow seen_;
     std::unordered_map<Pseudonym, util::SimTime> blacklist_;  // value: expiry
     std::unordered_map<std::uint64_t, PendingAck> pending_;
     /// Aggregated-ACK batch (ack_aggregation > 0).

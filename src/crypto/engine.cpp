@@ -1,5 +1,6 @@
 #include "crypto/engine.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -10,6 +11,18 @@ namespace geoanon::crypto {
 namespace {
 constexpr std::uint32_t kTrapdoorMagic = 0x54524150;  // "TRAP"
 constexpr std::uint64_t kPseudonymMask = (1ULL << 48) - 1;
+
+/// Keystream key of a sealed token: len(32) || secret || nonce, the layout
+/// ByteWriter's bytes(secret) then u64(nonce) produce.
+using StreamKey = std::array<std::uint8_t, 4 + Sha256::kDigestSize + 8>;
+
+StreamKey stream_key(const Sha256::Digest& secret, const std::uint8_t* nonce_be) {
+    StreamKey key;
+    util::store_be32(key.data(), static_cast<std::uint32_t>(secret.size()));
+    std::copy(secret.begin(), secret.end(), key.begin() + 4);
+    std::copy(nonce_be, nonce_be + 8, key.begin() + 4 + Sha256::kDigestSize);
+    return key;
+}
 
 util::Bytes uid_prp_key(std::uint64_t seed) {
     util::ByteWriter w;
@@ -25,21 +38,19 @@ util::Bytes uid_prp_key(std::uint64_t seed) {
 CryptoEngine::CryptoEngine(std::uint64_t seed)
     : uid_prp_(uid_prp_key(seed), /*block_bytes=*/8) {}
 
+// geoanon: hot
 std::uint64_t CryptoEngine::anonymize_uid(std::uint64_t uid) const {
     std::array<std::uint8_t, 8> block;
-    for (int i = 0; i < 8; ++i)
-        block[i] = static_cast<std::uint8_t>(uid >> (56 - 8 * i));
-    const util::Bytes out = uid_prp_.encrypt(block);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | out[static_cast<std::size_t>(i)];
-    return v;
+    util::store_be64(block.data(), uid);
+    uid_prp_.encrypt_in_place(block);
+    return util::load_be64(block.data());
 }
 
 Pseudonym CryptoEngine::make_pseudonym(NodeIdNum id, std::uint64_t pr) const {
-    util::ByteWriter w;
-    w.u64(pr);
-    w.u64(id);
-    Pseudonym n = sha256_u64(w.data()) & kPseudonymMask;
+    std::uint8_t in[16];
+    util::store_be64(in, pr);
+    util::store_be64(in + 8, id);
+    Pseudonym n = sha256_u64(in) & kPseudonymMask;
     // 0 is the reserved last-attempt marker; remap deterministically.
     if (n == kLastAttemptPseudonym) n = 1;
     return n;
@@ -204,104 +215,89 @@ void ModeledCryptoEngine::register_node(NodeIdNum id) {
 
 bool ModeledCryptoEngine::has_node(NodeIdNum id) const { return nodes_.contains(id); }
 
-util::Bytes ModeledCryptoEngine::node_secret(NodeIdNum id) const {
-    util::ByteWriter w;
-    w.u64(seed_);
-    w.u64(id);
-    const auto digest = Sha256::hash(w.data());
-    return util::Bytes(digest.begin(), digest.end());
+Sha256::Digest ModeledCryptoEngine::derive_secret(NodeIdNum id) const {
+    std::uint8_t in[16];
+    util::store_be64(in, seed_);
+    util::store_be64(in + 8, id);
+    return Sha256::hash(in);
+}
+
+const Sha256::Digest* ModeledCryptoEngine::registered_secret(NodeIdNum id) {
+    if (const auto it = secrets_.find(id); it != secrets_.end()) return &it->second;
+    if (!nodes_.contains(id)) return nullptr;
+    return &secrets_.emplace(id, derive_secret(id)).first->second;
+}
+
+util::Bytes ModeledCryptoEngine::seal(NodeIdNum dest, std::span<const std::uint8_t> payload,
+                                      std::size_t body_bytes, util::Rng& rng) {
+    const Sha256::Digest* cached = registered_secret(dest);
+    const Sha256::Digest secret = cached != nullptr ? *cached : derive_secret(dest);
+    util::Bytes out(8 + body_bytes, 0);
+    util::store_be64(out.data(), rng.next_u64());
+    util::store_be32(out.data() + 8, kTrapdoorMagic);
+    util::store_be32(out.data() + 12, static_cast<std::uint32_t>(payload.size()));
+    std::copy(payload.begin(), payload.end(), out.begin() + 16);
+    const StreamKey key = stream_key(secret, out.data());
+    sha256_keystream_xor(key, std::span(out).subspan(8));
+    return out;
+}
+
+// geoanon: hot
+std::optional<util::Bytes> ModeledCryptoEngine::unseal(NodeIdNum self,
+                                                       std::span<const std::uint8_t> sealed) {
+    if (sealed.size() < 8 + 4) return std::nullopt;
+    const Sha256::Digest* secret = registered_secret(self);
+    if (secret == nullptr) return std::nullopt;
+    // Keystream block 0 covers the magic, so a token sealed for another node
+    // (nearly every attempt: only the destination opens) costs one hash block.
+    const StreamKey key = stream_key(*secret, sealed.data());
+    const Sha256::Digest block0 = sha256_keystream_block(key, 0);
+    const std::span<const std::uint8_t> body = sealed.subspan(8);
+    std::uint32_t magic = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+        magic = (magic << 8) | static_cast<std::uint32_t>(body[i] ^ block0[i]);
+    if (magic != kTrapdoorMagic) return std::nullopt;
+
+    util::Bytes plain(body.begin(), body.end());
+    const std::size_t head = std::min(plain.size(), block0.size());
+    for (std::size_t i = 0; i < head; ++i) plain[i] ^= block0[i];
+    sha256_keystream_xor(key, std::span(plain).subspan(head), 1);
+    util::ByteReader inner(plain);
+    (void)inner.u32();  // the magic, checked above
+    return inner.bytes();
 }
 
 util::Bytes ModeledCryptoEngine::make_trapdoor(NodeIdNum dest,
                                                std::span<const std::uint8_t> payload,
                                                util::Rng& rng) {
     const std::size_t size = trapdoor_bytes();
-    // Layout: nonce(8) || E_dest(magic(4) || payload(len-prefixed) || pad).
-    util::ByteWriter inner;
-    inner.u32(kTrapdoorMagic);
-    inner.bytes(payload);
-    util::Bytes body = inner.take();
-    if (body.size() + 8 > size)
+    if (4 + 4 + payload.size() + 8 > size)
         throw std::length_error("trapdoor payload exceeds modeled trapdoor size");
-    body.resize(size - 8, 0);
-
-    const std::uint64_t nonce = rng.next_u64();
-    util::ByteWriter key;
-    key.bytes(node_secret(dest));
-    key.u64(nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) body[i] ^= stream[i];
-
-    util::ByteWriter out;
-    out.u64(nonce);
-    out.raw(body);
-    return out.take();
+    return seal(dest, payload, size - 8, rng);
 }
 
+// geoanon: hot
 std::optional<util::Bytes> ModeledCryptoEngine::try_open_trapdoor(
     NodeIdNum self, std::span<const std::uint8_t> trapdoor) {
-    if (!nodes_.contains(self) || trapdoor.size() != trapdoor_bytes()) return std::nullopt;
-    util::ByteReader r(trapdoor);
-    const auto nonce = r.u64();
-    if (!nonce) return std::nullopt;
-    auto body = r.raw(r.remaining());
-    util::ByteWriter key;
-    key.bytes(node_secret(self));
-    key.u64(*nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body->size());
-    for (std::size_t i = 0; i < body->size(); ++i) (*body)[i] ^= stream[i];
-
-    util::ByteReader inner(*body);
-    auto magic = inner.u32();
-    if (!magic || *magic != kTrapdoorMagic) return std::nullopt;
-    return inner.bytes();
+    if (trapdoor.size() != trapdoor_bytes()) return std::nullopt;
+    return unseal(self, trapdoor);
 }
 
 util::Bytes ModeledCryptoEngine::encrypt_for(NodeIdNum dest,
                                              std::span<const std::uint8_t> plaintext,
                                              util::Rng& rng) {
-    // Same nonce+keystream trick, arbitrary length; size matches the real
+    // Same sealing as a trapdoor, arbitrary length; size matches the real
     // engine's block expansion so byte-overhead measurements agree.
     const std::size_t k = modulus_bits_ / 8;
     const std::size_t chunk = k - 11;
     const std::size_t blocks = (plaintext.size() + chunk - 1) / chunk;
     const std::size_t real_size = 4 + 4 + blocks * (4 + k);
-
-    util::ByteWriter inner;
-    inner.u32(kTrapdoorMagic);
-    inner.bytes(plaintext);
-    util::Bytes body = inner.take();
-    body.resize(std::max(body.size(), real_size - 8), 0);
-
-    const std::uint64_t nonce = rng.next_u64();
-    util::ByteWriter key;
-    key.bytes(node_secret(dest));
-    key.u64(nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body.size());
-    for (std::size_t i = 0; i < body.size(); ++i) body[i] ^= stream[i];
-
-    util::ByteWriter out;
-    out.u64(nonce);
-    out.raw(body);
-    return out.take();
+    return seal(dest, plaintext, std::max(4 + 4 + plaintext.size(), real_size - 8), rng);
 }
 
 std::optional<util::Bytes> ModeledCryptoEngine::try_decrypt(
     NodeIdNum self, std::span<const std::uint8_t> ct) {
-    if (!nodes_.contains(self) || ct.size() < 8) return std::nullopt;
-    util::ByteReader r(ct);
-    const auto nonce = r.u64();
-    auto body = r.raw(r.remaining());
-    util::ByteWriter key;
-    key.bytes(node_secret(self));
-    key.u64(*nonce);
-    const util::Bytes stream = sha256_keystream(key.data(), body->size());
-    for (std::size_t i = 0; i < body->size(); ++i) (*body)[i] ^= stream[i];
-
-    util::ByteReader inner(*body);
-    auto magic = inner.u32();
-    if (!magic || *magic != kTrapdoorMagic) return std::nullopt;
-    return inner.bytes();
+    return unseal(self, ct);
 }
 
 util::Bytes ModeledCryptoEngine::als_index(NodeIdNum updater, NodeIdNum requester) const {

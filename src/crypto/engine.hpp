@@ -12,6 +12,7 @@
 #include "crypto/feistel.hpp"
 #include "crypto/ring_signature.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 #include "util/time.hpp"
@@ -222,11 +223,23 @@ class ModeledCryptoEngine final : public CryptoEngine {
     std::size_t certificate_bytes() const override;
 
   private:
-    util::Bytes node_secret(NodeIdNum id) const;
+    /// SHA-256(seed || id): the key a node's tokens are sealed under.
+    Sha256::Digest derive_secret(NodeIdNum id) const;
+    /// derive_secret(id), cached on a registered node's first use (not at
+    /// register_node, so set-up time and memory do not depend on it);
+    /// nullptr when `id` is not registered.
+    const Sha256::Digest* registered_secret(NodeIdNum id);
+    /// nonce(8) || E_dest(magic(4) || payload(len-prefixed) || zero pad),
+    /// with a body of `body_bytes`.
+    util::Bytes seal(NodeIdNum dest, std::span<const std::uint8_t> payload,
+                     std::size_t body_bytes, util::Rng& rng);
+    /// The payload of a seal() made for `self`, else nullopt.
+    std::optional<util::Bytes> unseal(NodeIdNum self, std::span<const std::uint8_t> sealed);
 
     std::uint64_t seed_;
     std::size_t modulus_bits_;
     std::unordered_set<NodeIdNum> nodes_;
+    std::unordered_map<NodeIdNum, Sha256::Digest> secrets_;
 };
 
 }  // namespace geoanon::crypto

@@ -1,57 +1,69 @@
 #include "crypto/feistel.hpp"
 
+#include <algorithm>
 #include <cassert>
-
-#include "crypto/sha256.hpp"
 
 namespace geoanon::crypto {
 
-FeistelPermutation::FeistelPermutation(util::Bytes key, std::size_t block_bytes)
-    : key_(std::move(key)), block_bytes_(block_bytes) {
+FeistelPermutation::FeistelPermutation(std::span<const std::uint8_t> key,
+                                       std::size_t block_bytes)
+    : block_bytes_(block_bytes) {
     assert(block_bytes_ >= 2 && block_bytes_ % 2 == 0);
+    std::uint8_t key_len[4];
+    util::store_be32(key_len, static_cast<std::uint32_t>(key.size()));
+    keyed_.update({key_len, 4});
+    keyed_.update(key);
 }
 
-util::Bytes FeistelPermutation::round_function(int round,
-                                               std::span<const std::uint8_t> half) const {
-    // F(round, R) = first half_size bytes of SHA-256-CTR(key || round || R).
-    util::ByteWriter w;
-    w.bytes(key_);
-    w.u32(static_cast<std::uint32_t>(round));
-    w.bytes(half);
-    const util::Bytes seed = w.take();
-    return sha256_keystream(seed, half.size());
+void FeistelPermutation::xor_round(int round, std::span<const std::uint8_t> half,
+                                   std::span<std::uint8_t> target) const {
+    // F(round, R) = first |R| bytes of SHA-256-CTR(len || key || round || len || R),
+    // counter block i hashing that seed followed by u64be(i).
+    std::uint8_t round_and_len[8];
+    util::store_be32(round_and_len, static_cast<std::uint32_t>(round));
+    util::store_be32(round_and_len + 4, static_cast<std::uint32_t>(half.size()));
+    std::uint64_t ctr = 0;
+    for (std::size_t off = 0; off < target.size(); off += Sha256::kDigestSize) {
+        std::uint8_t ctr_be[8];
+        util::store_be64(ctr_be, ctr++);
+        Sha256 h = keyed_;
+        h.update({round_and_len, 8});
+        h.update(half);
+        h.update({ctr_be, 8});
+        const Sha256::Digest block = h.finish();
+        const std::size_t take = std::min(Sha256::kDigestSize, target.size() - off);
+        for (std::size_t i = 0; i < take; ++i) target[off + i] ^= block[i];
+    }
+}
+
+void FeistelPermutation::permute(std::span<std::uint8_t> block, bool inverse) const {
+    static_assert(kRounds % 2 == 0, "the final half swap below assumes an even round count");
+    assert(block.size() == block_bytes_);
+    const std::size_t h = block_bytes_ / 2;
+    std::span<std::uint8_t> left = block.first(h);
+    std::span<std::uint8_t> right = block.subspan(h);
+    for (int i = 0; i < kRounds; ++i) {
+        xor_round(inverse ? kRounds - 1 - i : i, right, left);
+        std::swap(left, right);
+    }
+    // Undo the final swap so decrypt can run rounds in reverse symmetrically:
+    // the output is (right, left) as the views stand now.
+    std::swap_ranges(left.begin(), left.end(), right.begin());
+}
+
+void FeistelPermutation::encrypt_in_place(std::span<std::uint8_t> block) const {
+    permute(block, false);
 }
 
 util::Bytes FeistelPermutation::encrypt(std::span<const std::uint8_t> block) const {
-    assert(block.size() == block_bytes_);
-    const std::size_t h = block_bytes_ / 2;
-    util::Bytes left(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(h));
-    util::Bytes right(block.begin() + static_cast<std::ptrdiff_t>(h), block.end());
-    for (int round = 0; round < kRounds; ++round) {
-        const util::Bytes f = round_function(round, right);
-        for (std::size_t i = 0; i < h; ++i) left[i] ^= f[i];
-        std::swap(left, right);
-    }
-    // Undo the final swap so decrypt can run rounds in reverse symmetrically.
-    std::swap(left, right);
-    util::Bytes out = std::move(left);
-    out.insert(out.end(), right.begin(), right.end());
+    util::Bytes out(block.begin(), block.end());
+    encrypt_in_place(out);
     return out;
 }
 
 util::Bytes FeistelPermutation::decrypt(std::span<const std::uint8_t> block) const {
-    assert(block.size() == block_bytes_);
-    const std::size_t h = block_bytes_ / 2;
-    util::Bytes left(block.begin(), block.begin() + static_cast<std::ptrdiff_t>(h));
-    util::Bytes right(block.begin() + static_cast<std::ptrdiff_t>(h), block.end());
-    for (int round = kRounds - 1; round >= 0; --round) {
-        const util::Bytes f = round_function(round, right);
-        for (std::size_t i = 0; i < h; ++i) left[i] ^= f[i];
-        std::swap(left, right);
-    }
-    std::swap(left, right);
-    util::Bytes out = std::move(left);
-    out.insert(out.end(), right.begin(), right.end());
+    util::Bytes out(block.begin(), block.end());
+    permute(out, true);
     return out;
 }
 

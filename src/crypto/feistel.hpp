@@ -2,6 +2,7 @@
 
 #include <cstddef>
 
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 
 namespace geoanon::crypto {
@@ -17,7 +18,7 @@ class FeistelPermutation {
     static constexpr int kRounds = 8;
 
     /// `block_bytes` must be even and >= 2 (balanced halves).
-    FeistelPermutation(util::Bytes key, std::size_t block_bytes);
+    FeistelPermutation(std::span<const std::uint8_t> key, std::size_t block_bytes);
 
     std::size_t block_bytes() const { return block_bytes_; }
 
@@ -26,10 +27,17 @@ class FeistelPermutation {
     /// Inverse permutation.
     util::Bytes decrypt(std::span<const std::uint8_t> block) const;
 
-  private:
-    util::Bytes round_function(int round, std::span<const std::uint8_t> half) const;
+    /// encrypt() without allocating: permutes `block` in place.
+    void encrypt_in_place(std::span<std::uint8_t> block) const;
 
-    util::Bytes key_;
+  private:
+    void permute(std::span<std::uint8_t> block, bool inverse) const;
+    /// target ^= F(round, half).
+    void xor_round(int round, std::span<const std::uint8_t> half,
+                   std::span<std::uint8_t> target) const;
+
+    /// SHA-256 that has absorbed the round function's key prefix.
+    Sha256 keyed_;
     std::size_t block_bytes_;
 };
 

@@ -1,6 +1,12 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace geoanon::crypto {
 
@@ -23,11 +29,93 @@ constexpr std::uint32_t kRound[64] = {
 
 constexpr std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+// The SHA extensions need SSSE3 (byte shuffle) and SSE4.1 (blend) as well.
+// The target attribute enables them for these functions only, so the rest
+// of the build keeps its baseline ISA and no global -m flag is needed.
+#define GEOANON_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+/// Four rounds: w + K for rounds i..i+3 is `msg` + kRound[i..i+3].
+GEOANON_SHA_TARGET inline void four_rounds(__m128i& abef, __m128i& cdgh, __m128i msg,
+                                           const std::uint32_t* k) {
+    __m128i wk = _mm_add_epi32(msg, _mm_loadu_si128(reinterpret_cast<const __m128i*>(k)));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+}
+
+/// Four big-endian message words.
+GEOANON_SHA_TARGET inline __m128i load_words(const std::uint8_t* p, __m128i bswap) {
+    return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+/// Finishes the schedule words `next` from the two preceding word groups.
+GEOANON_SHA_TARGET inline __m128i schedule(__m128i next, __m128i cur, __m128i prev) {
+    return _mm_sha256msg2_epu32(_mm_add_epi32(next, _mm_alignr_epi8(cur, prev, 4)), cur);
+}
+
+GEOANON_SHA_TARGET void compress_sha_ni(Sha256::State& state, const std::uint8_t* block) {
+    const __m128i bswap = _mm_set_epi8(12, 13, 14, 15, 8, 9, 10, 11, 4, 5, 6, 7, 0, 1, 2, 3);
+    // The round instructions keep the state as (A,B,E,F) and (C,D,G,H).
+    const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+    const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+    const __m128i abef_in = _mm_alignr_epi8(cdab, efgh, 8);
+    const __m128i cdgh_in = _mm_blend_epi16(efgh, cdab, 0xF0);
+    __m128i abef = abef_in;
+    __m128i cdgh = cdgh_in;
+
+    __m128i m0 = load_words(block, bswap);
+    __m128i m1 = load_words(block + 16, bswap);
+    __m128i m2 = load_words(block + 32, bswap);
+    __m128i m3 = load_words(block + 48, bswap);
+    four_rounds(abef, cdgh, m0, &kRound[0]);
+    four_rounds(abef, cdgh, m1, &kRound[4]);
+    m0 = _mm_sha256msg1_epu32(m0, m1);
+    four_rounds(abef, cdgh, m2, &kRound[8]);
+    m1 = _mm_sha256msg1_epu32(m1, m2);
+    four_rounds(abef, cdgh, m3, &kRound[12]);
+    m0 = schedule(m0, m3, m2);
+    m2 = _mm_sha256msg1_epu32(m2, m3);
+    // Rounds 16-63. The last pass also schedules words past round 63; they
+    // are never used.
+    for (int i = 16; i < 64; i += 16) {
+        four_rounds(abef, cdgh, m0, &kRound[i]);
+        m1 = schedule(m1, m0, m3);
+        m3 = _mm_sha256msg1_epu32(m3, m0);
+        four_rounds(abef, cdgh, m1, &kRound[i + 4]);
+        m2 = schedule(m2, m1, m0);
+        m0 = _mm_sha256msg1_epu32(m0, m1);
+        four_rounds(abef, cdgh, m2, &kRound[i + 8]);
+        m3 = schedule(m3, m2, m1);
+        m1 = _mm_sha256msg1_epu32(m1, m2);
+        four_rounds(abef, cdgh, m3, &kRound[i + 12]);
+        m0 = schedule(m0, m3, m2);
+        m2 = _mm_sha256msg1_epu32(m2, m3);
+    }
+
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xF0));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_sha_extensions() {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+    const bool sse = (ecx & bit_SSSE3) != 0 && (ecx & bit_SSE4_1) != 0;
+    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+    return sse && (ebx & bit_SHA) != 0;
+}
+#undef GEOANON_SHA_TARGET
+#endif
+
 }  // namespace
 
-Sha256::Sha256() { state_ = {kInit[0], kInit[1], kInit[2], kInit[3], kInit[4], kInit[5], kInit[6], kInit[7]}; }
-
-void Sha256::process_block(const std::uint8_t* block) {
+void Sha256::compress_portable(State& state, const std::uint8_t* block) {
     std::uint32_t w[64];
     for (int i = 0; i < 16; ++i) {
         w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
@@ -41,8 +129,8 @@ void Sha256::process_block(const std::uint8_t* block) {
         w[i] = w[i - 16] + s0 + w[i - 7] + s1;
     }
 
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
     for (int i = 0; i < 64; ++i) {
         const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
         const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -59,15 +147,39 @@ void Sha256::process_block(const std::uint8_t* block) {
         b = a;
         a = t1 + t2;
     }
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
 }
+
+Sha256::Compress Sha256::compress_hardware() {
+#if defined(__x86_64__)
+    static const Compress hw = cpu_has_sha_extensions() ? &compress_sha_ni : nullptr;
+    return hw;
+#else
+    return nullptr;
+#endif
+}
+
+Sha256::Compress Sha256::compress_selected() {
+    static const Compress selected =
+        compress_hardware() != nullptr ? compress_hardware() : &compress_portable;
+    return selected;
+}
+
+Sha256::Sha256() : Sha256(compress_selected()) {}
+
+Sha256::Sha256(Compress compress)
+    : compress_(compress),
+      state_{kInit[0], kInit[1], kInit[2], kInit[3], kInit[4], kInit[5], kInit[6], kInit[7]} {}
+
+// geoanon: hot
+void Sha256::process_block(const std::uint8_t* block) { compress_(state_, block); }
 
 void Sha256::update(std::span<const std::uint8_t> data) {
     total_len_ += data.size();
@@ -97,15 +209,17 @@ void Sha256::update(std::string_view s) {
 }
 
 Sha256::Digest Sha256::finish() {
+    // Pad in place: 0x80, zeros up to byte 56 of a block, then the bit
+    // length. update() never leaves a full buffer, so the 0x80 always fits.
     const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad80 = 0x80;
-    update({&pad80, 1});
-    const std::uint8_t zero = 0x00;
-    while (buf_len_ != 56) update({&zero, 1});
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    // Bypass update()'s length accounting for the final length field.
-    std::memcpy(buf_.data() + 56, len_be, 8);
+    buf_[buf_len_++] = 0x80;
+    if (buf_len_ > kBlockSize - 8) {
+        std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(buf_len_), buf_.end(), 0);
+        process_block(buf_.data());
+        buf_len_ = 0;
+    }
+    std::fill(buf_.begin() + static_cast<std::ptrdiff_t>(buf_len_), buf_.end() - 8, 0);
+    util::store_be64(buf_.data() + kBlockSize - 8, bit_len);
     process_block(buf_.data());
 
     Digest out;
@@ -130,29 +244,26 @@ Sha256::Digest Sha256::hash(std::string_view s) {
     return h.finish();
 }
 
-util::Bytes sha256_keystream(std::span<const std::uint8_t> key, std::size_t n_bytes) {
-    util::Bytes out;
-    out.reserve(n_bytes);
-    std::uint64_t counter = 0;
-    while (out.size() < n_bytes) {
-        Sha256 h;
-        h.update(key);
-        std::uint8_t ctr_be[8];
-        for (int i = 0; i < 8; ++i) ctr_be[i] = static_cast<std::uint8_t>(counter >> (56 - 8 * i));
-        h.update({ctr_be, 8});
-        const auto block = h.finish();
-        const std::size_t take = std::min(block.size(), n_bytes - out.size());
-        out.insert(out.end(), block.begin(), block.begin() + static_cast<std::ptrdiff_t>(take));
-        ++counter;
+Sha256::Digest sha256_keystream_block(std::span<const std::uint8_t> key, std::uint64_t counter) {
+    Sha256 h;
+    h.update(key);
+    std::uint8_t ctr_be[8];
+    util::store_be64(ctr_be, counter);
+    h.update({ctr_be, 8});
+    return h.finish();
+}
+
+void sha256_keystream_xor(std::span<const std::uint8_t> key, std::span<std::uint8_t> data,
+                          std::uint64_t first_block) {
+    for (std::size_t off = 0; off < data.size(); off += Sha256::kDigestSize) {
+        const auto block = sha256_keystream_block(key, first_block++);
+        const std::size_t take = std::min(Sha256::kDigestSize, data.size() - off);
+        for (std::size_t i = 0; i < take; ++i) data[off + i] ^= block[i];
     }
-    return out;
 }
 
 std::uint64_t sha256_u64(std::span<const std::uint8_t> data) {
-    const auto d = Sha256::hash(data);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v = (v << 8) | d[static_cast<std::size_t>(i)];
-    return v;
+    return util::load_be64(Sha256::hash(data).data());
 }
 
 }  // namespace geoanon::crypto

@@ -57,6 +57,20 @@ class ByteReader {
     std::size_t pos_{0};
 };
 
+/// Big-endian fixed-width stores and loads into caller-owned buffers, in
+/// ByteWriter/ByteReader byte order, for paths that must not allocate.
+inline void store_be32(std::uint8_t* out, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+}
+inline void store_be64(std::uint8_t* out, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+inline std::uint64_t load_be64(const std::uint8_t* in) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i) v = (v << 8) | in[i];
+    return v;
+}
+
 /// Lowercase hex encoding of a byte span.
 std::string to_hex(std::span<const std::uint8_t> data);
 

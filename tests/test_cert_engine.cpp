@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "crypto/cert.hpp"
@@ -226,6 +227,162 @@ TEST(RealEngine, Paper512BitTrapdoorFitsBudget) {
     EXPECT_LE(td.size(), 64u);
     EXPECT_EQ(engine.try_open_trapdoor(2, td), payload.data());
     EXPECT_FALSE(engine.try_open_trapdoor(1, td).has_value());
+}
+
+// --------------------------------------------- known answers (exact bytes)
+
+// The property tests above would still pass if a refactor changed every
+// output. These pin exact bytes, captured from the original allocation-heavy
+// implementation of the modeled engine, so the simulator's results cannot
+// drift silently.
+
+std::string hex(const Bytes& b) { return geoanon::util::to_hex(b); }
+
+Bytes kat_payload() {
+    Bytes payload(32);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(0xA0 + i);
+    return payload;
+}
+
+TEST(EngineKnownAnswers, AnonymizeUid) {
+    struct Case {
+        std::uint64_t seed, uid, expected;
+    };
+    const Case cases[] = {
+        {1, 0, 0x23b2cb66958c8148ull},
+        {1, 1, 0xe468ba34e328ff9full},
+        {1, (7ull << 32) | 1, 0xa60ed504078e5004ull},
+        {1, (42ull << 32) | 99, 0xc13518b5932c7249ull},
+        {1, 0x0123456789abcdefull, 0x0dd68f602a5a632full},
+        {1, ~0ull, 0x554c7f40bce27f1cull},
+        {90001, 0, 0x326ccab843a5dfcfull},
+        {90001, 1, 0xb895dd9db0949cb6ull},
+        {90001, (7ull << 32) | 1, 0x8d951d0df34cda30ull},
+        {90001, (42ull << 32) | 99, 0x8f95d0a8b08f5e14ull},
+        {90001, 0x0123456789abcdefull, 0x748abf4ba24b4b9cull},
+        {90001, ~0ull, 0x0d5f9c61b2cb7e0dull},
+    };
+    for (const Case& c : cases) {
+        const ModeledCryptoEngine engine(c.seed);
+        EXPECT_EQ(engine.anonymize_uid(c.uid), c.expected) << "seed " << c.seed << " uid " << c.uid;
+    }
+}
+
+TEST(EngineKnownAnswers, TrapdoorsAndEncryptFor) {
+    // One Rng stream feeds all four tokens, in this order.
+    ModeledCryptoEngine engine(7);
+    engine.register_node(1);
+    engine.register_node(2);
+    Rng rng(11);
+    const Bytes trapdoor = engine.make_trapdoor(2, kat_payload(), rng);
+    EXPECT_EQ(hex(trapdoor),
+              "39287fc26939a7df1bd9ca17a3df8ed9ee4364a9b58d17ff5064f8e51242920f"
+              "86be48b7ad421d1d3f59ad5999abf6cc74dfd7eede4571aaf9f4d053d4dba789");
+    EXPECT_EQ(hex(engine.make_trapdoor(1, Bytes{'h', 'i'}, rng)),
+              "1654fe5f5c55a0817c64aad5d62b35293a4357a3ba4f6a0c034ff6cc4f2f2f37"
+              "ff3a615c10a3d023b32ba421cce9d916f59cc772a9d2a35a1fc3f055dc6e55f8");
+    Bytes plaintext(100);
+    for (std::size_t i = 0; i < plaintext.size(); ++i)
+        plaintext[i] = static_cast<std::uint8_t>(i ^ 0x5C);
+    const Bytes row = engine.encrypt_for(1, plaintext, rng);
+    EXPECT_EQ(hex(row),
+              "3ec96828463614ad6516f89e1374f0a6192d9ddefea6fe6bef6aeb976f94d5e1"
+              "e98fe56ac99efdb0f9408d36309457116ccb4684ba413c8a144231cbdd2a08be"
+              "130fc16df37168c1454b821be3ca845a7b1afad58c75219e3db70ed16f110734"
+              "e020557af484701f9e57700222737a055717989848ac3c58561ce1cb694e009f"
+              "ae82c60e18789afb312eb46b8ea10db0");
+    EXPECT_EQ(hex(engine.encrypt_for(2, Bytes{}, rng)), "719b3caece494e38005435700d165c47");
+    // The owners read back exactly what was sealed.
+    EXPECT_EQ(engine.try_open_trapdoor(2, trapdoor), kat_payload());
+    EXPECT_EQ(engine.try_decrypt(1, row), plaintext);
+}
+
+TEST(EngineKnownAnswers, AlsIndexPseudonymsAndRingToken) {
+    ModeledCryptoEngine engine(7);
+    engine.register_node(1);
+    engine.register_node(2);
+    engine.register_node(3);
+    EXPECT_EQ(hex(engine.als_index(3, 4)), "c66cc86b1bafc61ef9056800235026ee");
+    EXPECT_EQ(hex(engine.als_index(90001, 1)), "7eb7f3bbb429bf4c2069bcbc314aec60");
+    EXPECT_EQ(engine.make_pseudonym(1, 0), 0xcd10bb7ec37bull);
+    EXPECT_EQ(engine.make_pseudonym(1, 1), 0xeabf88729cb4ull);
+    EXPECT_EQ(engine.make_pseudonym(1, 0xdeadbeef), 0xbe4cfb02552eull);
+    EXPECT_EQ(engine.make_pseudonym(2, 0), 0x65c9a376a1a8ull);
+    EXPECT_EQ(engine.make_pseudonym(2, 0xdeadbeef), 0x99745f8ab18eull);
+    EXPECT_EQ(engine.make_pseudonym(12345, 1), 0xa4238f29fc2aull);
+    EXPECT_EQ(engine.make_pseudonym(12345, 0xdeadbeef), 0x565aea201060ull);
+    Rng rng(1);
+    const NodeIdNum ring[] = {1, 2, 3};
+    const Bytes sig = engine.ring_sign_msg(2, ring, Bytes{'m', 's', 'g'}, rng);
+    ASSERT_EQ(sig.size(), engine.ring_signature_bytes(3));
+    EXPECT_EQ(hex(Bytes(sig.begin(), sig.begin() + 32)),
+              "deadeb60a05cc8d6d809beae1174389e2a2107d12062207d7b8ea0cd35393639");
+    EXPECT_TRUE(std::all_of(sig.begin() + 32, sig.end(), [](std::uint8_t b) { return b == 0; }));
+}
+
+// ------------------------------------------- modeled engine: reject paths
+
+class ModeledRejects : public ::testing::Test {
+  protected:
+    ModeledRejects() : engine_(7) {
+        engine_.register_node(1);
+        engine_.register_node(2);
+        trapdoor_ = engine_.make_trapdoor(2, kat_payload(), rng_);
+        row_ = engine_.encrypt_for(2, kat_payload(), rng_);
+    }
+    ModeledCryptoEngine engine_;
+    Rng rng_{11};
+    Bytes trapdoor_;
+    Bytes row_;
+};
+
+TEST_F(ModeledRejects, OwnerOpensAndOthersDoNot) {
+    EXPECT_EQ(engine_.try_open_trapdoor(2, trapdoor_), kat_payload());
+    EXPECT_EQ(engine_.try_decrypt(2, row_), kat_payload());
+    EXPECT_FALSE(engine_.try_open_trapdoor(1, trapdoor_).has_value());
+    EXPECT_FALSE(engine_.try_decrypt(1, row_).has_value());
+}
+
+TEST_F(ModeledRejects, FlippedMagicByteRejectsTheOwner) {
+    // The magic sits right after the 8-byte nonce.
+    for (std::size_t i = 8; i < 12; ++i) {
+        Bytes td = trapdoor_;
+        td[i] ^= 0x01;
+        EXPECT_FALSE(engine_.try_open_trapdoor(2, td).has_value()) << "byte " << i;
+        Bytes row = row_;
+        row[i] ^= 0x80;
+        EXPECT_FALSE(engine_.try_decrypt(2, row).has_value()) << "byte " << i;
+    }
+    // A flipped nonce byte changes the whole keystream.
+    Bytes td = trapdoor_;
+    td[0] ^= 0x01;
+    EXPECT_FALSE(engine_.try_open_trapdoor(2, td).has_value());
+}
+
+TEST_F(ModeledRejects, WrongSizeRejectsTheOwner) {
+    Bytes longer = trapdoor_;
+    longer.push_back(0);
+    EXPECT_FALSE(engine_.try_open_trapdoor(2, longer).has_value());
+    const Bytes shorter(trapdoor_.begin(), trapdoor_.end() - 1);
+    EXPECT_FALSE(engine_.try_open_trapdoor(2, shorter).has_value());
+    EXPECT_FALSE(engine_.try_open_trapdoor(2, Bytes{}).has_value());
+    // try_decrypt takes any length, but a body cut inside the payload fails
+    // its length prefix, and one shorter than nonce + magic is never opened.
+    const Bytes cut(row_.begin(), row_.begin() + 8 + 4 + 4 + 10);
+    EXPECT_FALSE(engine_.try_decrypt(2, cut).has_value());
+    for (std::size_t n = 0; n < 12; ++n)
+        EXPECT_FALSE(engine_.try_decrypt(2, Bytes(row_.begin(), row_.begin() + n)).has_value());
+}
+
+TEST_F(ModeledRejects, UnregisteredSelfNeverOpens) {
+    EXPECT_FALSE(engine_.try_open_trapdoor(99, trapdoor_).has_value());
+    EXPECT_FALSE(engine_.try_decrypt(99, row_).has_value());
+    // A token sealed for an id before it registers opens once it has.
+    const Bytes early = engine_.make_trapdoor(9, kat_payload(), rng_);
+    EXPECT_FALSE(engine_.try_open_trapdoor(9, early).has_value());
+    engine_.register_node(9);
+    EXPECT_EQ(engine_.try_open_trapdoor(9, early), kat_payload());
 }
 
 TEST(CryptoCosts, PaperDefaults) {

@@ -8,11 +8,38 @@ namespace {
 using geoanon::crypto::FeistelPermutation;
 using geoanon::util::Bytes;
 using geoanon::util::Rng;
+using geoanon::util::to_hex;
 
 Bytes random_block(Rng& rng, std::size_t n) {
     Bytes out(n);
     for (auto& b : out) b = static_cast<std::uint8_t>(rng.next_u64());
     return out;
+}
+
+// Exact bytes, captured from the original implementation: the 8-byte width
+// is the uid PRP, the 72-byte width the RST common domain at 512 bits.
+TEST(FeistelKnownAnswers, EightByteBlock) {
+    const FeistelPermutation f(Bytes{1, 2, 3, 4}, 8);
+    const Bytes block{0, 1, 2, 3, 4, 5, 6, 7};
+    EXPECT_EQ(to_hex(f.encrypt(block)), "af3b90552bb914b9");
+    EXPECT_EQ(to_hex(f.decrypt(block)), "128d2cce7d04133d");
+    Bytes in_place = block;
+    f.encrypt_in_place(in_place);
+    EXPECT_EQ(to_hex(in_place), "af3b90552bb914b9");
+}
+
+TEST(FeistelKnownAnswers, RingSignatureWidth) {
+    const FeistelPermutation f(Bytes{9, 8, 7}, 72);
+    Bytes block(72);
+    for (std::size_t i = 0; i < block.size(); ++i) block[i] = static_cast<std::uint8_t>(i * 3 + 1);
+    EXPECT_EQ(to_hex(f.encrypt(block)),
+              "4eafcdbda426cc80b47414577586066f079b3b02d12ebb8567790a0764ca34bd"
+              "047f081ae7b3f636cc1d2d1042b37bf5bade01b9a0480acb9d175880ca533c92"
+              "ffdd88701e519862");
+    EXPECT_EQ(to_hex(f.decrypt(block)),
+              "9052c803874588ffcd725c036e981ecf11911646ae1f341b1f2a37a8946ce58e"
+              "ea2f6011aa5c077f2d3d8effdb5d65d317ab15cebd3c64eeade6866e62d8f85a"
+              "30a78911d1722294");
 }
 
 TEST(Feistel, EncryptDecryptRoundTrip) {
