@@ -31,6 +31,7 @@
 
 namespace geoanon::bench {
 
+// geoanon-lint: begin-allow(ambient-env) -- bench run-length knobs (horizon, seed count), documented in README; never read by the simulator
 inline double sim_seconds(double dflt) {
     if (const char* s = std::getenv("GEOANON_SIM_SECONDS")) return std::atof(s);
     if (std::getenv("GEOANON_FULL")) return 900.0;
@@ -41,6 +42,7 @@ inline int seed_count(int dflt) {
     if (const char* s = std::getenv("GEOANON_SEEDS")) return std::atoi(s);
     return dflt;
 }
+// geoanon-lint: end-allow(ambient-env)
 
 /// Configure the paper's §5.1 scenario at a given density and horizon.
 inline workload::ScenarioConfig paper_scenario(workload::Scheme scheme,

@@ -34,29 +34,24 @@ using geoanon::net::codec::DecodeError;
 using geoanon::net::codec::encode;
 
 /// Returns nullptr if all properties hold, else a description of the failure.
-const char* check_one(std::span<const std::uint8_t> wire, bool include_trace) {
-    const auto result = decode_ex(wire, include_trace);
+const char* check_one(std::span<const std::uint8_t> wire) {
+    const auto result = decode_ex(wire);
     if (result.packet.has_value() != (result.error == DecodeError::kOk))
         return "P2: packet presence disagrees with error code";
     if (!result.packet) return nullptr;  // clean rejection
 
-    const auto once = encode(*result.packet, /*include_trace=*/false);
-    const auto again = decode_ex(once, /*include_trace=*/false);
+    const auto once = encode(*result.packet);
+    const auto again = decode_ex(once);
     if (!again.packet) return "P3: re-encoded packet fails to decode";
-    const auto twice = encode(*again.packet, /*include_trace=*/false);
+    const auto twice = encode(*again.packet);
     if (twice != once) return "P4: re-encoding is not a fixed point";
     return nullptr;
-}
-
-const char* check_both_modes(std::span<const std::uint8_t> wire) {
-    if (const char* err = check_one(wire, /*include_trace=*/false)) return err;
-    return check_one(wire, /*include_trace=*/true);
 }
 
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
-    if (const char* err = check_both_modes({data, size})) {
+    if (const char* err = check_one({data, size})) {
         std::fprintf(stderr, "property violated: %s\n", err);
         std::abort();
     }
@@ -95,8 +90,8 @@ std::vector<std::uint8_t> load_input(const std::filesystem::path& path) {
 int replay_file(const std::filesystem::path& path, int& count) {
     const auto input = load_input(path);
     ++count;
-    const auto result = decode_ex(input, /*include_trace=*/false);
-    if (const char* err = check_both_modes(input)) {
+    const auto result = decode_ex(input);
+    if (const char* err = check_one(input)) {
         std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(), err);
         return 1;
     }

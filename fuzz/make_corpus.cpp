@@ -158,7 +158,12 @@ void valid_seeds() {
     digest.ls_assist = true;  // digests travel one hop, assist-flagged
     emit("valid_als_digest", encode(digest));
 
-    emit("valid_agfw_data_traced", encode(base_agfw_data(), /*include_trace=*/true));
+    // A valid data frame followed by 26 zero bytes, the size of the
+    // accounting fields (flow, seq, created_at, uid, hops) that never reach
+    // the wire: a valid prefix the decoder must reject as trailing bytes.
+    Bytes traced = encode(base_agfw_data());
+    traced.resize(traced.size() + 26, 0);
+    emit("valid_agfw_data_traced", traced);
 }
 
 void malformed_seeds() {

@@ -79,7 +79,7 @@ void InvariantChecker::check_packet(const Packet& pkt) {
         // the reference codec, and the canonical encoding can never exceed
         // the wire size the protocol accounted for (it may be smaller when
         // full certificates are attached by value).
-        const auto wire = net::codec::encode(pkt, /*include_trace=*/false);
+        const auto wire = net::codec::encode(pkt);
         if (!net::codec::decode_ex(wire).packet)
             ++counters_.codec_reject;
         if (pkt.wire_bytes != 0 && wire.size() > pkt.wire_bytes)

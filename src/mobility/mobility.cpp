@@ -59,10 +59,9 @@ Vec2 RandomWaypoint::velocity_at(SimTime t) {
     return sample_velocity(MotionSample{s.start, s.move_start, s.end, s.from, s.to}, t);
 }
 
-bool RandomWaypoint::motion_at(SimTime t, MotionSample& out) {
+MotionSample RandomWaypoint::motion_at(SimTime t) {
     const Segment& s = segment_for(t);
-    out = MotionSample{s.start, s.move_start, s.end, s.from, s.to};
-    return true;
+    return MotionSample{s.start, s.move_start, s.end, s.from, s.to};
 }
 
 std::vector<Vec2> uniform_placement(const Area& area, std::size_t count, Rng& rng) {

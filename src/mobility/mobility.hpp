@@ -74,16 +74,13 @@ class MobilityModel {
     /// Velocity vector at `t` (zero when paused); lets forwarding strategies
     /// exploit predictable motion (§3.1.1).
     virtual Vec2 velocity_at(SimTime t) = 0;
-    /// Fill `out` with the motion leg containing `t` and return true, or
-    /// return false if the model cannot describe itself piecewise-linearly
-    /// (callers then fall back to per-query position_at). Models that return
-    /// true guarantee sample_position(out, u) == position_at(u) for every u
-    /// in [out.start, out.end).
-    virtual bool motion_at(SimTime t, MotionSample& out) {
-        (void)t;
-        (void)out;
-        return false;
-    }
+    /// The motion leg containing `t`: sample_position(leg, u) ==
+    /// position_at(u) and sample_velocity(leg, u) == velocity_at(u) for u ==
+    /// t and every u in [leg.start, leg.end). phy::EngineState evaluates
+    /// every radio position from these legs and asks again once a query
+    /// falls outside [start, end), so a leg with start == end == t is valid
+    /// for t alone.
+    virtual MotionSample motion_at(SimTime t) = 0;
 };
 
 /// Node that never moves.
@@ -92,11 +89,10 @@ class StationaryMobility final : public MobilityModel {
     explicit StationaryMobility(Vec2 pos) : pos_(pos) {}
     Vec2 position_at(SimTime) override { return pos_; }
     Vec2 velocity_at(SimTime) override { return {}; }
-    bool motion_at(SimTime, MotionSample& out) override {
+    MotionSample motion_at(SimTime) override {
         // One degenerate leg covering all of time: from == to pins the
         // position and zeroes the velocity.
-        out = MotionSample{SimTime::zero(), SimTime::zero(), SimTime::max(), pos_, pos_};
-        return true;
+        return MotionSample{SimTime::zero(), SimTime::zero(), SimTime::max(), pos_, pos_};
     }
 
   private:
@@ -119,7 +115,7 @@ class RandomWaypoint final : public MobilityModel {
 
     Vec2 position_at(SimTime t) override;
     Vec2 velocity_at(SimTime t) override;
-    bool motion_at(SimTime t, MotionSample& out) override;
+    MotionSample motion_at(SimTime t) override;
 
   private:
     /// One leg: pause at `from` until move_start, then travel to `to`,

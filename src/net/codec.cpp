@@ -19,9 +19,6 @@ constexpr std::uint8_t kFlagPerimeter = 0x04;  // packet is in perimeter mode
 constexpr std::uint8_t kFlagAssist = 0x08;     // one-hop LS assist copy
 constexpr std::uint8_t kFlagAnonymous = 0x10;  // ALS (vs plain DLM) row format
 
-/// Trace trailer (tests only): flow, seq, created_at, uid, hops.
-constexpr std::size_t kTraceTrailerBytes = 4 + 4 + 8 + 8 + 2;
-
 void put_u48(ByteWriter& w, std::uint64_t v) {
     for (int shift = 40; shift >= 0; shift -= 8)
         w.u8(static_cast<std::uint8_t>(v >> shift));
@@ -91,7 +88,7 @@ bool get_perimeter(ByteReader& r, Packet& p) {
 
 }  // namespace
 
-Bytes encode(const Packet& p, bool include_trace) {
+Bytes encode(const Packet& p) {
     ByteWriter w;
     w.u8(static_cast<std::uint8_t>(p.type));
 
@@ -231,17 +228,10 @@ Bytes encode(const Packet& p, bool include_trace) {
         }
     }
 
-    if (include_trace) {
-        w.u32(p.flow);
-        w.u32(p.seq);
-        w.u64(static_cast<std::uint64_t>(p.created_at.ns()));
-        w.u64(p.uid);
-        w.u16(p.hops);
-    }
     return w.take();
 }
 
-std::size_t encoded_size(const Packet& p) { return encode(p, false).size(); }
+std::size_t encoded_size(const Packet& p) { return encode(p).size(); }
 
 const char* decode_error_name(DecodeError e) {
     switch (e) {
@@ -278,18 +268,10 @@ std::optional<Bytes> get_blob_u16(ByteReader& r, DecodeError& err) {
 
 }  // namespace
 
-DecodeResult decode_ex(std::span<const std::uint8_t> wire, bool include_trace) {
+DecodeResult decode_ex(std::span<const std::uint8_t> wire) {
     if (wire.empty()) return fail(DecodeError::kEmpty);
 
-    std::span<const std::uint8_t> base = wire;
-    std::span<const std::uint8_t> trailer;
-    if (include_trace) {
-        if (wire.size() < kTraceTrailerBytes + 1) return fail(DecodeError::kTruncated);
-        base = wire.subspan(0, wire.size() - kTraceTrailerBytes);
-        trailer = wire.subspan(wire.size() - kTraceTrailerBytes);
-    }
-
-    ByteReader r(base);
+    ByteReader r(wire);
     auto type_raw = r.u8();
     if (!type_raw) return fail(DecodeError::kTruncated);
     if (*type_raw > static_cast<std::uint8_t>(PacketType::kLocDigest))
@@ -472,27 +454,12 @@ DecodeResult decode_ex(std::span<const std::uint8_t> wire, bool include_trace) {
 
     if (r.remaining() != 0) return fail(DecodeError::kTrailingBytes);
 
-    if (include_trace) {
-        ByteReader tr(trailer);
-        const auto flow = tr.u32();
-        const auto seq = tr.u32();
-        const auto created = tr.u64();
-        const auto uid = tr.u64();
-        const auto hops = tr.u16();
-        if (!flow || !seq || !created || !uid || !hops)
-            return fail(DecodeError::kTruncated);  // unreachable: sized above
-        p.flow = *flow;
-        p.seq = *seq;
-        p.created_at = util::SimTime::nanos(static_cast<std::int64_t>(*created));
-        p.uid = *uid;
-        p.hops = *hops;
-    }
-    p.wire_bytes = static_cast<std::uint32_t>(base.size());
+    p.wire_bytes = static_cast<std::uint32_t>(wire.size());
     return DecodeResult{std::move(p), DecodeError::kOk};
 }
 
-std::optional<Packet> decode(std::span<const std::uint8_t> wire, bool include_trace) {
-    return decode_ex(wire, include_trace).packet;
+std::optional<Packet> decode(std::span<const std::uint8_t> wire) {
+    return decode_ex(wire).packet;
 }
 
 }  // namespace geoanon::net::codec

@@ -27,14 +27,13 @@ namespace geoanon::net {
 namespace codec {
 
 /// Serialize to the canonical on-air representation. Supports every
-/// PacketType the agents transmit; accounting-only fields (flow, seq,
-/// created_at, uid, hops) are carried in a trace trailer ONLY when
-/// `include_trace` is set (used by tests; real deployments would not send
-/// them — uid exists on the air implicitly as the trapdoor bits, §3.2).
+/// PacketType the agents transmit. Accounting-only fields (flow, seq,
+/// created_at, uid, hops) are never encoded: uid exists on the air only
+/// implicitly, as the trapdoor bits (§3.2).
 // geoanon: sink(air)
-util::Bytes encode(const Packet& pkt, bool include_trace = false);
+util::Bytes encode(const Packet& pkt);
 
-/// Size of encode(pkt, false) without materializing it.
+/// Size of encode(pkt) without materializing it.
 std::size_t encoded_size(const Packet& pkt);
 
 /// Why a decode rejected its input. Every malformed frame maps to exactly
@@ -60,13 +59,11 @@ struct DecodeResult {
 /// Parse a canonical byte string, reporting why malformed input was
 /// rejected. Never reads out of bounds and never throws: any structural
 /// error (truncation, bad type, inconsistent lengths) yields a diagnostic.
-DecodeResult decode_ex(std::span<const std::uint8_t> wire,
-                       bool include_trace = false);
+DecodeResult decode_ex(std::span<const std::uint8_t> wire);
 
 /// Parse a canonical byte string. Returns nullopt on any structural error
 /// (truncation, bad type, inconsistent lengths).
-std::optional<Packet> decode(std::span<const std::uint8_t> wire,
-                             bool include_trace = false);
+std::optional<Packet> decode(std::span<const std::uint8_t> wire);
 
 }  // namespace codec
 

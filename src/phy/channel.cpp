@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,11 +12,6 @@ namespace geoanon::phy {
 namespace {
 std::uint64_t frame_uid(const Frame& f) { return f.payload ? f.payload->uid : 0; }
 }  // namespace
-
-Radio::Radio(sim::Simulator& sim, Channel& channel, PositionFn position)
-    : sim_(sim), channel_(channel) {
-    index_ = channel_.register_radio(this, std::move(position));
-}
 
 Radio::Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& model)
     : sim_(sim), channel_(channel) {
@@ -125,26 +119,9 @@ void Radio::energy_end(std::uint64_t tx_id) {
 }
 
 Channel::Channel(sim::Simulator& sim, PhyParams params) : sim_(sim), params_(params) {
-    brute_force_ = params_.brute_force || std::getenv("GEOANON_BRUTE_FORCE_CHANNEL") != nullptr;
     const double slack_m =
         params_.grid_max_speed_mps * params_.grid_rebucket_interval.to_seconds();
     cell_m_ = std::max(1.0, params_.cs_range_m + slack_m);
-}
-
-void Channel::set_snoop(SnoopFn snoop) {
-    if (!snoop) {
-        if (has_primary_tap_) {
-            taps_.erase(taps_.begin());
-            has_primary_tap_ = false;
-        }
-        return;
-    }
-    if (has_primary_tap_) {
-        taps_.front() = std::move(snoop);
-    } else {
-        taps_.insert(taps_.begin(), std::move(snoop));
-        has_primary_tap_ = true;
-    }
 }
 
 Channel::Cell Channel::cell_of(const Vec2& p) const {
@@ -157,25 +134,15 @@ std::uint64_t Channel::cell_key(Cell c) {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.y));
 }
 
-EngineState::Index Channel::register_radio(Radio* radio, EngineState::PositionFn fn) {
-    const EngineState::Index idx = state_.add_row(std::move(fn));
-    finish_register(radio);
-    return idx;
-}
-
 EngineState::Index Channel::register_radio(Radio* radio, mobility::MobilityModel* model) {
     const EngineState::Index idx = state_.add_row(model);
-    finish_register(radio);
-    return idx;
-}
-
-void Channel::finish_register(Radio* radio) {
     radios_.push_back(radio);
     assert(radios_.size() == state_.size() && "state rows mirror registration order");
-    // Don't sample the new row's position here: a PositionFn may close over
-    // a not-yet-constructed owner. The radio stays a candidate for every
-    // query until the next sweep places it in a bucket.
-    unbucketed_.push_back(static_cast<std::uint32_t>(radios_.size() - 1));
+    // The next transmission sweeps and buckets the new row. Scenarios
+    // register every radio before the first transmission, so this adds no
+    // sweeps to a run.
+    swept_once_ = false;
+    return idx;
 }
 
 void Channel::rebucket_if_stale() {
@@ -199,7 +166,6 @@ void Channel::rebucket_if_stale() {
         state_.set_bucketed(idx, true);
         buckets_[cell_key(c)].push_back(static_cast<std::uint32_t>(i));
     }
-    unbucketed_.clear();
 }
 
 void Channel::deliver_from(Radio* /*sender*/, const Frame& frame, const Vec2& sender_pos,
@@ -261,45 +227,30 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
 
     sender->begin_own_tx();
 
-    // Reception membership is decided at transmission start. Both paths
-    // visit candidates in registration order, so MAC callbacks (and the
-    // events they schedule) fire in the same FIFO order either way. The
-    // reception set lives in a pooled slot so the end-of-airtime closure
-    // captures 28 bytes (inline in sim::Callback) and steady-state
+    // Reception membership is decided at transmission start. Candidates
+    // are visited in registration order, so MAC callbacks (and the events
+    // they schedule) fire in an order that does not depend on the cell
+    // size. The reception set lives in a pooled slot so the end-of-airtime
+    // closure captures 28 bytes (inline in sim::Callback) and steady-state
     // transmissions allocate nothing.
     const std::uint32_t slot = acquire_tx_slot();
-    if (brute_force_) {
-        // Validation path only (every radio is a candidate), so the full
-        // upper bound is the right reservation.
-        tx_slots_[slot].affected.reserve(radios_.empty() ? 0 : radios_.size() - 1);
-        for (std::size_t i = 0; i < radios_.size(); ++i) {
-            Radio* r = radios_[i];
-            if (r == sender) continue;
-            deliver_from(sender, frame, sender_pos, tx_id, r,
-                         state_.position(static_cast<EngineState::Index>(i), now), slot);
+    rebucket_if_stale();
+    candidates_.clear();
+    const Cell center = cell_of(sender_pos);
+    for (std::int32_t dx = -1; dx <= 1; ++dx) {
+        for (std::int32_t dy = -1; dy <= 1; ++dy) {
+            const auto it = buckets_.find(cell_key({center.x + dx, center.y + dy}));
+            if (it == buckets_.end()) continue;
+            // geoanon-lint: allow(hot-alloc) -- candidates_ is member scratch: capacity persists across calls, so growth amortizes to zero over the run
+            candidates_.insert(candidates_.end(), it->second.begin(), it->second.end());
         }
-    } else {
-        rebucket_if_stale();
-        candidates_.clear();
-        const Cell center = cell_of(sender_pos);
-        for (std::int32_t dx = -1; dx <= 1; ++dx) {
-            for (std::int32_t dy = -1; dy <= 1; ++dy) {
-                const auto it = buckets_.find(cell_key({center.x + dx, center.y + dy}));
-                if (it == buckets_.end()) continue;
-                // geoanon-lint: allow(hot-alloc) -- candidates_ is member scratch: capacity persists across calls, so growth amortizes to zero over the run
-                candidates_.insert(candidates_.end(), it->second.begin(), it->second.end());
-            }
-        }
-        // geoanon-lint: allow(hot-alloc) -- member scratch, see above
-        candidates_.insert(candidates_.end(), unbucketed_.begin(), unbucketed_.end());
-        std::sort(candidates_.begin(), candidates_.end());
-        tx_slots_[slot].affected.reserve(candidates_.size());
-        for (const std::uint32_t idx : candidates_) {
-            Radio* r = radios_[idx];
-            if (r == sender) continue;
-            deliver_from(sender, frame, sender_pos, tx_id, r,
-                         state_.position(idx, now), slot);
-        }
+    }
+    std::sort(candidates_.begin(), candidates_.end());
+    tx_slots_[slot].affected.reserve(candidates_.size());
+    for (const std::uint32_t idx : candidates_) {
+        Radio* r = radios_[idx];
+        if (r == sender) continue;
+        deliver_from(sender, frame, sender_pos, tx_id, r, state_.position(idx, now), slot);
     }
 
     sim_.after(airtime, [this, sender, tx_id, slot] {

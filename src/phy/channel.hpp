@@ -41,11 +41,6 @@ struct PhyParams {
     SimTime grid_rebucket_interval{SimTime::millis(250)};
     double grid_max_speed_mps{50.0};
 
-    /// Escape hatch: scan every registered radio per transmission instead of
-    /// using the spatial hash grid. Also enabled (for a whole process) by the
-    /// GEOANON_BRUTE_FORCE_CHANNEL environment variable.
-    bool brute_force{false};
-
     /// Time on air for a link-layer frame of `bytes` bytes.
     SimTime airtime(std::size_t bytes) const {
         const double tx_s = static_cast<double>(bytes) * 8.0 / bitrate_bps;
@@ -78,8 +73,6 @@ class Channel;
 /// itself holds only the MAC-facing callbacks and counters.
 class Radio {
   public:
-    using PositionFn = EngineState::PositionFn;
-
     struct Stats {
         std::uint64_t frames_sent{0};
         std::uint64_t frames_delivered{0};   ///< received intact
@@ -87,13 +80,9 @@ class Radio {
         std::uint64_t frames_missed_down{0}; ///< intact but radio was disabled
     };
 
-    /// Closure-positioned radio (test rigs, bench harnesses): `position` is
-    /// invoked per lookup.
-    Radio(sim::Simulator& sim, Channel& channel, PositionFn position);
-    /// Model-positioned radio (production nodes): positions are evaluated
-    /// from the EngineState's cached motion legs — same values, no closure
-    /// or virtual call on the per-frame path. The model must outlive the
-    /// radio.
+    /// Positions are evaluated from the EngineState's cached motion legs of
+    /// `model` — the values position_at() would give, with no virtual call
+    /// on the per-frame path. The model must outlive the radio.
     Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& model);
     Radio(const Radio&) = delete;
     Radio& operator=(const Radio&) = delete;
@@ -120,7 +109,6 @@ class Radio {
     bool enabled() const;
 
     Vec2 position() const;
-    /// Current velocity (zero for closure-positioned radios).
     Vec2 velocity() const;
     /// This radio's EngineState row (== its registration order).
     EngineState::Index index() const { return index_; }
@@ -178,10 +166,12 @@ class Radio {
 /// cs_range_m plus a mobility slack): a transmission only inspects radios
 /// bucketed in the 9 cells around the sender, and radios re-bucket lazily
 /// from their EngineState rows at transmission time. The grid is an index,
-/// not a model change — candidate radios are visited in registration order
-/// and filtered by the exact same distance test as the brute-force scan, so
-/// the event stream (and therefore every ScenarioResult) is bit-identical to
-/// PhyParams::brute_force mode.
+/// not a model change: candidate radios are visited in registration order
+/// and filtered by the exact distance test, so the event stream does not
+/// depend on the cell size. With grid_max_speed_mps = +inf every radio
+/// shares one cell and each transmission visits all radios in registration
+/// order; tests/reference/single_cell.hpp uses that as the reference the
+/// grid is checked against.
 class Channel {
   public:
     struct Stats {
@@ -202,16 +192,11 @@ class Channel {
 
     /// Passive global eavesdropper tap: observes every transmission with the
     /// transmitter's true position (a sniffer near the sender learns as
-    /// much). Used by the privacy experiments (§4). Taps share one dispatch
-    /// list with a documented order: the set_snoop() tap (historical
-    /// single-tap API) occupies slot 0 and is ALWAYS dispatched first;
-    /// add_snoop() taps follow in registration order. set_snoop(nullptr)
-    /// removes only the primary tap; add_snoop taps are unaffected. This
-    /// lets the eavesdropper, the invariant checker and the trace recorder
-    /// observe the same run side by side with a stable callback order (the
-    /// order events land in the trace depends on it).
+    /// much). Used by the privacy experiments (§4). Taps are dispatched in
+    /// registration order, so the eavesdropper, the invariant checker and
+    /// the trace recorder observe the same run side by side with a stable
+    /// callback order (the order events land in the trace depends on it).
     using SnoopFn = std::function<void(const Frame&, const Vec2& tx_pos)>;
-    void set_snoop(SnoopFn snoop);
     void add_snoop(SnoopFn snoop) { taps_.push_back(std::move(snoop)); }
 
     /// Audited variant of the snoop tap: additionally reveals the
@@ -224,12 +209,11 @@ class Channel {
         std::function<void(const Frame&, const Vec2& tx_pos, net::NodeId true_sender)>;
     void add_audit_snoop(AuditSnoopFn snoop) { audit_taps_.push_back(std::move(snoop)); }
 
-    /// Drop every tap — primary, additional and audit — in one call (test
-    /// teardown, scenario reset).
+    /// Drop every tap, regular and audit, in one call (test teardown,
+    /// scenario reset).
     void clear_snoops() {
         taps_.clear();
         audit_taps_.clear();
-        has_primary_tap_ = false;
     }
 
     /// Receiver-side impairment model (fault injection): return true to make
@@ -238,10 +222,6 @@ class Channel {
     /// collision physics are unaffected — only decoding fails.
     using DropFn = std::function<bool(const Frame&, const Vec2& tx_pos, const Vec2& rx_pos)>;
     void set_drop_model(DropFn drop) { drop_ = std::move(drop); }
-
-    /// True when this channel scans all radios per transmission (config flag
-    /// or GEOANON_BRUTE_FORCE_CHANNEL) instead of querying the spatial grid.
-    bool brute_force() const { return brute_force_; }
 
     /// Fold channel-wide counters into the run metrics (phy.transmissions,
     /// phy.deliveries, phy.collisions, phy.impaired).
@@ -269,9 +249,7 @@ class Channel {
         std::uint32_t next_free{kNilSlot};
     };
 
-    EngineState::Index register_radio(Radio* radio, EngineState::PositionFn fn);
     EngineState::Index register_radio(Radio* radio, mobility::MobilityModel* model);
-    void finish_register(Radio* radio);
     void start_tx(Radio* sender, const Frame& frame);
     void note_delivery() { ++stats_.deliveries; }
     void note_collision() { ++stats_.collisions; }
@@ -297,19 +275,15 @@ class Channel {
     std::uint64_t next_tx_id_{1};
     std::vector<SnoopFn> taps_;
     std::vector<AuditSnoopFn> audit_taps_;
-    bool has_primary_tap_{false};  ///< taps_[0] is the set_snoop slot
     DropFn drop_;
     std::vector<TxSlot> tx_slots_;
     std::uint32_t tx_free_{kNilSlot};
 
     // Spatial hash grid ---------------------------------------------------
-    bool brute_force_{false};
     double cell_m_{1.0};
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
-    /// Radios registered since the last sweep; always candidates until the
-    /// next sweep buckets them (their position row may not be safely
-    /// readable at registration time).
-    std::vector<std::uint32_t> unbucketed_;
+    /// False until the first sweep, and again after every registration, so
+    /// a newly registered radio is bucketed by the next transmission.
     bool swept_once_{false};
     SimTime last_sweep_{};
     std::vector<std::uint32_t> candidates_;   ///< per-tx scratch

@@ -1,14 +1,10 @@
 #include "phy/engine_state.hpp"
 
-#include <utility>
-
 namespace geoanon::phy {
 
-EngineState::Index EngineState::append_common() {
-    const auto idx = static_cast<Index>(mode_.size());
-    mode_.push_back(Mode::kClosure);
-    model_.push_back(nullptr);
-    fn_.emplace_back();
+EngineState::Index EngineState::add_row(mobility::MobilityModel* model) {
+    const auto idx = static_cast<Index>(model_.size());
+    model_.push_back(model);
     // seg_end == seg_start == 0 marks the leg stale, so the first lookup
     // refreshes (every query time t satisfies t >= seg_end).
     seg_start_ns_.push_back(0);
@@ -25,59 +21,30 @@ EngineState::Index EngineState::append_common() {
     return idx;
 }
 
-EngineState::Index EngineState::add_row(mobility::MobilityModel* model) {
-    const Index idx = append_common();
-    mode_[idx] = Mode::kSampled;  // demoted to kDirect on first failed refresh
-    model_[idx] = model;
-    return idx;
-}
-
-EngineState::Index EngineState::add_row(PositionFn fn) {
-    const Index idx = append_common();
-    mode_[idx] = Mode::kClosure;
-    fn_[idx] = std::move(fn);
-    return idx;
-}
-
 void EngineState::refresh(Index i, SimTime t) {
-    mobility::MotionSample s;
-    if (model_[i]->motion_at(t, s)) {
-        seg_start_ns_[i] = s.start.ns();
-        move_start_ns_[i] = s.move_start.ns();
-        seg_end_ns_[i] = s.end.ns();
-        from_x_[i] = s.from.x;
-        from_y_[i] = s.from.y;
-        to_x_[i] = s.to.x;
-        to_y_[i] = s.to.y;
-        return;
-    }
-    mode_[i] = Mode::kDirect;
+    const mobility::MotionSample s = model_[i]->motion_at(t);
+    seg_start_ns_[i] = s.start.ns();
+    move_start_ns_[i] = s.move_start.ns();
+    seg_end_ns_[i] = s.end.ns();
+    from_x_[i] = s.from.x;
+    from_y_[i] = s.from.y;
+    to_x_[i] = s.to.x;
+    to_y_[i] = s.to.y;
 }
 
 // geoanon: hot
 Vec2 EngineState::position(Index i, SimTime t) {
-    if (mode_[i] == Mode::kSampled) {
-        // Refresh once when the cached leg goes stale, then evaluate
-        // unconditionally: a leg ending exactly at t (arrival instant) is
-        // handled inside sample_position, matching position_at's own
-        // boundary behaviour.
-        if (t.ns() < seg_start_ns_[i] || t.ns() >= seg_end_ns_[i]) refresh(i, t);
-        if (mode_[i] == Mode::kSampled) return mobility::sample_position(sample_of(i), t);
-    }
-    if (mode_[i] == Mode::kDirect) return model_[i]->position_at(t);
-    return fn_[i]();
+    // Refresh once when the cached leg goes stale, then evaluate
+    // unconditionally: a leg ending exactly at t (arrival instant) is handled
+    // inside sample_position, matching position_at's own boundary behaviour.
+    if (t.ns() < seg_start_ns_[i] || t.ns() >= seg_end_ns_[i]) refresh(i, t);
+    return mobility::sample_position(sample_of(i), t);
 }
 
 // geoanon: hot
 Vec2 EngineState::velocity(Index i, SimTime t) {
-    if (mode_[i] == Mode::kSampled) {
-        if (t.ns() < seg_start_ns_[i] || t.ns() >= seg_end_ns_[i]) refresh(i, t);
-        if (mode_[i] == Mode::kSampled) return mobility::sample_velocity(sample_of(i), t);
-    }
-    if (mode_[i] == Mode::kDirect) return model_[i]->velocity_at(t);
-    // Closure rows carry no velocity information; stationary is the only
-    // consistent answer (test rigs pin positions).
-    return Vec2{};
+    if (t.ns() < seg_start_ns_[i] || t.ns() >= seg_end_ns_[i]) refresh(i, t);
+    return mobility::sample_velocity(sample_of(i), t);
 }
 
 }  // namespace geoanon::phy

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "agfw_rig.hpp"
+#include "fresh_leg_mobility.hpp"
 #include "core/agfw.hpp"
 #include "crypto/engine.hpp"
 #include "mobility/mobility.hpp"
@@ -114,13 +115,12 @@ TEST(Agfw, NoAckModeSendsNoAcks) {
 TEST(Agfw, UnreachableNextHopFallsBackToAlternate) {
     // 0 hears a "ghost" neighbor whose hellos come from a node that then
     // leaves: NL-ACK failure must blacklist it and reroute via the other.
-    class Jumper final : public mobility::MobilityModel {
+    class Jumper final : public test_support::FreshLegMobility {
       public:
         explicit Jumper(Vec2 home) : home_(home) {}
         Vec2 position_at(SimTime t) override {
             return t > SimTime::seconds(5) ? Vec2{home_.x, 9000.0} : home_;
         }
-        Vec2 velocity_at(SimTime) override { return {}; }
         Vec2 home_;
     };
 
@@ -251,7 +251,7 @@ TEST(Agfw, NoIdentityEverOnTheAir) {
     // or a real MAC address.
     AgfwNet net({{0, 0}, {200, 0}, {400, 0}});
     bool leaked = false;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (f.src != net::kBroadcastAddr && f.dst != net::kBroadcastAddr) leaked = true;
         if (f.payload) {
             if (f.payload->src_id != net::kInvalidNode) leaked = true;
@@ -274,7 +274,7 @@ TEST(Agfw, UidsOnTheAirDoNotEmbedTheSourceId) {
     // recognizable prefix.
     AgfwNet net({{0, 0}, {150, 0}});
     std::vector<std::uint64_t> air_uids;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (!f.payload) return;
         if (f.payload->type == net::PacketType::kAgfwData && f.payload->uid != 0)
             air_uids.push_back(f.payload->uid);
@@ -318,7 +318,7 @@ TEST(Agfw, AggregatedAcksBatchMultipleUids) {
     net.warm_up();
     std::size_t ack_packets = 0;
     std::size_t acked_uids = 0;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const util::Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const util::Vec2&) {
         if (f.payload && f.payload->type == net::PacketType::kAgfwAck) {
             ++ack_packets;
             acked_uids += f.payload->ack_uids.size();
@@ -337,7 +337,7 @@ TEST(Agfw, ImmediateAcksAreOnePerUid) {
     AgfwNet net({{0, 0}, {150, 0}}, params);
     net.warm_up();
     std::size_t ack_packets = 0, acked_uids = 0;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const util::Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const util::Vec2&) {
         if (f.payload && f.payload->type == net::PacketType::kAgfwAck) {
             ++ack_packets;
             acked_uids += f.payload->ack_uids.size();
@@ -361,7 +361,7 @@ TEST(Agfw, AckBackoffDoublesRetransmitGaps) {
     net.warm_up();
 
     std::vector<double> tx_s;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (f.payload && f.payload->type == net::PacketType::kAgfwData)
             tx_s.push_back(net.network.sim().now().to_seconds());
     });
@@ -396,7 +396,7 @@ TEST(Agfw, FixedTimeoutKeepsRetransmitGapsFlat) {
     net.warm_up();
 
     std::vector<double> tx_s;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (f.payload && f.payload->type == net::PacketType::kAgfwData)
             tx_s.push_back(net.network.sim().now().to_seconds());
     });
@@ -422,7 +422,7 @@ TEST(Agfw, RerouteLimitExhaustionDropsUnreachable) {
     net.warm_up();
 
     std::vector<std::uint64_t> next_hops;
-    net.network.channel().set_snoop([&](const phy::Frame& f, const Vec2&) {
+    net.network.channel().add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (f.payload && f.payload->type == net::PacketType::kAgfwData)
             next_hops.push_back(f.payload->next_hop_pseudonym);
     });

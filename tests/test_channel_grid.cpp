@@ -1,18 +1,25 @@
-// Spatial-hash channel vs brute-force scan: the grid is an index, not a
-// model change, so every observable outcome must be bit-identical. The
-// matrix tests run whole scenarios twice (scheme x fault class) and compare
-// the full serialized ScenarioResult; the rig tests pin down the geometric
-// edge cases the 9-cell query must survive.
+// Spatial-hash channel checks. The grid is an index, not a model change, so
+// every observable outcome must match the single-cell reference (one
+// infinite cell: every radio is a candidate for every transmission). The
+// matrix tests run whole scenarios both ways (scheme x fault class) and
+// compare the full serialized ScenarioResult; the rig tests pin down the
+// geometric edge cases the 9-cell query must survive, and a randomized rig
+// checks each frame's receivers against plain distance arithmetic on the
+// mobility models, independent of the channel's code.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "experiment/json.hpp"
+#include "fresh_leg_mobility.hpp"
+#include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
+#include "reference/single_cell.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -42,15 +49,14 @@ ScenarioConfig matrix_config(Scheme scheme, std::uint64_t seed = 5) {
     return cfg;
 }
 
-/// Run `cfg` with the grid and with the brute-force scan; the serialized
-/// results (every deterministic field) must match byte for byte.
+/// Run `cfg` with the default grid and with the single-cell reference; the
+/// serialized results (every deterministic field) must match byte for byte.
 void expect_equivalent(ScenarioConfig cfg) {
-    cfg.phy.brute_force = false;
     const ScenarioResult grid = ScenarioRunner(cfg).run();
-    cfg.phy.brute_force = true;
-    const ScenarioResult brute = ScenarioRunner(cfg).run();
-    EXPECT_EQ(grid.events_processed, brute.events_processed);
-    EXPECT_EQ(experiment::result_to_json(grid), experiment::result_to_json(brute));
+    cfg.phy = reference::single_cell(cfg.phy);
+    const ScenarioResult single = ScenarioRunner(cfg).run();
+    EXPECT_EQ(grid.events_processed, single.events_processed);
+    EXPECT_EQ(experiment::result_to_json(grid), experiment::result_to_json(single));
 }
 
 TEST(ChannelGridEquivalence, GpsrGreedy) { expect_equivalent(matrix_config(Scheme::kGpsrGreedy)); }
@@ -115,16 +121,20 @@ TEST(ChannelGridEquivalence, RangeEqualsCsRange) {
 struct Rig {
     explicit Rig(PhyParams params = {}) : channel(sim, params) {}
 
-    Radio& add(Radio::PositionFn pos) {
-        radios.push_back(std::make_unique<Radio>(sim, channel, std::move(pos)));
+    Radio& add(std::unique_ptr<mobility::MobilityModel> model) {
+        models.push_back(std::move(model));
+        radios.push_back(std::make_unique<Radio>(sim, channel, *models.back()));
         received.emplace_back();
         auto idx = received.size() - 1;
         radios.back()->set_mac_hooks(
             nullptr, nullptr, [this, idx](const Frame& f) { received[idx].push_back(f); });
         return *radios.back();
     }
-    Radio& add(Vec2 pos) {
-        return add([pos] { return pos; });
+    Radio& add(Vec2 pos) { return add(std::make_unique<mobility::StationaryMobility>(pos)); }
+    /// A radio the test moves by hand; returns its model.
+    test_support::TeleportMobility& add_teleport(Vec2 pos) {
+        add(std::make_unique<test_support::TeleportMobility>(pos));
+        return static_cast<test_support::TeleportMobility&>(*models.back());
     }
 
     Frame frame(std::uint32_t bytes = 100) {
@@ -136,6 +146,7 @@ struct Rig {
 
     sim::Simulator sim;
     Channel channel;
+    std::vector<std::unique_ptr<mobility::MobilityModel>> models;
     std::vector<std::unique_ptr<Radio>> radios;
     std::vector<std::vector<Frame>> received;
 };
@@ -191,17 +202,16 @@ TEST(ChannelGrid, NegativeCoordinatesBucketCorrectly) {
 TEST(ChannelGrid, MovingRadioIsReBucketed) {
     // The receiver starts out of decode range, then drifts in. With a short
     // rebucket interval every transmission sees a fresh sweep, so the grid
-    // tracks the PositionFn without any explicit notification.
+    // tracks the model without any explicit notification.
     PhyParams p;
     p.grid_rebucket_interval = SimTime::micros(1);
     p.grid_max_speed_mps = 0.0;
     Rig rig(p);
-    auto rx_pos = std::make_shared<Vec2>(Vec2{2000.0, 0.0});
     Radio& tx = rig.add({0, 0});
-    rig.add([rx_pos] { return *rx_pos; });
+    test_support::TeleportMobility& rx = rig.add_teleport({2000.0, 0.0});
     rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame()); });
-    rig.sim.at(SimTime::seconds(1.0), [&, rx_pos] {
-        *rx_pos = {200.0, 0.0};
+    rig.sim.at(SimTime::seconds(1.0), [&] {
+        rx.move_to({200.0, 0.0});
         tx.start_tx(rig.frame());
     });
     rig.sim.run();
@@ -217,12 +227,11 @@ TEST(ChannelGrid, StaleBucketStillExactWithinSpeedHint) {
     p.grid_rebucket_interval = SimTime::seconds(10.0);
     p.grid_max_speed_mps = 50.0;  // slack = 500 m
     Rig rig(p);
-    auto rx_pos = std::make_shared<Vec2>(Vec2{700.0, 0.0});  // out of range, bucketed
     Radio& tx = rig.add({0, 0});
-    rig.add([rx_pos] { return *rx_pos; });
+    test_support::TeleportMobility& rx = rig.add_teleport({700.0, 0.0});  // out of range
     rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame()); });  // sweeps at t=0
-    rig.sim.at(SimTime::seconds(9.9), [&, rx_pos] {
-        *rx_pos = {210.0, 0.0};  // drifted 490 m < slack; no sweep yet
+    rig.sim.at(SimTime::seconds(9.9), [&] {
+        rx.move_to({210.0, 0.0});  // drifted 490 m < slack; no sweep yet
         tx.start_tx(rig.frame());
     });
     rig.sim.run();
@@ -230,8 +239,8 @@ TEST(ChannelGrid, StaleBucketStillExactWithinSpeedHint) {
 }
 
 TEST(ChannelGrid, LateRegisteredRadioHeardBeforeFirstSweep) {
-    // A radio added mid-run sits on the unbucketed list until the next sweep;
-    // it must already be a reception candidate in that window.
+    // A radio added mid-run must be a reception candidate long before the
+    // next periodic sweep: registration makes the next transmission sweep.
     PhyParams p;
     p.grid_rebucket_interval = SimTime::seconds(100.0);
     Rig rig(p);
@@ -245,31 +254,66 @@ TEST(ChannelGrid, LateRegisteredRadioHeardBeforeFirstSweep) {
     ASSERT_EQ(rig.received[1].size(), 1u);
 }
 
-TEST(ChannelGrid, BruteForceConfigFlag) {
-    PhyParams p;
-    p.brute_force = true;
-    Rig rig(p);
-    EXPECT_TRUE(rig.channel.brute_force());
-    Radio& tx = rig.add({0, 0});
-    rig.add({200, 0});
-    tx.start_tx(rig.frame());
-    rig.sim.run();
-    EXPECT_EQ(rig.received[1].size(), 1u);
-}
+TEST(ChannelGrid, ReceiversMatchGeometricOracle) {
+    // 200 radios crossing a 3 km square at up to the grid's speed hint (so
+    // buckets go stale between sweeps by as much as the slack allows), one
+    // frame every 2 ms from a random sender: airtimes never overlap, so
+    // every radio within range_m of the sender decodes and nobody else does.
+    // The expected set comes from position_at on the models alone.
+    const PhyParams params;
+    sim::Simulator sim;
+    Channel channel(sim, params);
+    util::Rng rng(2024);
+    const mobility::Area area{3000.0, 3000.0};
+    mobility::RandomWaypoint::Params mp;
+    mp.min_speed_mps = 0.8 * params.grid_max_speed_mps;
+    mp.max_speed_mps = params.grid_max_speed_mps;
+    mp.pause = SimTime::zero();
 
-TEST(ChannelGrid, BruteForceEnvVar) {
-    ::setenv("GEOANON_BRUTE_FORCE_CHANNEL", "1", 1);
-    {
-        sim::Simulator sim;
-        Channel channel(sim, PhyParams{});
-        EXPECT_TRUE(channel.brute_force());
+    constexpr std::size_t kRadios = 200;
+    std::vector<std::unique_ptr<mobility::RandomWaypoint>> models;
+    std::vector<std::unique_ptr<Radio>> radios;
+    std::vector<std::vector<std::uint32_t>> heard;  // per frame seq: receivers in on_rx order
+    for (std::size_t i = 0; i < kRadios; ++i) {
+        models.push_back(std::make_unique<mobility::RandomWaypoint>(
+            area, area.random_point(rng), mp, rng.fork()));
+        radios.push_back(std::make_unique<Radio>(sim, channel, *models.back()));
+        radios.back()->set_mac_hooks(nullptr, nullptr, [&heard, i](const Frame& f) {
+            heard[f.seq].push_back(static_cast<std::uint32_t>(i));
+        });
     }
-    ::unsetenv("GEOANON_BRUTE_FORCE_CHANNEL");
-    {
-        sim::Simulator sim;
-        Channel channel(sim, PhyParams{});
-        EXPECT_FALSE(channel.brute_force());
+
+    constexpr std::uint32_t kFrames = 10000;
+    const SimTime spacing = SimTime::millis(2);
+    ASSERT_LT(params.airtime(100), spacing);
+    std::vector<std::vector<std::uint32_t>> expected(kFrames);
+    heard.resize(kFrames);
+    for (std::uint32_t k = 0; k < kFrames; ++k) {
+        const auto sender = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(kRadios) - 1));
+        sim.at(spacing * k, [&, k, sender] {
+            const Vec2 from = models[sender]->position_at(sim.now());
+            for (std::size_t j = 0; j < kRadios; ++j) {
+                if (j == sender) continue;
+                if (util::distance(from, models[j]->position_at(sim.now())) <= params.range_m)
+                    expected[k].push_back(static_cast<std::uint32_t>(j));
+            }
+            Frame f;
+            f.wire_bytes = 100;
+            f.seq = k;
+            radios[sender]->start_tx(f);
+        });
     }
+    sim.run();
+
+    std::uint64_t deliveries = 0;
+    for (std::uint32_t k = 0; k < kFrames; ++k) {
+        ASSERT_EQ(heard[k], expected[k]) << "frame " << k << " at " << (spacing * k).ns() << " ns";
+        deliveries += expected[k].size();
+    }
+    EXPECT_EQ(channel.stats().deliveries, deliveries);
+    EXPECT_EQ(channel.stats().collisions, 0u);
+    EXPECT_GT(deliveries, std::uint64_t{kFrames});  // a connected-enough field
 }
 
 }  // namespace

@@ -239,23 +239,18 @@ TEST(Codec, LocDigestRejectsOverlongRowCount) {
     EXPECT_FALSE(codec::decode(wire).has_value());
 }
 
-TEST(Codec, TraceTrailerRoundTrip) {
-    Packet p = base_packet(PacketType::kAgfwAck);
-    p.ack_uids = {5};
-    p.flow = 3;
-    p.seq = 99;
-    p.created_at = SimTime::millis(777);
-    p.uid = 0xFEED;
-    p.hops = 6;
-    const auto wire = codec::encode(p, /*include_trace=*/true);
-    EXPECT_EQ(wire.size(), routing::kAgfwAckBytes + 26);
-    const auto back = codec::decode(wire, /*include_trace=*/true);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->flow, 3u);
-    EXPECT_EQ(back->seq, 99u);
-    EXPECT_EQ(back->created_at, SimTime::millis(777));
-    EXPECT_EQ(back->uid, 0xFEEDu);
-    EXPECT_EQ(back->hops, 6u);
+TEST(Codec, AccountingFieldsNeverReachTheWire) {
+    // flow, seq, created_at, uid and hops are simulator bookkeeping: two
+    // packets that differ only there must encode to the same bytes.
+    Packet a = base_packet(PacketType::kAgfwData);
+    a.trapdoor = Bytes{1, 2, 3};
+    Packet b = a;
+    b.flow = 3;
+    b.seq = 99;
+    b.created_at = SimTime::millis(777);
+    b.uid = 0xFEED;
+    b.hops = 6;
+    EXPECT_EQ(codec::encode(a), codec::encode(b));
 }
 
 // ------------------------------------------------------------- malformed
@@ -395,7 +390,7 @@ TEST(Codec, LiveTrafficWireBytesMatchEncoding) {
         runner.setup();
 
         std::uint64_t checked = 0, mismatched = 0;
-        runner.network().channel().set_snoop(
+        runner.network().channel().add_snoop(
             [&](const phy::Frame& f, const util::Vec2&) {
                 if (!f.payload) return;
                 ++checked;

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "fresh_leg_mobility.hpp"
 #include "mobility/mobility.hpp"
 #include "net/network.hpp"
 #include "routing/gpsr.hpp"
@@ -126,13 +127,12 @@ TEST(Gpsr, MacFailureTriggersRerouteViaAlternate) {
     // Diamond: 0 -> {1 up, 2 down} -> 3. Node 0 prefers whichever is closer
     // to 3; if that neighbor vanishes mid-run, MAC failure reroutes via the
     // other. We emulate vanishing by a node whose mobility jumps away.
-    class Jumper final : public mobility::MobilityModel {
+    class Jumper final : public test_support::FreshLegMobility {
       public:
         explicit Jumper(Vec2 home) : home_(home) {}
         Vec2 position_at(SimTime t) override {
             return t > SimTime::seconds(6) ? Vec2{home_.x, 5000.0} : home_;
         }
-        Vec2 velocity_at(SimTime) override { return {}; }
         Vec2 home_;
     };
 

@@ -84,6 +84,44 @@ TEST(LintAmbientRng, UtilRngIsExemptAndMemberCallsClean) {
 }
 
 // ---------------------------------------------------------------------------
+// GL007 ambient-env
+// ---------------------------------------------------------------------------
+
+TEST(LintAmbientEnv, FlagsEnvironmentReadsAndWrites) {
+    const auto fs = scan("src/x.cpp",
+                         "const char* a = std::getenv(\"A\");\n"
+                         "const char* b = secure_getenv(\"B\");\n"
+                         "::setenv(\"C\", \"1\", 1);\n"
+                         "unsetenv(\"C\");\n");
+    ASSERT_EQ(count_rule(fs, Rule::kAmbientEnv), 4u);
+    EXPECT_EQ(fs[0].line, 1u);
+    EXPECT_EQ(fs[3].line, 4u);
+}
+
+TEST(LintAmbientEnv, SameScopeAsWallClock) {
+    // Like GL001, the rule covers every checked tree, not just src/.
+    for (const char* path : {"src/phy/x.cpp", "tests/test_x.cpp", "bench/x.hpp", "tools/x.cpp"}) {
+        EXPECT_TRUE(has_rule(scan(path, "auto v = std::getenv(\"X\");\n"), Rule::kAmbientEnv))
+            << path;
+    }
+}
+
+TEST(LintAmbientEnv, MentionsAndLongerIdentifiersAreClean) {
+    const auto fs = scan("src/x.cpp",
+                         "// no getenv here\n"
+                         "const char* s = \"setenv\";\n"
+                         "int getenv_calls = 0;\n");
+    EXPECT_FALSE(has_rule(fs, Rule::kAmbientEnv));
+}
+
+TEST(LintAmbientEnv, SuppressionWithReasonApplies) {
+    const auto fs = scan("bench/x.hpp",
+                         "// geoanon-lint: allow(ambient-env) -- run-length knob\n"
+                         "const char* s = std::getenv(\"GEOANON_SEEDS\");\n");
+    EXPECT_TRUE(fs.empty());
+}
+
+// ---------------------------------------------------------------------------
 // GL003 unseeded-engine
 // ---------------------------------------------------------------------------
 
@@ -653,6 +691,8 @@ TEST(LintOutput, RuleIdsAreStable) {
     EXPECT_STREQ(rule_id(Rule::kUnorderedIter), "GL004");
     EXPECT_STREQ(rule_id(Rule::kPointerKey), "GL005");
     EXPECT_STREQ(rule_id(Rule::kFloatAccum), "GL006");
+    EXPECT_STREQ(rule_id(Rule::kAmbientEnv), "GL007");
+    EXPECT_STREQ(rule_name(Rule::kAmbientEnv), "ambient-env");
     EXPECT_STREQ(rule_id(Rule::kPrivacyTaint), "GL010");
     EXPECT_STREQ(rule_id(Rule::kLayerDag), "GL020");
     EXPECT_STREQ(rule_id(Rule::kHotAlloc), "GL030");

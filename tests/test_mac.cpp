@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "mac/mac80211.hpp"
+#include "mobility/mobility.hpp"
 #include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
@@ -21,6 +22,7 @@ using util::SimTime;
 using util::Vec2;
 
 struct Station {
+    std::unique_ptr<mobility::StationaryMobility> mobility;
     std::unique_ptr<phy::Radio> radio;
     std::unique_ptr<Mac80211> mac;
     std::vector<PacketPtr> received;
@@ -32,7 +34,8 @@ struct Rig {
 
     Station& add(Vec2 pos, MacParams params = {}) {
         auto st = std::make_unique<Station>();
-        st->radio = std::make_unique<phy::Radio>(sim, channel, [pos] { return pos; });
+        st->mobility = std::make_unique<mobility::StationaryMobility>(pos);
+        st->radio = std::make_unique<phy::Radio>(sim, channel, *st->mobility);
         const MacAddr addr = stations.size() + 1;
         st->mac = std::make_unique<Mac80211>(sim, *st->radio, addr, params,
                                              util::Rng(addr * 7919));
@@ -249,7 +252,7 @@ TEST(Mac, AnonymousSourceHidesMacAddress) {
     Station& a = rig.add({0, 0}, params);
     rig.add({100, 0}, params);
     MacAddr seen_src = 0;
-    rig.channel.set_snoop([&](const phy::Frame& f, const Vec2&) { seen_src = f.src; });
+    rig.channel.add_snoop([&](const phy::Frame& f, const Vec2&) { seen_src = f.src; });
     a.mac->send_broadcast(Rig::packet());
     rig.sim.run_until(1_s);
     EXPECT_EQ(seen_src, net::kBroadcastAddr);
@@ -260,7 +263,7 @@ TEST(Mac, NormalSourceExposesMacAddress) {
     Station& a = rig.add({0, 0});
     rig.add({100, 0});
     MacAddr seen_src = 0;
-    rig.channel.set_snoop([&](const phy::Frame& f, const Vec2&) {
+    rig.channel.add_snoop([&](const phy::Frame& f, const Vec2&) {
         if (f.type == phy::Frame::Type::kData) seen_src = f.src;
     });
     a.mac->send_broadcast(Rig::packet());

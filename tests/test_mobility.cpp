@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "mobility/mobility.hpp"
+#include "phy/engine_state.hpp"
 
 namespace {
 
@@ -8,6 +13,7 @@ using namespace geoanon::mobility;
 using geoanon::util::Rng;
 using geoanon::util::SimTime;
 using geoanon::util::Vec2;
+using geoanon::phy::EngineState;
 
 TEST(Area, ContainsAndCenter) {
     const Area area{1500, 300};
@@ -125,6 +131,89 @@ TEST(UniformPlacement, CountAndBounds) {
     const auto pts = uniform_placement(area, 50, rng);
     EXPECT_EQ(pts.size(), 50u);
     for (const auto& p : pts) EXPECT_TRUE(area.contains(p));
+}
+
+// ---------------------------------------------------------------------------
+// EngineState motion legs vs the models. Every radio position in the
+// simulator comes from EngineState rows evaluating cached motion_at legs;
+// they must equal the model's own position_at/velocity_at bit for bit.
+
+/// Assert row `row` of `state` matches `model` exactly at `t`.
+void expect_row_matches(EngineState& state, EngineState::Index row, MobilityModel& model,
+                        SimTime t) {
+    const Vec2 p = state.position(row, t);
+    const Vec2 v = state.velocity(row, t);
+    const Vec2 mp = model.position_at(t);
+    const Vec2 mv = model.velocity_at(t);
+    ASSERT_EQ(p.x, mp.x) << "row " << row << " t=" << t.ns();
+    ASSERT_EQ(p.y, mp.y) << "row " << row << " t=" << t.ns();
+    ASSERT_EQ(v.x, mv.x) << "row " << row << " t=" << t.ns();
+    ASSERT_EQ(v.y, mv.y) << "row " << row << " t=" << t.ns();
+}
+
+TEST(EngineStateLegs, RandomWaypointBitIdenticalAtRandomTimesInRandomOrder) {
+    // Rows with and without pauses; each row's model is a twin (same seed)
+    // of the reference queried directly, so the two share no cache.
+    const Area area{1500, 300};
+    const SimTime horizon = SimTime::seconds(900);
+    std::vector<std::unique_ptr<RandomWaypoint>> rows, twins;
+    EngineState state;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        RandomWaypoint::Params params;
+        params.pause = SimTime::seconds(i % 2 == 0 ? 0.0 : 7.5);
+        params.min_speed_mps = 1.0 + static_cast<double>(i);
+        const Vec2 start{100.0 * static_cast<double>(i), 50.0};
+        rows.push_back(std::make_unique<RandomWaypoint>(area, start, params, Rng(100 + i)));
+        twins.push_back(std::make_unique<RandomWaypoint>(area, start, params, Rng(100 + i)));
+        EXPECT_EQ(state.add_row(rows.back().get()), i);
+    }
+    Rng rng(77);
+    for (int q = 0; q < 20000; ++q) {
+        const auto row = static_cast<EngineState::Index>(rng.uniform_int(0, 5));
+        const SimTime t = SimTime::nanos(rng.uniform_int(0, horizon.ns()));
+        expect_row_matches(state, row, *twins[row], t);
+    }
+}
+
+TEST(EngineStateLegs, RandomWaypointBitIdenticalAtEveryLegBoundary) {
+    const Area area{1500, 300};
+    RandomWaypoint::Params params;
+    params.pause = SimTime::seconds(3.0);
+    RandomWaypoint row_model(area, {10, 10}, params, Rng(5));
+    RandomWaypoint twin(area, {10, 10}, params, Rng(5));
+    RandomWaypoint walker(area, {10, 10}, params, Rng(5));
+    EngineState state;
+    const EngineState::Index row = state.add_row(&row_model);
+
+    // Walk the legs in order, then query each boundary (and its
+    // neighbours) out of order: backwards, which forces a refresh each time.
+    std::vector<SimTime> times;
+    SimTime t = SimTime::zero();
+    for (int leg = 0; leg < 400; ++leg) {
+        MotionSample s = walker.motion_at(t);
+        // At the exact end of the generated trajectory the model may still
+        // report the leg that ends there; the next leg starts at t.
+        if (s.end <= t) s = walker.motion_at(t + SimTime::nanos(1));
+        ASSERT_EQ(s.start, t);
+        for (const SimTime b : {s.start, s.move_start, s.end}) {
+            times.push_back(b);
+            times.push_back(b + SimTime::nanos(1));
+            if (b > SimTime::zero()) times.push_back(b - SimTime::nanos(1));
+        }
+        t = s.end;
+    }
+    std::reverse(times.begin(), times.end());
+    for (const SimTime q : times) expect_row_matches(state, row, twin, q);
+}
+
+TEST(EngineStateLegs, StationaryBitIdentical) {
+    StationaryMobility model({-3.25, 1e6});
+    EngineState state;
+    const EngineState::Index row = state.add_row(&model);
+    for (const SimTime t : {SimTime::zero(), SimTime::nanos(1), SimTime::seconds(1e6),
+                            SimTime::max() - SimTime::nanos(1), SimTime::max()}) {
+        expect_row_matches(state, row, model, t);
+    }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,7 +23,8 @@ struct Rig {
     explicit Rig(PhyParams params = {}) : channel(sim, params) {}
 
     Radio& add(Vec2 pos) {
-        radios.push_back(std::make_unique<Radio>(sim, channel, [pos] { return pos; }));
+        models.push_back(std::make_unique<mobility::StationaryMobility>(pos));
+        radios.push_back(std::make_unique<Radio>(sim, channel, *models.back()));
         received.emplace_back();
         auto idx = received.size() - 1;
         radios.back()->set_mac_hooks(
@@ -39,6 +41,7 @@ struct Rig {
 
     sim::Simulator sim;
     Channel channel;
+    std::vector<std::unique_ptr<mobility::StationaryMobility>> models;
     std::vector<std::unique_ptr<Radio>> radios;
     std::vector<std::vector<Frame>> received;
 };
@@ -208,7 +211,7 @@ TEST(Phy, BackToBackFramesBothDeliver) {
 TEST(Phy, SnoopSeesEveryTransmission) {
     Rig rig;
     int snooped = 0;
-    rig.channel.set_snoop([&](const Frame&, const Vec2& pos) {
+    rig.channel.add_snoop([&](const Frame&, const Vec2& pos) {
         ++snooped;
         EXPECT_EQ(pos, (Vec2{0, 0}));
     });
@@ -219,54 +222,26 @@ TEST(Phy, SnoopSeesEveryTransmission) {
     EXPECT_EQ(snooped, 1);
 }
 
-TEST(Phy, SnoopAndTapsShareOneDispatchList) {
-    // set_snoop owns the primary slot (replaced, not appended); add_snoop
-    // appends independent taps. All observers see every transmission.
-    Rig rig;
-    int replaced = 0, primary = 0, extra = 0;
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { ++replaced; });
-    rig.channel.add_snoop([&](const Frame&, const Vec2&) { ++extra; });
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { ++primary; });
-    Radio& tx = rig.add({0, 0});
-    tx.start_tx(rig.frame());
-    rig.sim.run();
-    EXPECT_EQ(replaced, 0);  // displaced by the second set_snoop
-    EXPECT_EQ(primary, 1);
-    EXPECT_EQ(extra, 1);
-    rig.channel.set_snoop(nullptr);  // clears only the primary slot
-    tx.start_tx(rig.frame());
-    rig.sim.run();
-    EXPECT_EQ(primary, 1);
-    EXPECT_EQ(extra, 2);
-}
-
-TEST(Phy, PrimarySnoopAlwaysDispatchedFirst) {
-    // Contract (channel.hpp): the set_snoop() tap occupies slot 0 and fires
-    // before every add_snoop() tap, even when it is registered last — trace
-    // event order depends on this.
+TEST(Phy, TapsDispatchInRegistrationOrder) {
+    // Regular taps fire in registration order, then audit taps: trace event
+    // order depends on it.
     Rig rig;
     std::vector<int> order;
+    rig.channel.add_audit_snoop(
+        [&](const Frame&, const Vec2&, net::NodeId) { order.push_back(3); });
     rig.channel.add_snoop([&](const Frame&, const Vec2&) { order.push_back(1); });
     rig.channel.add_snoop([&](const Frame&, const Vec2&) { order.push_back(2); });
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { order.push_back(0); });
     Radio& tx = rig.add({0, 0});
     tx.start_tx(rig.frame());
-    rig.sim.run_until(1_s);  // finite horizon: the rig transmits again below
-    ASSERT_EQ(order, (std::vector<int>{0, 1, 2}));
-
-    // Replacing the primary keeps slot 0; add_snoop order is preserved.
-    order.clear();
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { order.push_back(-1); });
-    tx.start_tx(rig.frame());
-    rig.sim.run_until(2_s);
-    ASSERT_EQ(order, (std::vector<int>{-1, 1, 2}));
+    rig.sim.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(Phy, ClearSnoopsDropsEveryTap) {
     Rig rig;
     int primary = 0, extra = 0;
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { ++primary; });
-    rig.channel.add_snoop([&](const Frame&, const Vec2&) { ++extra; });
+    rig.channel.add_snoop([&](const Frame&, const Vec2&) { ++primary; });
+    rig.channel.add_audit_snoop([&](const Frame&, const Vec2&, net::NodeId) { ++extra; });
     rig.channel.clear_snoops();
     Radio& tx = rig.add({0, 0});
     tx.start_tx(rig.frame());
@@ -274,8 +249,8 @@ TEST(Phy, ClearSnoopsDropsEveryTap) {
     EXPECT_EQ(primary, 0);
     EXPECT_EQ(extra, 0);
 
-    // The channel is reusable after clearing: set_snoop reclaims slot 0.
-    rig.channel.set_snoop([&](const Frame&, const Vec2&) { ++primary; });
+    // The channel is reusable after clearing.
+    rig.channel.add_snoop([&](const Frame&, const Vec2&) { ++primary; });
     tx.start_tx(rig.frame());
     rig.sim.run_until(2_s);
     EXPECT_EQ(primary, 1);

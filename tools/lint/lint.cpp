@@ -38,6 +38,8 @@ constexpr RuleInfo kRuleInfo[] = {
      "pointer-keyed ordered container"},
     {Rule::kFloatAccum, "GL006", "float-accum",
      "float arithmetic/state in simulation or stats path"},
+    {Rule::kAmbientEnv, "GL007", "ambient-env",
+     "environment variable read or write"},
     {Rule::kPrivacyTaint, "GL010", "privacy-taint",
      "identity/position source reaches a wire or export sink unsanitized"},
     {Rule::kLayerDag, "GL020", "layer-dag",
@@ -386,6 +388,9 @@ constexpr const char* kAmbientRngIdents[] = {
     "rand", "srand", "random_device", "drand48", "lrand48",
     "mrand48", "random_shuffle",
 };
+constexpr const char* kEnvIdents[] = {
+    "getenv", "secure_getenv", "setenv", "unsetenv",
+};
 constexpr const char* kRandomEngines[] = {
     "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
     "default_random_engine", "ranlux24", "ranlux48", "knuth_b",
@@ -432,6 +437,18 @@ void check_ambient_rng(const std::string& path, const std::vector<Token>& toks,
         out.push_back({Rule::kAmbientRng, path, t.line,
                        t.text + ": nondeterministic randomness; all streams must "
                        "fork from util::Rng and the scenario seed"});
+    }
+}
+
+void check_ambient_env(const std::string& path, const std::vector<Token>& toks,
+                       std::vector<Finding>& out) {
+    for (const Token& t : toks) {
+        if (is_any(t, kEnvIdents)) {
+            out.push_back({Rule::kAmbientEnv, path, t.line,
+                           t.text + ": the environment is a hidden input; a run "
+                           "must be a function of its config and seed, so pass "
+                           "settings explicitly (config field or CLI flag)"});
+        }
     }
 }
 
@@ -581,6 +598,7 @@ std::vector<Finding> scan_file_indexed(const FileInput& in,
     std::vector<Finding> raw;
     check_wallclock(in.path, toks, raw);
     check_ambient_rng(in.path, toks, raw);
+    check_ambient_env(in.path, toks, raw);
     check_unseeded_engine(in.path, toks, raw);
     check_unordered_iter(in.path, toks, unordered, raw);
     check_pointer_key(in.path, toks, raw);

@@ -22,13 +22,14 @@ enum class Rule {
     kPrivacyTaint,   ///< GL010: identity/position source reaches a wire sink
     kLayerDag,       ///< GL020: include edge climbs the layer DAG
     kHotAlloc,       ///< GL030: heap allocation inside a `geoanon: hot` path
+    kAmbientEnv,     ///< GL007: environment variable read or write
 };
 
 inline constexpr Rule kAllRules[] = {
     Rule::kSuppression,    Rule::kWallClock,  Rule::kAmbientRng,
     Rule::kUnseededEngine, Rule::kUnorderedIter, Rule::kPointerKey,
     Rule::kFloatAccum,     Rule::kPrivacyTaint,  Rule::kLayerDag,
-    Rule::kHotAlloc,
+    Rule::kHotAlloc,       Rule::kAmbientEnv,
 };
 
 const char* rule_id(Rule r);    ///< "GL001"
