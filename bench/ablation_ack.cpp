@@ -56,11 +56,11 @@ int main() {
                 run_variant(v.timeout, v.backoff, v.retries, v.piggyback, nodes, seconds);
             table.row()
                 .cell(v.name)
-                .cell(r.delivery_fraction, 3)
-                .cell(r.avg_latency_ms, 2)
-                .cell(static_cast<long long>(r.nl_retransmissions))
-                .cell(static_cast<long long>(r.acks_sent))
-                .cell(static_cast<long long>(r.implicit_acks));
+                .cell(r.delivery_fraction(), 3)
+                .cell(r.avg_latency_ms(), 2)
+                .cell(static_cast<long long>(r.metrics.counter("agfw.retransmissions")))
+                .cell(static_cast<long long>(r.metrics.counter("agfw.acks_sent")))
+                .cell(static_cast<long long>(r.metrics.counter("agfw.implicit_acks")));
         }
         table.print();
         std::printf("\n");

@@ -53,10 +53,10 @@ int main() {
             const auto r = run_variant(v.penalty, v.velocity, speed, seconds);
             table.row()
                 .cell(v.name)
-                .cell(r.delivery_fraction, 3)
-                .cell(r.avg_latency_ms, 2)
-                .cell(static_cast<long long>(r.nl_retransmissions))
-                .cell(static_cast<long long>(r.drop_unreachable));
+                .cell(r.delivery_fraction(), 3)
+                .cell(r.avg_latency_ms(), 2)
+                .cell(static_cast<long long>(r.metrics.counter("agfw.retransmissions")))
+                .cell(static_cast<long long>(r.metrics.counter("agfw.drop_unreachable")));
         }
         table.print();
         std::printf("\n");

@@ -43,12 +43,12 @@ int main() {
         for (int s = 0; s < seeds; ++s) {
             const auto g = run_variant(false, nodes, seconds, 100 + static_cast<std::uint64_t>(s));
             const auto p = run_variant(true, nodes, seconds, 100 + static_cast<std::uint64_t>(s));
-            d_g.add(g.delivery_fraction);
-            d_p.add(p.delivery_fraction);
-            l_g.add(g.avg_latency_ms);
-            l_p.add(p.avg_latency_ms);
-            entries += p.perimeter_entries;
-            recoveries += p.perimeter_recoveries;
+            d_g.add(g.delivery_fraction());
+            d_p.add(p.delivery_fraction());
+            l_g.add(g.avg_latency_ms());
+            l_p.add(p.avg_latency_ms());
+            entries += p.metrics.counter("agfw.perimeter_entries");
+            recoveries += p.metrics.counter("agfw.perimeter_recoveries");
         }
         table.row()
             .cell(static_cast<long long>(nodes))

@@ -31,9 +31,9 @@ const obs::MetricsSnapshot::Hist* find_hist(const workload::ScenarioResult& r,
 }
 
 double resolve_success(const workload::ScenarioResult& r) {
-    const double total =
-        static_cast<double>(r.ls.resolved_ok + r.ls.resolved_fail);
-    return total > 0.0 ? static_cast<double>(r.ls.resolved_ok) / total : 0.0;
+    const auto ok = static_cast<double>(r.metrics.counter("ls.resolved_ok"));
+    const double total = ok + static_cast<double>(r.metrics.counter("ls.resolved_fail"));
+    return total > 0.0 ? ok / total : 0.0;
 }
 
 }  // namespace
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
                 }
             }
             violations += run.result.invariants.violations();
-            stale += run.result.ls.stale_reads;
+            stale += run.result.metrics.counter("ls.failover.stale_reads");
         }
         if (violations > 0) invariants_clean = false;
         if (pt.values[0] > 0.0) {

@@ -47,19 +47,20 @@ int main() {
     util::TablePrinter table({"service", "lookup ok", "lookup fail", "B/update", "B/query",
                               "B/reply", "trial decrypts", "data delivery"});
     for (const Row& row : rows) {
-        const auto& ls = row.r.ls;
-        auto per = [](std::uint64_t bytes, std::uint64_t count) {
-            return count ? static_cast<double>(bytes) / static_cast<double>(count) : 0.0;
+        const auto ls = [&](const char* name) { return row.r.metrics.counter(name); };
+        auto per = [&](const char* bytes, const char* count) {
+            return ls(count) ? static_cast<double>(ls(bytes)) / static_cast<double>(ls(count))
+                             : 0.0;
         };
         table.row()
             .cell(row.name)
-            .cell(static_cast<long long>(ls.resolved_ok))
-            .cell(static_cast<long long>(ls.resolved_fail))
-            .cell(per(ls.update_bytes, ls.updates_sent), 1)
-            .cell(per(ls.query_bytes, ls.queries_sent), 1)
-            .cell(per(ls.reply_bytes, ls.replies_sent), 1)
-            .cell(static_cast<long long>(ls.decrypt_attempts))
-            .cell(row.r.delivery_fraction, 3);
+            .cell(static_cast<long long>(ls("ls.resolved_ok")))
+            .cell(static_cast<long long>(ls("ls.resolved_fail")))
+            .cell(per("ls.update_bytes", "ls.updates_sent"), 1)
+            .cell(per("ls.query_bytes", "ls.queries_sent"), 1)
+            .cell(per("ls.reply_bytes", "ls.replies_sent"), 1)
+            .cell(static_cast<long long>(ls("ls.decrypt_attempts")))
+            .cell(row.r.delivery_fraction(), 3);
     }
     table.print();
 

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     const auto points = bench::run_sweep(spec, args);
 
     const auto delivery = [](const workload::ScenarioResult& r) {
-        return r.delivery_fraction;
+        return r.delivery_fraction();
     };
     util::TablePrinter table({"nodes", "gpsr-greedy", "agfw-noack", "agfw-ack"});
     for (std::size_t n = 0; n < spec.axes[0].values.size(); ++n) {

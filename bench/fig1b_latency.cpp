@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
 
     const auto points = bench::run_sweep(spec, args);
 
-    const auto avg_ms = [](const workload::ScenarioResult& r) { return r.avg_latency_ms; };
-    const auto p95_ms = [](const workload::ScenarioResult& r) { return r.p95_latency_ms; };
+    const auto avg_ms = [](const workload::ScenarioResult& r) { return r.avg_latency_ms(); };
+    const auto p95_ms = [](const workload::ScenarioResult& r) { return r.p95_latency_ms(); };
     util::TablePrinter table({"nodes", "gpsr avg (ms)", "agfw-ack avg (ms)",
                               "gpsr p95 (ms)", "agfw-ack p95 (ms)"});
     for (std::size_t n = 0; n < spec.axes[0].values.size(); ++n) {

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
             return r.attack.tracking_success_rate;
         });
         const double delivery = pt.mean([](const workload::ScenarioResult& r) {
-            return r.delivery_fraction;
+            return r.delivery_fraction();
         });
         if (strong) {
             strong_tracking[policy] = tracking;
@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
         }
         std::uint64_t hellos = 0, suppressed = 0;
         for (const experiment::RunRecord& run : pt.runs) {
-            hellos += run.result.hello_sent;
-            suppressed += run.result.hello_suppressed;
+            hellos += run.result.metrics.counter("agfw.hello_sent");
+            suppressed += run.result.metrics.counter("agfw.hello_suppressed");
         }
         table.row()
             .cell(pt.labels[0])

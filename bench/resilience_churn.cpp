@@ -60,19 +60,19 @@ int main(int argc, char** argv) {
         table.row()
             .cell(static_cast<long long>(pt.values[0] * 100.0 + 0.5))
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.delivery_fraction;
+                      return r.delivery_fraction();
                   }),
                   3)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.avg_latency_ms;
+                      return r.avg_latency_ms();
                   }),
                   1)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return static_cast<double>(r.resilience.node_crashes);
+                      return static_cast<double>(r.metrics.counter("fault.node_crashes"));
                   }),
                   1)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.resilience.recovery_latency_p95_s;
+                      return r.metrics.histogram("fault.recovery_s").p95;
                   }),
                   2);
     }

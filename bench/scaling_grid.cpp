@@ -368,7 +368,7 @@ int main(int argc, char** argv) {
             .cell(grid.mean(eps), 0)
             .cell(static_cast<long long>(r0.events_processed))
             .cell(static_cast<long long>(r0.perf.peak_queue_depth))
-            .cell(r0.delivery_fraction, 3)
+            .cell(r0.delivery_fraction(), 3)
             .cell(setup_rss_mib, 1)
             .cell(peak_rss_mib, 1);
         table.print();

@@ -67,10 +67,14 @@ int main(int argc, char** argv) {
     util::TablePrinter table({"nodes", "scheme", "delivery", "lat (ms)", "p95 (ms)", "hops",
                               "mac retries", "nl retx", "collisions"});
     for (const experiment::PointRecord& pt : points) {
-        const auto mean = [&](auto field) {
-            return pt.mean([field](const workload::ScenarioResult& r) {
-                return static_cast<double>(r.*field);
-            });
+        const auto mean = [&](double (workload::ScenarioResult::*accessor)() const) {
+            return pt.mean(
+                [accessor](const workload::ScenarioResult& r) { return (r.*accessor)(); });
+        };
+        const auto counter = [&](const char* name) {
+            return static_cast<long long>(pt.mean([name](const workload::ScenarioResult& r) {
+                return static_cast<double>(r.metrics.counter(name));
+            }));
         };
         table.row()
             .cell(pt.labels[0])
@@ -79,9 +83,9 @@ int main(int argc, char** argv) {
             .cell(mean(&workload::ScenarioResult::avg_latency_ms), 2)
             .cell(mean(&workload::ScenarioResult::p95_latency_ms), 2)
             .cell(mean(&workload::ScenarioResult::avg_hops), 2)
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::mac_retries)))
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::nl_retransmissions)))
-            .cell(static_cast<long long>(mean(&workload::ScenarioResult::mac_collisions)));
+            .cell(counter("mac.retries"))
+            .cell(counter("agfw.retransmissions"))
+            .cell(counter("phy.frames_corrupted"));
     }
     table.print();
 

@@ -48,11 +48,12 @@ int main(int argc, char** argv) {
 
         table.row()
             .cell(workload::scheme_name(scheme))
-            .cell(r.delivery_fraction, 3)
-            .cell(r.avg_latency_ms, 2)
-            .cell(r.avg_hops, 2)
-            .cell(static_cast<long long>(r.mac_collisions))
-            .cell(static_cast<long long>(r.control_bytes));
+            .cell(r.delivery_fraction(), 3)
+            .cell(r.avg_latency_ms(), 2)
+            .cell(r.avg_hops(), 2)
+            .cell(static_cast<long long>(r.metrics.counter("phy.frames_corrupted")))
+            .cell(static_cast<long long>(r.metrics.counter("agfw.control_bytes") +
+                                         r.metrics.counter("gpsr.control_bytes")));
 
         if (cfg.trace.enabled &&
             util::write_text_file(trace_path, runner.chrome_trace_json())) {

@@ -1,69 +1,126 @@
 #include "experiment/json.hpp"
 
+#include <string_view>
+
 namespace geoanon::experiment {
+
+namespace {
+
+using Read = ResultKey::Read;
+
+// Sums such as drop_no_route read the AGFW and the GPSR counter; only one
+// scheme runs per scenario, so one of the two is always absent (0).
+constexpr ResultKey kResultKeys[] = {
+    {"", "app_sent", Read::kCounter, "app.sent"},
+    {"", "app_delivered", Read::kCounter, "app.delivered"},
+    {"", "delivery_fraction", Read::kRatio, "app.delivered", "app.sent"},
+    {"", "avg_latency_ms", Read::kAverage, "app.latency_ms"},
+    {"", "p50_latency_ms", Read::kP50, "app.latency_ms"},
+    {"", "p95_latency_ms", Read::kP95, "app.latency_ms"},
+    {"", "avg_hops", Read::kAverage, "app.hops"},
+
+    {"", "mac_collisions", Read::kCounter, "phy.frames_corrupted"},
+    {"", "mac_retries", Read::kCounter, "mac.retries"},
+    {"", "mac_drop_retry", Read::kCounter, "mac.unicast_drop_retry"},
+    {"", "rts_sent", Read::kCounter, "mac.rts_sent"},
+    {"", "data_frames", Read::kCounter, "mac.data_sent"},
+    {"", "transmissions", Read::kCounter, "phy.transmissions"},
+
+    {"", "drop_no_route", Read::kCounter, "agfw.drop_no_route", "gpsr.drop_no_route"},
+    {"", "drop_unreachable", Read::kCounter, "agfw.drop_unreachable", "gpsr.drop_mac"},
+    {"", "drop_no_location", Read::kCounter, "agfw.drop_no_location", "gpsr.drop_no_location"},
+    {"", "nl_retransmissions", Read::kCounter, "agfw.retransmissions"},
+    {"", "last_attempts", Read::kCounter, "agfw.last_attempts"},
+    {"", "trapdoor_attempts", Read::kCounter, "agfw.trapdoor_attempts"},
+    {"", "trapdoor_opens", Read::kCounter, "agfw.trapdoor_opens"},
+    {"", "acks_sent", Read::kCounter, "agfw.acks_sent"},
+    {"", "implicit_acks", Read::kCounter, "agfw.implicit_acks"},
+    {"", "hello_sent", Read::kCounter, "agfw.hello_sent", "gpsr.hello_sent"},
+    {"", "hello_suppressed", Read::kCounter, "agfw.hello_suppressed"},
+    {"", "pseudonym_rotations", Read::kCounter, "agfw.pseudonym_rotations"},
+    {"", "cert_fetches", Read::kCounter, "agfw.cert_fetches"},
+    {"", "control_bytes", Read::kCounter, "agfw.control_bytes", "gpsr.control_bytes"},
+    {"", "data_bytes", Read::kCounter, "agfw.data_bytes", "gpsr.data_bytes"},
+    {"", "perimeter_entries", Read::kCounter, "agfw.perimeter_entries"},
+    {"", "perimeter_recoveries", Read::kCounter, "agfw.perimeter_recoveries"},
+    {"", "perimeter_forwards", Read::kCounter, "agfw.perimeter_forwards"},
+
+    {"ls", "updates_sent", Read::kCounter, "ls.updates_sent"},
+    {"ls", "update_bytes", Read::kCounter, "ls.update_bytes"},
+    {"ls", "queries_sent", Read::kCounter, "ls.queries_sent"},
+    {"ls", "query_bytes", Read::kCounter, "ls.query_bytes"},
+    {"ls", "replies_sent", Read::kCounter, "ls.replies_sent"},
+    {"ls", "reply_bytes", Read::kCounter, "ls.reply_bytes"},
+    {"ls", "replications", Read::kCounter, "ls.replications"},
+    {"ls", "store_hits", Read::kCounter, "ls.store_hits"},
+    {"ls", "store_misses", Read::kCounter, "ls.store_misses"},
+    {"ls", "resolved_ok", Read::kCounter, "ls.resolved_ok"},
+    {"ls", "resolved_fail", Read::kCounter, "ls.resolved_fail"},
+    {"ls", "decrypt_attempts", Read::kCounter, "ls.decrypt_attempts"},
+    {"ls", "query_reissues", Read::kCounter, "ls.query_reissues"},
+    {"ls", "query_fallbacks", Read::kCounter, "ls.query_fallbacks"},
+    {"ls", "late_replies", Read::kCounter, "ls.late_replies"},
+    {"ls", "pending_wiped", Read::kCounter, "ls.pending_wiped"},
+    {"ls", "store_expired", Read::kCounter, "ls.store.expired"},
+    {"ls", "digests_sent", Read::kCounter, "ls.replica.digests_sent"},
+    {"ls", "digest_bytes", Read::kCounter, "ls.replica.digest_bytes"},
+    {"ls", "repairs_sent", Read::kCounter, "ls.replica.repairs_sent"},
+    {"ls", "handoffs", Read::kCounter, "ls.replica.handoffs"},
+    {"ls", "read_repairs", Read::kCounter, "ls.replica.read_repairs"},
+    {"ls", "duplicates_suppressed", Read::kCounter, "ls.replica.duplicates_suppressed"},
+    {"ls", "stale_reads", Read::kCounter, "ls.failover.stale_reads"},
+
+    {"resilience", "faults_injected", Read::kCounter, "fault.faults_injected"},
+    {"resilience", "node_crashes", Read::kCounter, "fault.node_crashes"},
+    {"resilience", "node_recoveries", Read::kCounter, "fault.node_recoveries"},
+    {"resilience", "als_outages", Read::kCounter, "fault.als_outages"},
+    // Frames that reached a crashed radio.
+    {"resilience", "frames_lost_node_down", Read::kCounter, "phy.frames_missed_down"},
+    {"resilience", "frames_lost_loss_burst", Read::kCounter, "fault.frames_lost_loss_burst"},
+    {"resilience", "frames_lost_jam", Read::kCounter, "fault.frames_lost_jam"},
+    {"resilience", "frames_lost_partition", Read::kCounter, "fault.frames_lost_partition"},
+    {"resilience", "server_flap_cycles", Read::kCounter, "fault.server_flap_cycles"},
+    {"resilience", "ls_pending_wiped", Read::kCounter, "ls.pending_wiped"},
+    {"resilience", "recoveries_measured", Read::kCount, "fault.recovery_s"},
+    {"resilience", "recovery_latency_p50_s", Read::kP50, "fault.recovery_s"},
+    {"resilience", "recovery_latency_p95_s", Read::kP95, "fault.recovery_s"},
+    {"resilience", "recovery_outage_p95_s", Read::kP95, "fault.recovery_outage_s"},
+    {"resilience", "recovery_flap_p95_s", Read::kP95, "fault.recovery_flap_s"},
+};
+
+/// Writes the table's keys of `section`, inside an object of that name
+/// unless it is the top level.
+void write_section(JsonWriter& w, const obs::MetricsSnapshot& m, const char* section) {
+    if (*section) w.key(section).begin_object();
+    for (const ResultKey& k : kResultKeys) {
+        if (std::string_view(section) != k.section) continue;
+        w.key(k.key);
+        switch (k.read) {
+            case Read::kCounter:
+                w.value(m.counter(k.name) + (k.name2 ? m.counter(k.name2) : 0));
+                break;
+            case Read::kRatio: {
+                const auto den = static_cast<double>(m.counter(k.name2));
+                w.value(den > 0.0 ? static_cast<double>(m.counter(k.name)) / den : 0.0);
+                break;
+            }
+            case Read::kAverage: w.value(m.histogram(k.name).average()); break;
+            case Read::kCount: w.value(m.histogram(k.name).count); break;
+            case Read::kP50: w.value(m.histogram(k.name).p50); break;
+            case Read::kP95: w.value(m.histogram(k.name).p95); break;
+        }
+    }
+    if (*section) w.end_object();
+}
+
+}  // namespace
+
+std::span<const ResultKey> result_keys() { return kResultKeys; }
 
 void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool include_perf) {
     w.begin_object();
-    w.key("app_sent").value(r.app_sent);
-    w.key("app_delivered").value(r.app_delivered);
-    w.key("delivery_fraction").value(r.delivery_fraction);
-    w.key("avg_latency_ms").value(r.avg_latency_ms);
-    w.key("p50_latency_ms").value(r.p50_latency_ms);
-    w.key("p95_latency_ms").value(r.p95_latency_ms);
-    w.key("avg_hops").value(r.avg_hops);
-
-    w.key("mac_collisions").value(r.mac_collisions);
-    w.key("mac_retries").value(r.mac_retries);
-    w.key("mac_drop_retry").value(r.mac_drop_retry);
-    w.key("rts_sent").value(r.rts_sent);
-    w.key("data_frames").value(r.data_frames);
-    w.key("transmissions").value(r.transmissions);
-
-    w.key("drop_no_route").value(r.drop_no_route);
-    w.key("drop_unreachable").value(r.drop_unreachable);
-    w.key("drop_no_location").value(r.drop_no_location);
-    w.key("nl_retransmissions").value(r.nl_retransmissions);
-    w.key("last_attempts").value(r.last_attempts);
-    w.key("trapdoor_attempts").value(r.trapdoor_attempts);
-    w.key("trapdoor_opens").value(r.trapdoor_opens);
-    w.key("acks_sent").value(r.acks_sent);
-    w.key("implicit_acks").value(r.implicit_acks);
-    w.key("hello_sent").value(r.hello_sent);
-    w.key("hello_suppressed").value(r.hello_suppressed);
-    w.key("pseudonym_rotations").value(r.pseudonym_rotations);
-    w.key("cert_fetches").value(r.cert_fetches);
-    w.key("control_bytes").value(r.control_bytes);
-    w.key("data_bytes").value(r.data_bytes);
-    w.key("perimeter_entries").value(r.perimeter_entries);
-    w.key("perimeter_recoveries").value(r.perimeter_recoveries);
-    w.key("perimeter_forwards").value(r.perimeter_forwards);
-
-    w.key("ls").begin_object();
-    w.key("updates_sent").value(r.ls.updates_sent);
-    w.key("update_bytes").value(r.ls.update_bytes);
-    w.key("queries_sent").value(r.ls.queries_sent);
-    w.key("query_bytes").value(r.ls.query_bytes);
-    w.key("replies_sent").value(r.ls.replies_sent);
-    w.key("reply_bytes").value(r.ls.reply_bytes);
-    w.key("replications").value(r.ls.replications);
-    w.key("store_hits").value(r.ls.store_hits);
-    w.key("store_misses").value(r.ls.store_misses);
-    w.key("resolved_ok").value(r.ls.resolved_ok);
-    w.key("resolved_fail").value(r.ls.resolved_fail);
-    w.key("decrypt_attempts").value(r.ls.decrypt_attempts);
-    w.key("query_reissues").value(r.ls.query_reissues);
-    w.key("query_fallbacks").value(r.ls.query_fallbacks);
-    w.key("late_replies").value(r.ls.late_replies);
-    w.key("pending_wiped").value(r.ls.pending_wiped);
-    w.key("store_expired").value(r.ls.store_expired);
-    w.key("digests_sent").value(r.ls.digests_sent);
-    w.key("digest_bytes").value(r.ls.digest_bytes);
-    w.key("repairs_sent").value(r.ls.repairs_sent);
-    w.key("handoffs").value(r.ls.handoffs);
-    w.key("read_repairs").value(r.ls.read_repairs);
-    w.key("duplicates_suppressed").value(r.ls.duplicates_suppressed);
-    w.key("stale_reads").value(r.ls.stale_reads);
-    w.end_object();
+    write_section(w, r.metrics, "");
+    write_section(w, r.metrics, "ls");
 
     w.key("adversary").begin_object();
     w.key("frames_observed").value(r.adversary.frames_observed);
@@ -114,23 +171,11 @@ void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool inclu
     w.key("plain_ls_fallbacks").value(r.invariants.plain_ls_fallbacks);
     w.end_object();
 
-    w.key("resilience").begin_object();
-    w.key("faults_injected").value(r.resilience.faults_injected);
-    w.key("node_crashes").value(r.resilience.node_crashes);
-    w.key("node_recoveries").value(r.resilience.node_recoveries);
-    w.key("als_outages").value(r.resilience.als_outages);
-    w.key("frames_lost_node_down").value(r.resilience.frames_lost_node_down);
-    w.key("frames_lost_loss_burst").value(r.resilience.frames_lost_loss_burst);
-    w.key("frames_lost_jam").value(r.resilience.frames_lost_jam);
-    w.key("frames_lost_partition").value(r.resilience.frames_lost_partition);
-    w.key("server_flap_cycles").value(r.resilience.server_flap_cycles);
-    w.key("ls_pending_wiped").value(r.resilience.ls_pending_wiped);
-    w.key("recoveries_measured").value(r.resilience.recoveries_measured);
-    w.key("recovery_latency_p50_s").value(r.resilience.recovery_latency_p50_s);
-    w.key("recovery_latency_p95_s").value(r.resilience.recovery_latency_p95_s);
-    w.key("recovery_outage_p95_s").value(r.resilience.recovery_outage_p95_s);
-    w.key("recovery_flap_p95_s").value(r.resilience.recovery_flap_p95_s);
-    w.end_object();
+    // The fault injector always publishes fault.recovery_s; without one the
+    // section reads an empty snapshot and stays all-zero.
+    static const obs::MetricsSnapshot kNoFaults;
+    const bool faulted = !r.metrics.histogram("fault.recovery_s").name.empty();
+    write_section(w, faulted ? r.metrics : kNoFaults, "resilience");
 
     // Full registry snapshot: already name-sorted (std::map), so the block
     // is byte-stable for identical runs.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,8 +14,23 @@ namespace geoanon::experiment {
 // The emitter moved to util/json.hpp so the obs exporters can share it;
 // re-exported here for existing callers.
 using util::JsonWriter;
-using util::json_escape;
 using util::write_text_file;
+
+/// One key of the result's top-level, "ls" and "resilience" sections and the
+/// registry value it prints: counter `name` plus counter `name2` (kCounter),
+/// counter `name` / counter `name2` or 0 (kRatio), or the sum / count,
+/// sample count, median or 95th percentile of histogram `name`.
+struct ResultKey {
+    enum class Read : std::uint8_t { kCounter, kRatio, kAverage, kCount, kP50, kP95 };
+    const char* section;  ///< "" for the top level
+    const char* key;
+    Read read;
+    const char* name;
+    const char* name2{nullptr};
+};
+
+/// The table result_to_json walks, in output order.
+std::span<const ResultKey> result_keys();
 
 /// Serialize every deterministic field of a ScenarioResult. With
 /// `include_perf`, the host-side perf block (wall-clock, events/sec, peak

@@ -188,7 +188,6 @@ class FaultInjector {
                     CrashCause cause = CrashCause::kScheduled);
 
     bool is_down(NodeId node) const { return down_[node]; }
-    int down_count() const { return down_count_; }
     const Stats& stats() const { return stats_; }
     /// Fold the injector's counters into the run metrics (fault.*), plus the
     /// fault.recovery_s histogram.

@@ -52,7 +52,6 @@ class Node {
 
     // geoanon: source(node-id)
     NodeId id() const { return id_; }
-    MacAddr mac_addr() const { return mac_.address(); }
     /// The position the node *believes* (its GPS fix): true position plus
     /// the injected GPS error, when one is set. The radio always uses the
     /// true physical position (see the constructor).

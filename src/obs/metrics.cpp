@@ -1,11 +1,21 @@
 #include "obs/metrics.hpp"
 
+#include <algorithm>
+
 namespace geoanon::obs {
 
-std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
-    for (const auto& [k, v] : counters)
-        if (k == name) return v;
-    return 0;
+std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
+    const auto it =
+        std::lower_bound(counters.begin(), counters.end(), name,
+                         [](const auto& kv, std::string_view n) { return kv.first < n; });
+    return it != counters.end() && it->first == name ? it->second : 0;
+}
+
+const MetricsSnapshot::Hist& MetricsSnapshot::histogram(std::string_view name) const {
+    static const Hist kAbsent{};
+    const auto it = std::lower_bound(histograms.begin(), histograms.end(), name,
+                                     [](const Hist& h, std::string_view n) { return h.name < n; });
+    return it != histograms.end() && it->name == name ? *it : kAbsent;
 }
 
 void MetricsRegistry::add(const std::string& name, std::uint64_t delta) {
@@ -18,20 +28,10 @@ void MetricsRegistry::set_gauge(const std::string& name, double v) {
     gauges_[name] = v;
 }
 
-void MetricsRegistry::observe(const std::string& name, double x) {
-    const util::MutexLock lock(mu_);
-    hists_[name].observe(x);
-}
-
 void MetricsRegistry::observe_all(const std::string& name, const util::Sampler& s) {
     const util::MutexLock lock(mu_);
-    hists_[name].observe_all(s);
-}
-
-std::uint64_t MetricsRegistry::counter(const std::string& name) const {
-    const util::MutexLock lock(mu_);
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    util::Sampler& h = hists_[name];
+    for (const double x : s.samples()) h.add(x);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -42,16 +42,20 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     snap.gauges.reserve(gauges_.size());
     for (const auto& [name, v] : gauges_) snap.gauges.emplace_back(name, v);
     snap.histograms.reserve(hists_.size());
-    for (const auto& [name, h] : hists_) {
+    for (const auto& [name, samples] : hists_) {
+        // Welford's moments over the samples in insertion order.
+        util::RunningStat stat;
+        for (const double x : samples.samples()) stat.add(x);
         MetricsSnapshot::Hist out;
         out.name = name;
-        out.count = h.stat().count();
-        out.mean = h.stat().mean();
-        out.min = h.stat().min();
-        out.max = h.stat().max();
-        out.p50 = h.sampler().percentile(50);
-        out.p95 = h.sampler().percentile(95);
-        out.p99 = h.sampler().percentile(99);
+        out.count = stat.count();
+        out.mean = stat.mean();
+        out.min = stat.min();
+        out.max = stat.max();
+        out.p50 = samples.percentile(50);
+        out.p95 = samples.percentile(95);
+        out.p99 = samples.percentile(99);
+        out.sum = stat.sum();
         snap.histograms.push_back(std::move(out));
     }
     return snap;

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -10,27 +11,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace geoanon::obs {
-
-/// One observed distribution: O(1) running moments (RunningStat) plus the
-/// full sample set for exact percentiles (Sampler).
-class Histogram {
-  public:
-    void observe(double x) {
-        stat_.add(x);
-        sampler_.add(x);
-    }
-    /// Fold a whole Sampler in (e.g. a layer-owned latency sampler).
-    void observe_all(const util::Sampler& s) {
-        for (const double x : s.samples()) observe(x);
-    }
-
-    const util::RunningStat& stat() const { return stat_; }
-    const util::Sampler& sampler() const { return sampler_; }
-
-  private:
-    util::RunningStat stat_;
-    util::Sampler sampler_;
-};
 
 /// Point-in-time copy of a registry, sorted by name — the deterministic
 /// form stored in ScenarioResult and serialized to JSON.
@@ -44,14 +24,25 @@ struct MetricsSnapshot {
         double p50{0.0};
         double p95{0.0};
         double p99{0.0};
+        /// The samples summed in insertion order; never serialized. sum/count
+        /// is the arithmetic mean the result's derived values print, which
+        /// can differ from the Welford `mean` in the last bits.
+        double sum{0.0};
+
+        /// sum / count; 0 when there are no samples.
+        double average() const { return count ? sum / static_cast<double>(count) : 0.0; }
     };
 
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<Hist> histograms;
 
-    /// Counter lookup; 0 when absent (snapshots never store zero-defaults).
-    std::uint64_t counter(const std::string& name) const;
+    /// Counter lookup; 0 when the name was never published. A published
+    /// counter may still hold 0, so 0 does not mean "absent".
+    std::uint64_t counter(std::string_view name) const;
+    /// Histogram lookup; an all-zero Hist with an empty name when the name
+    /// was never published.
+    const Hist& histogram(std::string_view name) const;
 };
 
 /// Name-keyed counters/gauges/histograms every layer publishes into at the
@@ -68,12 +59,8 @@ class MetricsRegistry {
   public:
     void add(const std::string& name, std::uint64_t delta);
     void set_gauge(const std::string& name, double v);
-    void observe(const std::string& name, double x);
-    /// Fold a layer-owned sampler into the named histogram.
+    /// Append a layer-owned sampler's samples to the named histogram.
     void observe_all(const std::string& name, const util::Sampler& s);
-
-    /// Counter value; 0 when never touched.
-    std::uint64_t counter(const std::string& name) const;
 
     MetricsSnapshot snapshot() const;
 
@@ -81,7 +68,8 @@ class MetricsRegistry {
     mutable util::Mutex mu_;
     std::map<std::string, std::uint64_t> counters_ GEOANON_GUARDED_BY(mu_);
     std::map<std::string, double> gauges_ GEOANON_GUARDED_BY(mu_);
-    std::map<std::string, Histogram> hists_ GEOANON_GUARDED_BY(mu_);
+    /// One sample store per histogram; the snapshot derives the moments.
+    std::map<std::string, util::Sampler> hists_ GEOANON_GUARDED_BY(mu_);
 };
 
 }  // namespace geoanon::obs

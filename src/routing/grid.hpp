@@ -22,7 +22,6 @@ class GridMap {
           rows_(static_cast<std::uint32_t>((area.height + cell_m - 1.0) / cell_m)) {}
 
     std::uint32_t grid_count() const { return cols_ * rows_; }
-    double cell_size() const { return cell_; }
 
     /// Grid index containing point `p` (clamped to the area).
     std::uint32_t grid_of(const Vec2& p) const {

@@ -25,11 +25,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-double RunningStat::ci95_half_width() const {
-    if (n_ < 2) return 0.0;
-    return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
 void RunningStat::merge(const RunningStat& o) {
     if (o.n_ == 0) return;
     if (n_ == 0) {

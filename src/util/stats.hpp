@@ -20,9 +20,6 @@ class RunningStat {
     double max() const { return n_ ? max_ : 0.0; }
     double sum() const { return sum_; }
 
-    /// Half-width of the ~95% normal-approximation confidence interval.
-    double ci95_half_width() const;
-
     /// Merge another accumulator into this one (parallel Welford).
     void merge(const RunningStat& o);
 
@@ -46,7 +43,6 @@ class Sampler {
     /// Exact percentile by nearest-rank on the sorted samples, p in [0,100].
     /// Returns 0 for an empty sampler.
     double percentile(double p) const;
-    double median() const { return percentile(50.0); }
     const std::vector<double>& samples() const { return samples_; }
 
   private:

@@ -1,7 +1,6 @@
 #include "workload/scenario.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 
 #include "obs/export.hpp"
@@ -191,7 +190,6 @@ void ScenarioRunner::build_traffic() {
     }
 
     delivered_.assign(flows_.size(), {});
-    sent_per_flow_.assign(flows_.size(), 0);
 
     // ALS contacts: a node's anticipated requesters are the flow sources
     // that will query it (§3.3: the updater must anticipate its senders).
@@ -233,7 +231,6 @@ void ScenarioRunner::cbr_tick(std::size_t f) {
     }
     net::Bytes body(config_.cbr_payload_bytes, 0xAB);
     const std::uint32_t seq = flow.next_seq++;
-    ++sent_per_flow_[f];
     network_->node(flow.src).agent().send_data(flow.dst, flow.id, seq, std::move(body));
     sim.after(gap, [this, f] { cbr_tick(f); });
 }
@@ -246,7 +243,6 @@ void ScenarioRunner::on_delivery(net::NodeId at, const net::Packet& pkt) {
     if (pkt.seq >= seen.size()) seen.resize(pkt.seq + 1, false);
     if (seen[pkt.seq]) return;  // duplicate delivery
     seen[pkt.seq] = true;
-    ++app_delivered_;
     latency_ms_.add((network_->sim().now() - pkt.created_at).to_millis());
     hops_.add(static_cast<double>(pkt.hops));
 }
@@ -267,15 +263,14 @@ ScenarioResult ScenarioRunner::run() {
 }
 
 ScenarioResult ScenarioRunner::aggregate() {
-    // Every layer publishes into one registry; the legacy named fields of
-    // ScenarioResult are then *derived* from the registry so the two views
-    // can never drift apart.
+    // Every layer publishes into one registry; its snapshot is the result.
     obs::MetricsRegistry reg;
 
-    std::uint64_t app_sent = 0;
-    for (std::uint32_t s : sent_per_flow_) app_sent += s;
-    reg.add("app.sent", app_sent);
-    reg.add("app.delivered", app_delivered_);
+    ScenarioResult r;
+    for (const Flow& f : flows_) r.app_sent += f.next_seq;  // seqs start at 0
+    r.app_delivered = latency_ms_.count();  // one sample per unique delivery
+    reg.add("app.sent", r.app_sent);
+    reg.add("app.delivered", r.app_delivered);
     reg.observe_all("app.latency_ms", latency_ms_);
     reg.observe_all("app.hops", hops_);
 
@@ -286,89 +281,6 @@ ScenarioResult ScenarioRunner::aggregate() {
     if (recorder_) {
         reg.add("trace.recorded", recorder_->recorded());
         reg.add("trace.evicted", recorder_->evicted());
-    }
-
-    ScenarioResult r;
-    r.app_sent = reg.counter("app.sent");
-    r.app_delivered = reg.counter("app.delivered");
-    r.delivery_fraction =
-        r.app_sent > 0 ? static_cast<double>(r.app_delivered) / static_cast<double>(r.app_sent)
-                       : 0.0;
-    r.avg_latency_ms = latency_ms_.mean();
-    r.p50_latency_ms = latency_ms_.percentile(50);
-    r.p95_latency_ms = latency_ms_.percentile(95);
-    r.avg_hops = hops_.mean();
-
-    r.mac_collisions = reg.counter("phy.frames_corrupted");
-    r.mac_retries = reg.counter("mac.retries");
-    r.mac_drop_retry = reg.counter("mac.unicast_drop_retry");
-    r.rts_sent = reg.counter("mac.rts_sent");
-    r.data_frames = reg.counter("mac.data_sent");
-    r.transmissions = reg.counter("phy.transmissions");
-
-    r.drop_no_route = reg.counter("agfw.drop_no_route") + reg.counter("gpsr.drop_no_route");
-    r.drop_unreachable =
-        reg.counter("agfw.drop_unreachable") + reg.counter("gpsr.drop_mac");
-    r.drop_no_location =
-        reg.counter("agfw.drop_no_location") + reg.counter("gpsr.drop_no_location");
-    r.nl_retransmissions = reg.counter("agfw.retransmissions");
-    r.last_attempts = reg.counter("agfw.last_attempts");
-    r.trapdoor_attempts = reg.counter("agfw.trapdoor_attempts");
-    r.trapdoor_opens = reg.counter("agfw.trapdoor_opens");
-    r.acks_sent = reg.counter("agfw.acks_sent");
-    r.implicit_acks = reg.counter("agfw.implicit_acks");
-    r.hello_sent = reg.counter("agfw.hello_sent") + reg.counter("gpsr.hello_sent");
-    r.hello_suppressed = reg.counter("agfw.hello_suppressed");
-    r.pseudonym_rotations = reg.counter("agfw.pseudonym_rotations");
-    r.cert_fetches = reg.counter("agfw.cert_fetches");
-    r.control_bytes = reg.counter("agfw.control_bytes") + reg.counter("gpsr.control_bytes");
-    r.data_bytes = reg.counter("agfw.data_bytes") + reg.counter("gpsr.data_bytes");
-    r.perimeter_entries = reg.counter("agfw.perimeter_entries");
-    r.perimeter_recoveries = reg.counter("agfw.perimeter_recoveries");
-    r.perimeter_forwards = reg.counter("agfw.perimeter_forwards");
-
-    r.ls.updates_sent = reg.counter("ls.updates_sent");
-    r.ls.update_bytes = reg.counter("ls.update_bytes");
-    r.ls.queries_sent = reg.counter("ls.queries_sent");
-    r.ls.query_bytes = reg.counter("ls.query_bytes");
-    r.ls.replies_sent = reg.counter("ls.replies_sent");
-    r.ls.reply_bytes = reg.counter("ls.reply_bytes");
-    r.ls.replications = reg.counter("ls.replications");
-    r.ls.store_hits = reg.counter("ls.store_hits");
-    r.ls.store_misses = reg.counter("ls.store_misses");
-    r.ls.resolved_ok = reg.counter("ls.resolved_ok");
-    r.ls.resolved_fail = reg.counter("ls.resolved_fail");
-    r.ls.decrypt_attempts = reg.counter("ls.decrypt_attempts");
-    r.ls.query_reissues = reg.counter("ls.query_reissues");
-    r.ls.query_fallbacks = reg.counter("ls.query_fallbacks");
-    r.ls.late_replies = reg.counter("ls.late_replies");
-    r.ls.pending_wiped = reg.counter("ls.pending_wiped");
-    r.ls.store_expired = reg.counter("ls.store.expired");
-    r.ls.digests_sent = reg.counter("ls.replica.digests_sent");
-    r.ls.digest_bytes = reg.counter("ls.replica.digest_bytes");
-    r.ls.repairs_sent = reg.counter("ls.replica.repairs_sent");
-    r.ls.handoffs = reg.counter("ls.replica.handoffs");
-    r.ls.read_repairs = reg.counter("ls.replica.read_repairs");
-    r.ls.duplicates_suppressed = reg.counter("ls.replica.duplicates_suppressed");
-    r.ls.stale_reads = reg.counter("ls.failover.stale_reads");
-
-    if (injector_) {
-        const auto& fs = injector_->stats();
-        r.resilience.faults_injected = reg.counter("fault.faults_injected");
-        r.resilience.node_crashes = reg.counter("fault.node_crashes");
-        r.resilience.node_recoveries = reg.counter("fault.node_recoveries");
-        r.resilience.als_outages = reg.counter("fault.als_outages");
-        r.resilience.server_flap_cycles = reg.counter("fault.server_flap_cycles");
-        r.resilience.frames_lost_loss_burst = reg.counter("fault.frames_lost_loss_burst");
-        r.resilience.frames_lost_jam = reg.counter("fault.frames_lost_jam");
-        r.resilience.frames_lost_partition = reg.counter("fault.frames_lost_partition");
-        r.resilience.frames_lost_node_down = reg.counter("phy.frames_missed_down");
-        r.resilience.ls_pending_wiped = r.ls.pending_wiped;
-        r.resilience.recoveries_measured = fs.recovery_s.count();
-        r.resilience.recovery_latency_p50_s = fs.recovery_s.percentile(50);
-        r.resilience.recovery_latency_p95_s = fs.recovery_s.percentile(95);
-        r.resilience.recovery_outage_p95_s = fs.recovery_outage_s.percentile(95);
-        r.resilience.recovery_flap_p95_s = fs.recovery_flap_s.percentile(95);
     }
 
     if (eavesdropper_) r.adversary = eavesdropper_->report(config_.sim_seconds);

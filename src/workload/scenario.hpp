@@ -97,51 +97,18 @@ struct ScenarioConfig {
     routing::GpsrGreedyAgent::Params gpsr{};
 };
 
-/// Aggregated outcome of one run.
+/// Aggregated outcome of one run. Every value a layer counts lives in
+/// `metrics`, the run's registry snapshot; the accessors below derive the
+/// paper's delivery and latency metrics (§5) and the mean hop count from
+/// it. The other members are reports the registry does not carry.
 struct ScenarioResult {
-    // Application-level (the paper's two metrics, §5)
+    /// Copies of the app.sent and app.delivered counters (unique (flow, seq)
+    /// at the destination).
     std::uint64_t app_sent{0};
-    std::uint64_t app_delivered{0};   ///< unique (flow, seq) at destination
-    double delivery_fraction{0.0};
-    double avg_latency_ms{0.0};
-    double p50_latency_ms{0.0};
-    double p95_latency_ms{0.0};
-    double avg_hops{0.0};
-
-    // MAC / PHY aggregates
-    std::uint64_t mac_collisions{0};
-    std::uint64_t mac_retries{0};
-    std::uint64_t mac_drop_retry{0};
-    std::uint64_t rts_sent{0};
-    std::uint64_t data_frames{0};
-    std::uint64_t transmissions{0};
-
-    // Agent aggregates
-    std::uint64_t drop_no_route{0};
-    std::uint64_t drop_unreachable{0};
-    std::uint64_t drop_no_location{0};
-    std::uint64_t nl_retransmissions{0};
-    std::uint64_t last_attempts{0};
-    std::uint64_t trapdoor_attempts{0};
-    std::uint64_t trapdoor_opens{0};
-    std::uint64_t acks_sent{0};
-    std::uint64_t implicit_acks{0};
-    std::uint64_t hello_sent{0};
-    std::uint64_t hello_suppressed{0};
-    std::uint64_t pseudonym_rotations{0};
-    std::uint64_t cert_fetches{0};
-    std::uint64_t control_bytes{0};
-    std::uint64_t data_bytes{0};
-    std::uint64_t perimeter_entries{0};
-    std::uint64_t perimeter_recoveries{0};
-    std::uint64_t perimeter_forwards{0};
-
-    // Location service aggregates (when enabled)
-    routing::LocationService::Stats ls{};
+    std::uint64_t app_delivered{0};
 
     /// Everything every layer published into the run's MetricsRegistry,
-    /// sorted by name. The named fields above are derived from this snapshot
-    /// (see ScenarioRunner::aggregate) and kept for API/JSON stability.
+    /// sorted by name.
     obs::MetricsSnapshot metrics{};
 
     // Adversary (when attached)
@@ -151,32 +118,6 @@ struct ScenarioResult {
 
     // Protocol invariant counters (when check_invariants is on)
     analysis::InvariantChecker::Counters invariants{};
-
-    /// Resilience counters (populated when config.faults is non-empty).
-    struct Resilience {
-        std::uint64_t faults_injected{0};
-        std::uint64_t node_crashes{0};
-        std::uint64_t node_recoveries{0};
-        std::uint64_t als_outages{0};
-        /// Packets lost per fault class. Node-down losses are frames that
-        /// reached a disabled radio; burst/jam losses are channel drops.
-        std::uint64_t frames_lost_node_down{0};
-        std::uint64_t frames_lost_loss_burst{0};
-        std::uint64_t frames_lost_jam{0};
-        std::uint64_t frames_lost_partition{0};
-        std::uint64_t server_flap_cycles{0};
-        std::uint64_t ls_pending_wiped{0};  ///< queries lost to requester crashes
-        /// Recovery latency: crash-end until the node's routing state is
-        /// warm again (agent probe). Censored samples are excluded.
-        std::uint64_t recoveries_measured{0};
-        double recovery_latency_p50_s{0.0};
-        double recovery_latency_p95_s{0.0};
-        /// Per-class recovery tails: how fast the grid heals after an ALS
-        /// outage vs. under sustained server flapping.
-        double recovery_outage_p95_s{0.0};
-        double recovery_flap_p95_s{0.0};
-    };
-    Resilience resilience{};
 
     std::uint64_t events_processed{0};
 
@@ -190,6 +131,19 @@ struct ScenarioResult {
         std::size_t peak_queue_depth{0};
     };
     Perf perf{};
+
+    /// app_delivered / app_sent; 0 when nothing was sent.
+    double delivery_fraction() const {
+        return app_sent > 0 ? static_cast<double>(app_delivered) / static_cast<double>(app_sent)
+                            : 0.0;
+    }
+    /// Mean, median and 95th-percentile end-to-end latency of the delivered
+    /// packets, in ms (app.latency_ms).
+    double avg_latency_ms() const { return metrics.histogram("app.latency_ms").average(); }
+    double p50_latency_ms() const { return metrics.histogram("app.latency_ms").p50; }
+    double p95_latency_ms() const { return metrics.histogram("app.latency_ms").p95; }
+    /// Mean hop count of the delivered packets (app.hops).
+    double avg_hops() const { return metrics.histogram("app.hops").average(); }
 };
 
 /// Builds the network for a ScenarioConfig, drives the CBR workload, runs
@@ -206,16 +160,11 @@ class ScenarioRunner {
     ScenarioResult run();
 
     net::Network& network() { return *network_; }
-    crypto::CryptoEngine& engine() { return *engine_; }
-    const ScenarioConfig& config() const { return config_; }
     core::AgfwAgent* agfw_agent(net::NodeId id);
     routing::GpsrGreedyAgent* gpsr_agent(net::NodeId id);
     /// The attached invariant checker (nullptr when check_invariants is off
     /// or setup() has not run yet).
     analysis::InvariantChecker* invariant_checker() { return checker_.get(); }
-    /// The attached fault injector (nullptr when config.faults is empty or
-    /// setup() has not run yet).
-    fault::FaultInjector* fault_injector() { return injector_.get(); }
     /// The flight recorder (nullptr unless config.trace.enabled).
     obs::TraceRecorder* trace_recorder() { return recorder_.get(); }
     /// The shared adversary observation feed (nullptr unless
@@ -262,10 +211,8 @@ class ScenarioRunner {
 
     // Delivery bookkeeping: unique (flow, seq).
     std::vector<std::vector<bool>> delivered_;
-    std::vector<std::uint32_t> sent_per_flow_;
     util::Sampler latency_ms_;
     util::Sampler hops_;
-    std::uint64_t app_delivered_{0};
     bool built_{false};
 };
 

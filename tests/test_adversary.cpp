@@ -98,7 +98,7 @@ TEST(Adversary, IndexedAlsLeaksQueryRelationships) {
 TEST(Adversary, FramesObservedCountsEverything) {
     const auto r = run(Scheme::kGpsrGreedy);
     EXPECT_GT(r.adversary.frames_observed, r.adversary.identity_sightings / 2);
-    EXPECT_GE(r.adversary.frames_observed, r.transmissions / 2);
+    EXPECT_GE(r.adversary.frames_observed, r.metrics.counter("phy.transmissions") / 2);
 }
 
 }  // namespace

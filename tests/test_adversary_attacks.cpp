@@ -194,13 +194,13 @@ TEST(LinkingAttackE2E, MixZonePolicyBeatsPerHello) {
     workload::ScenarioRunner mixed_runner(mixed);
     const auto r_mixed = mixed_runner.run();
 
-    EXPECT_EQ(r_base.hello_suppressed, 0u);
-    EXPECT_GT(r_mixed.hello_suppressed, 0u);
+    EXPECT_EQ(r_base.metrics.counter("agfw.hello_suppressed"), 0u);
+    EXPECT_GT(r_mixed.metrics.counter("agfw.hello_suppressed"), 0u);
     // Fewer observable hellos and broken continuity: tracking must drop.
     EXPECT_LT(r_mixed.attack.tracking_success_rate,
               r_base.attack.tracking_success_rate);
     // Suppression costs beacons, not data: traffic still flows.
-    EXPECT_GT(r_mixed.delivery_fraction, 0.5);
+    EXPECT_GT(r_mixed.delivery_fraction(), 0.5);
 }
 
 TEST(LinkingAttackE2E, ResultJsonIsDeterministic) {

@@ -49,17 +49,17 @@ TEST(ChurnStress, BoundedDeliveryUnder20PercentChurn) {
     ScenarioResult r = ScenarioRunner(cfg).run();
 
     // Churn genuinely ran: many crash/recovery cycles, cap respected.
-    EXPECT_GE(r.resilience.node_crashes, 8u);
-    EXPECT_GE(r.resilience.node_recoveries, 4u);
-    EXPECT_GE(r.resilience.recoveries_measured, 1u);
-    EXPECT_GT(r.resilience.recovery_latency_p95_s, 0.0);
-    EXPECT_GT(r.resilience.frames_lost_node_down, 0u);
+    EXPECT_GE(r.metrics.counter("fault.node_crashes"), 8u);
+    EXPECT_GE(r.metrics.counter("fault.node_recoveries"), 4u);
+    EXPECT_GE(r.metrics.histogram("fault.recovery_s").count, 1u);
+    EXPECT_GT(r.metrics.histogram("fault.recovery_s").p95, 0.0);
+    EXPECT_GT(r.metrics.counter("phy.frames_missed_down"), 0u);
 
     // Delivery degrades but stays bounded away from zero: ANT silence purge
     // plus NL-ACK rerouting route around the holes.
     EXPECT_GT(r.app_sent, 0u);
-    EXPECT_GT(r.delivery_fraction, 0.1);
-    EXPECT_LT(r.delivery_fraction, 1.0);
+    EXPECT_GT(r.delivery_fraction(), 0.1);
+    EXPECT_LT(r.delivery_fraction(), 1.0);
 
     // Faults never produce protocol-invariant violations.
     EXPECT_EQ(r.invariants.violations(), 0u);
@@ -73,8 +73,9 @@ TEST(ChurnStress, DeterministicUnderChurn) {
     ScenarioResult b = ScenarioRunner(cfg).run();
     EXPECT_EQ(a.app_sent, b.app_sent);
     EXPECT_EQ(a.app_delivered, b.app_delivered);
-    EXPECT_EQ(a.resilience.node_crashes, b.resilience.node_crashes);
-    EXPECT_EQ(a.resilience.frames_lost_node_down, b.resilience.frames_lost_node_down);
+    EXPECT_EQ(a.metrics.counter("fault.node_crashes"), b.metrics.counter("fault.node_crashes"));
+    EXPECT_EQ(a.metrics.counter("phy.frames_missed_down"),
+              b.metrics.counter("phy.frames_missed_down"));
     EXPECT_EQ(a.events_processed, b.events_processed);
 }
 
@@ -165,7 +166,7 @@ TEST(ChurnStress, AllFaultClassesKeepInvariantsClean) {
     for (auto& [name, cfg] : cases) {
         SCOPED_TRACE(name);
         ScenarioResult r = ScenarioRunner(cfg).run();
-        EXPECT_GT(r.resilience.faults_injected, 0u);
+        EXPECT_GT(r.metrics.counter("fault.faults_injected"), 0u);
         EXPECT_EQ(r.invariants.violations(), 0u);
         EXPECT_GT(r.invariants.frames_checked, 0u);
     }
@@ -182,10 +183,10 @@ TEST(ChurnStress, ResilienceCountersSurfaceInResult) {
         {Vec2{400, 150}, 150.0, SimTime::seconds(10.0), SimTime::seconds(40.0)});
     ScenarioResult r = ScenarioRunner(cfg).run();
 
-    EXPECT_EQ(r.resilience.node_crashes, 2u);
-    EXPECT_EQ(r.resilience.node_recoveries, 2u);
-    EXPECT_GE(r.resilience.faults_injected, 3u);
-    EXPECT_GT(r.resilience.frames_lost_jam, 0u);
+    EXPECT_EQ(r.metrics.counter("fault.node_crashes"), 2u);
+    EXPECT_EQ(r.metrics.counter("fault.node_recoveries"), 2u);
+    EXPECT_GE(r.metrics.counter("fault.faults_injected"), 3u);
+    EXPECT_GT(r.metrics.counter("fault.frames_lost_jam"), 0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
 
@@ -206,9 +207,9 @@ TEST(ChurnStress, AlsOutageDegradesResolutionGracefully) {
     cfg.faults.als_outages.push_back(outage);
     ScenarioResult r = ScenarioRunner(cfg).run();
 
-    EXPECT_GE(r.resilience.als_outages, 1u);
-    EXPECT_GT(r.resilience.node_crashes, 0u);
-    EXPECT_GT(r.ls.queries_sent, 0u);
+    EXPECT_GE(r.metrics.counter("fault.als_outages"), 1u);
+    EXPECT_GT(r.metrics.counter("fault.node_crashes"), 0u);
+    EXPECT_GT(r.metrics.counter("ls.queries_sent"), 0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
 

@@ -93,7 +93,7 @@ TEST(SweepRunner, PointRecordsCarryCoordsLabelsAndSeeds) {
     ASSERT_EQ(p2.runs.size(), 2u);
     EXPECT_EQ(p2.runs[0].seed, 100u);
     EXPECT_EQ(p2.runs[1].seed, 101u);
-    EXPECT_GT(p2.mean([](const ScenarioResult& r) { return r.delivery_fraction; }),
+    EXPECT_GT(p2.mean([](const ScenarioResult& r) { return r.delivery_fraction(); }),
               0.0);
 }
 
@@ -142,7 +142,7 @@ TEST(Json, WriterShapesAndEscaping) {
 TEST(Json, ResultSerializationIsDeterministic) {
     ScenarioResult r;
     r.app_sent = 10;
-    r.delivery_fraction = 0.1;
+    r.metrics.counters = {{"app.delivered", 1}, {"app.sent", 10}};
     r.perf.wall_seconds = 1.25;  // non-deterministic field
     ScenarioResult same = r;
     same.perf.wall_seconds = 9.75;  // must not affect the default view

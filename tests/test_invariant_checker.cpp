@@ -86,8 +86,9 @@ TEST(InvariantChecker, CheckerIsPassive) {
     const ScenarioResult r_off = ScenarioRunner(off).run();
     EXPECT_EQ(r_on.app_sent, r_off.app_sent);
     EXPECT_EQ(r_on.app_delivered, r_off.app_delivered);
-    EXPECT_EQ(r_on.transmissions, r_off.transmissions);
-    EXPECT_DOUBLE_EQ(r_on.avg_latency_ms, r_off.avg_latency_ms);
+    EXPECT_EQ(r_on.metrics.counter("phy.transmissions"),
+              r_off.metrics.counter("phy.transmissions"));
+    EXPECT_DOUBLE_EQ(r_on.avg_latency_ms(), r_off.avg_latency_ms());
 }
 
 TEST(InvariantChecker, DeterministicAcrossRuns) {

@@ -68,9 +68,9 @@ workload::ScenarioResult run_policy(const PseudonymPolicy& pol,
 
 TEST(PseudonymPolicyScenario, PerHelloRotatesEveryHello) {
     const auto r = run_policy(PseudonymPolicy{});
-    EXPECT_GT(r.hello_sent, 0u);
-    EXPECT_EQ(r.hello_suppressed, 0u);
-    EXPECT_EQ(r.pseudonym_rotations, r.hello_sent);
+    EXPECT_GT(r.metrics.counter("agfw.hello_sent"), 0u);
+    EXPECT_EQ(r.metrics.counter("agfw.hello_suppressed"), 0u);
+    EXPECT_EQ(r.metrics.counter("agfw.pseudonym_rotations"), r.metrics.counter("agfw.hello_sent"));
 }
 
 TEST(PseudonymPolicyScenario, TimedReusesThePseudonym) {
@@ -78,11 +78,12 @@ TEST(PseudonymPolicyScenario, TimedReusesThePseudonym) {
     pol.kind = PseudonymPolicy::Kind::kTimed;
     pol.rotate_interval = util::SimTime::seconds(30.0);
     const auto r = run_policy(pol);
-    EXPECT_GT(r.hello_sent, 0u);
-    EXPECT_EQ(r.hello_suppressed, 0u);
+    EXPECT_GT(r.metrics.counter("agfw.hello_sent"), 0u);
+    EXPECT_EQ(r.metrics.counter("agfw.hello_suppressed"), 0u);
     // ~1 rotation per node per 30 s vs a hello every beacon interval.
-    EXPECT_LT(r.pseudonym_rotations, r.hello_sent / 4);
-    EXPECT_GT(r.pseudonym_rotations, 0u);
+    EXPECT_LT(r.metrics.counter("agfw.pseudonym_rotations"),
+              r.metrics.counter("agfw.hello_sent") / 4);
+    EXPECT_GT(r.metrics.counter("agfw.pseudonym_rotations"), 0u);
 }
 
 TEST(PseudonymPolicyScenario, WholeAreaMixZoneSilencesAllHellos) {
@@ -90,8 +91,8 @@ TEST(PseudonymPolicyScenario, WholeAreaMixZoneSilencesAllHellos) {
     pol.kind = PseudonymPolicy::Kind::kMixZone;
     pol.zones = {{{750.0, 150.0}, 1.0e9}};  // covers everything
     const auto r = run_policy(pol, 30.0);
-    EXPECT_EQ(r.hello_sent, 0u);
-    EXPECT_GT(r.hello_suppressed, 0u);
+    EXPECT_EQ(r.metrics.counter("agfw.hello_sent"), 0u);
+    EXPECT_GT(r.metrics.counter("agfw.hello_suppressed"), 0u);
 }
 
 TEST(PseudonymPolicyScenario, MixZoneSuppressesOnlyInsideZones) {
@@ -99,10 +100,10 @@ TEST(PseudonymPolicyScenario, MixZoneSuppressesOnlyInsideZones) {
     pol.kind = PseudonymPolicy::Kind::kMixZone;
     pol.zones = PseudonymPolicy::grid_layout({1500.0, 300.0}, 3, 150.0);
     const auto r = run_policy(pol);
-    EXPECT_GT(r.hello_sent, 0u);
-    EXPECT_GT(r.hello_suppressed, 0u);
+    EXPECT_GT(r.metrics.counter("agfw.hello_sent"), 0u);
+    EXPECT_GT(r.metrics.counter("agfw.hello_suppressed"), 0u);
     // Zones cover a minority of the strip: most beacons still go out.
-    EXPECT_GT(r.hello_sent, r.hello_suppressed);
+    EXPECT_GT(r.metrics.counter("agfw.hello_sent"), r.metrics.counter("agfw.hello_suppressed"));
 }
 
 TEST(PseudonymPolicyScenario, VirtualPcSuppressesTheDutyCycleFraction) {
@@ -111,11 +112,11 @@ TEST(PseudonymPolicyScenario, VirtualPcSuppressesTheDutyCycleFraction) {
     pol.vpc_period = util::SimTime::seconds(10.0);
     pol.vpc_silence = util::SimTime::seconds(2.0);
     const auto r = run_policy(pol);
-    const double total =
-        static_cast<double>(r.hello_sent + r.hello_suppressed);
+    const double total = static_cast<double>(r.metrics.counter("agfw.hello_sent") +
+                                             r.metrics.counter("agfw.hello_suppressed"));
     ASSERT_GT(total, 0.0);
     const double suppressed_frac =
-        static_cast<double>(r.hello_suppressed) / total;
+        static_cast<double>(r.metrics.counter("agfw.hello_suppressed")) / total;
     // Silent 2 s of every 10 s, phases uniform per node: ~20% of beacon
     // slots fall in a silent window.
     EXPECT_NEAR(suppressed_frac, 0.2, 0.08);

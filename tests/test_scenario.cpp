@@ -36,11 +36,11 @@ TEST(Scenario, GpsrBaselineDeliversWell) {
     EXPECT_GT(r.app_sent, 3000u);
     // 40 nodes on the 1500x300 strip is on the sparse side: greedy local
     // maxima cost a few percent even for the baseline.
-    EXPECT_GT(r.delivery_fraction, 0.8);
-    EXPECT_GT(r.avg_latency_ms, 0.0);
-    EXPECT_GT(r.avg_hops, 1.0);
-    EXPECT_GT(r.rts_sent, 0u);       // RTS/CTS in use
-    EXPECT_EQ(r.acks_sent, 0u);      // no NL acks in GPSR
+    EXPECT_GT(r.delivery_fraction(), 0.8);
+    EXPECT_GT(r.avg_latency_ms(), 0.0);
+    EXPECT_GT(r.avg_hops(), 1.0);
+    EXPECT_GT(r.metrics.counter("mac.rts_sent"), 0u);       // RTS/CTS in use
+    EXPECT_EQ(r.metrics.counter("agfw.acks_sent"), 0u);      // no NL acks in GPSR
     // Wire discipline holds for the baseline too.
     EXPECT_GT(r.invariants.packets_checked, 0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
@@ -50,10 +50,10 @@ TEST(Scenario, AgfwAckMatchesGpsrDelivery) {
     const ScenarioResult gpsr = ScenarioRunner(small_config(Scheme::kGpsrGreedy)).run();
     const ScenarioResult agfw = ScenarioRunner(small_config(Scheme::kAgfwAck)).run();
     // Figure 1(a): AGFW with ACK has "almost same performance" as GPSR.
-    EXPECT_NEAR(agfw.delivery_fraction, gpsr.delivery_fraction, 0.05);
-    EXPECT_EQ(agfw.rts_sent, 0u);    // anonymous broadcasts: no handshake
-    EXPECT_GT(agfw.acks_sent, 0u);
-    EXPECT_GT(agfw.trapdoor_opens, 0u);
+    EXPECT_NEAR(agfw.delivery_fraction(), gpsr.delivery_fraction(), 0.05);
+    EXPECT_EQ(agfw.metrics.counter("mac.rts_sent"), 0u);    // anonymous broadcasts: no handshake
+    EXPECT_GT(agfw.metrics.counter("agfw.acks_sent"), 0u);
+    EXPECT_GT(agfw.metrics.counter("agfw.trapdoor_opens"), 0u);
     // The anonymity/addressing/reliability invariants hold throughout.
     EXPECT_GT(agfw.invariants.frames_checked, 0u);
     EXPECT_EQ(agfw.invariants.violations(), 0u);
@@ -63,9 +63,9 @@ TEST(Scenario, AgfwNoAckDeliversWorse) {
     const ScenarioResult ack = ScenarioRunner(small_config(Scheme::kAgfwAck)).run();
     const ScenarioResult noack = ScenarioRunner(small_config(Scheme::kAgfwNoAck)).run();
     // Figure 1(a): the unacknowledged variant is "not satisfactory".
-    EXPECT_LT(noack.delivery_fraction, ack.delivery_fraction - 0.1);
-    EXPECT_EQ(noack.acks_sent, 0u);
-    EXPECT_EQ(noack.nl_retransmissions, 0u);
+    EXPECT_LT(noack.delivery_fraction(), ack.delivery_fraction() - 0.1);
+    EXPECT_EQ(noack.metrics.counter("agfw.acks_sent"), 0u);
+    EXPECT_EQ(noack.metrics.counter("agfw.retransmissions"), 0u);
 }
 
 TEST(Scenario, DeterministicForSeed) {
@@ -74,8 +74,8 @@ TEST(Scenario, DeterministicForSeed) {
     EXPECT_EQ(a.app_sent, b.app_sent);
     EXPECT_EQ(a.app_delivered, b.app_delivered);
     EXPECT_EQ(a.events_processed, b.events_processed);
-    EXPECT_DOUBLE_EQ(a.avg_latency_ms, b.avg_latency_ms);
-    EXPECT_EQ(a.mac_collisions, b.mac_collisions);
+    EXPECT_DOUBLE_EQ(a.avg_latency_ms(), b.avg_latency_ms());
+    EXPECT_EQ(a.metrics.counter("phy.frames_corrupted"), b.metrics.counter("phy.frames_corrupted"));
 }
 
 TEST(Scenario, DifferentSeedsDiffer) {
@@ -91,7 +91,7 @@ TEST(Scenario, CryptoCostsRaiseLatency) {
     const ScenarioResult r_with = ScenarioRunner(with).run();
     const ScenarioResult r_without = ScenarioRunner(without).run();
     // The 8.5 ms trapdoor decryption at the last hop must be visible.
-    EXPECT_GT(r_with.avg_latency_ms, r_without.avg_latency_ms + 4.0);
+    EXPECT_GT(r_with.avg_latency_ms(), r_without.avg_latency_ms() + 4.0);
 }
 
 TEST(Scenario, AuthenticatedHellosCostControlBytes) {
@@ -101,8 +101,9 @@ TEST(Scenario, AuthenticatedHellosCostControlBytes) {
     auth_cfg.ring_k = 4;
     const ScenarioResult plain = ScenarioRunner(plain_cfg).run();
     const ScenarioResult auth = ScenarioRunner(auth_cfg).run();
-    EXPECT_GT(auth.control_bytes, plain.control_bytes * 3);
-    EXPECT_GT(auth.cert_fetches, 0u);
+    EXPECT_GT(auth.metrics.counter("agfw.control_bytes"),
+              plain.metrics.counter("agfw.control_bytes") * 3);
+    EXPECT_GT(auth.metrics.counter("agfw.cert_fetches"), 0u);
 }
 
 TEST(Scenario, AuthenticatedHelloRingDrawsArePinned) {
@@ -115,8 +116,8 @@ TEST(Scenario, AuthenticatedHelloRingDrawsArePinned) {
     cfg.agfw.certs_by_reference = true;
     const ScenarioResult r = ScenarioRunner(cfg).run();
     EXPECT_EQ(r.metrics.counter("agfw.hello_verified"), 17346u);
-    EXPECT_EQ(r.cert_fetches, 1600u);
-    EXPECT_EQ(r.control_bytes, 1178909u);
+    EXPECT_EQ(r.metrics.counter("agfw.cert_fetches"), 1600u);
+    EXPECT_EQ(r.metrics.counter("agfw.control_bytes"), 1178909u);
     EXPECT_EQ(r.events_processed, 117671u);
     EXPECT_EQ(r.app_delivered, 4221u);
 }
@@ -148,11 +149,11 @@ TEST(Scenario, LocationServiceModeRuns) {
     cfg.location_service = routing::LocationService::Mode::kAnonymous;
     cfg.traffic_start_s = 20.0;  // let updates propagate first
     const ScenarioResult r = ScenarioRunner(cfg).run();
-    EXPECT_GT(r.ls.updates_sent, 0u);
-    EXPECT_GT(r.ls.queries_sent, 0u);
-    EXPECT_GT(r.ls.resolved_ok, 0u);
+    EXPECT_GT(r.metrics.counter("ls.updates_sent"), 0u);
+    EXPECT_GT(r.metrics.counter("ls.queries_sent"), 0u);
+    EXPECT_GT(r.metrics.counter("ls.resolved_ok"), 0u);
     // Some packets deliver through the full anonymous stack.
-    EXPECT_GT(r.delivery_fraction, 0.3);
+    EXPECT_GT(r.delivery_fraction(), 0.3);
     // ALS traffic also stays identity-free on the air.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -168,8 +169,8 @@ TEST(Scenario, RealCryptoScenarioEndToEnd) {
     cfg.use_real_crypto = true;
     const ScenarioResult r = ScenarioRunner(cfg).run();
     EXPECT_GT(r.app_sent, 0u);
-    EXPECT_GT(r.trapdoor_attempts, 0u);
-    EXPECT_EQ(r.trapdoor_opens, r.app_delivered);  // only destinations open
+    EXPECT_GT(r.metrics.counter("agfw.trapdoor_attempts"), 0u);
+    EXPECT_EQ(r.metrics.counter("agfw.trapdoor_opens"), r.app_delivered);  // only destinations open
 }
 
 TEST(Scenario, RunnerExposesNetworkAndAgents) {
@@ -190,8 +191,8 @@ TEST(Scenario, HigherDensityDegradesGpsrLatencyNotAgfw) {
     const ScenarioResult g_low = ScenarioRunner(gpsr_low).run();
     const ScenarioResult g_high = ScenarioRunner(gpsr_high).run();
     const ScenarioResult a_high = ScenarioRunner(agfw_high).run();
-    EXPECT_GT(g_high.avg_latency_ms, g_low.avg_latency_ms * 2);
-    EXPECT_LT(a_high.avg_latency_ms, g_high.avg_latency_ms);
+    EXPECT_GT(g_high.avg_latency_ms(), g_low.avg_latency_ms() * 2);
+    EXPECT_LT(a_high.avg_latency_ms(), g_high.avg_latency_ms());
 }
 
 }  // namespace

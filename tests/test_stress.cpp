@@ -121,7 +121,7 @@ TEST(Stress, ZeroFlowScenarioRuns) {
     const auto r = workload::ScenarioRunner(cfg).run();
     EXPECT_EQ(r.app_sent, 0u);
     EXPECT_EQ(r.app_delivered, 0u);
-    EXPECT_GT(r.hello_sent, 0u);
+    EXPECT_GT(r.metrics.counter("agfw.hello_sent"), 0u);
 }
 
 TEST(Stress, TwoNodeScenarioRuns) {
@@ -150,8 +150,8 @@ TEST(Stress, SaturatingTrafficDoesNotWedge) {
     cfg.traffic_stop_s = 15.0;
     const auto r = workload::ScenarioRunner(cfg).run();
     EXPECT_GT(r.app_sent, 5000u);
-    EXPECT_GT(r.delivery_fraction, 0.0);  // something still gets through
-    EXPECT_LT(r.delivery_fraction, 1.0);  // and the overload is visible
+    EXPECT_GT(r.delivery_fraction(), 0.0);  // something still gets through
+    EXPECT_LT(r.delivery_fraction(), 1.0);  // and the overload is visible
     // Even under 12x overload the protocol never violates its invariants.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -168,7 +168,7 @@ TEST(Stress, HighMobilityNoPauseRuns) {
     const auto r = workload::ScenarioRunner(cfg).run();
     EXPECT_GT(r.app_sent, 0u);
     // Extreme churn hurts but must not zero out delivery entirely.
-    EXPECT_GT(r.delivery_fraction, 0.2);
+    EXPECT_GT(r.delivery_fraction(), 0.2);
     // Mobility churn stresses ANT freshness; the invariants must still hold.
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
@@ -182,8 +182,9 @@ TEST(Stress, TinyRadioRangeMostlyPartitions) {
     cfg.sim_seconds = 30.0;
     cfg.traffic_stop_s = 25.0;
     const auto r = workload::ScenarioRunner(cfg).run();
-    EXPECT_LT(r.delivery_fraction, 0.5);
-    EXPECT_GT(r.drop_no_route + r.drop_unreachable, 0u);
+    EXPECT_LT(r.delivery_fraction(), 0.5);
+    EXPECT_GT(r.metrics.counter("agfw.drop_no_route") + r.metrics.counter("agfw.drop_unreachable"),
+              0u);
     EXPECT_EQ(r.invariants.violations(), 0u);
 }
 

@@ -90,26 +90,26 @@ TEST(Workload, SenderCountRespected) {
 TEST(Workload, DeliveryFractionNeverExceedsOne) {
     for (Scheme s : {Scheme::kGpsrGreedy, Scheme::kAgfwAck, Scheme::kAgfwNoAck}) {
         const auto r = ScenarioRunner(tiny(s)).run();
-        EXPECT_LE(r.delivery_fraction, 1.0) << workload::scheme_name(s);
-        EXPECT_GE(r.delivery_fraction, 0.0);
+        EXPECT_LE(r.delivery_fraction(), 1.0) << workload::scheme_name(s);
+        EXPECT_GE(r.delivery_fraction(), 0.0);
         EXPECT_LE(r.app_delivered, r.app_sent);
     }
 }
 
 TEST(Workload, LatencyPercentilesOrdered) {
     const auto r = ScenarioRunner(tiny(Scheme::kAgfwAck)).run();
-    EXPECT_LE(r.p50_latency_ms, r.p95_latency_ms);
-    EXPECT_GT(r.avg_latency_ms, 0.0);
-    EXPECT_GE(r.avg_hops, 1.0);
+    EXPECT_LE(r.p50_latency_ms(), r.p95_latency_ms());
+    EXPECT_GT(r.avg_latency_ms(), 0.0);
+    EXPECT_GE(r.avg_hops(), 1.0);
 }
 
 TEST(Workload, SchemeSelectsMacMode) {
     // GPSR uses RTS/CTS unicast; AGFW never does.
     const auto gpsr = ScenarioRunner(tiny(Scheme::kGpsrGreedy)).run();
-    EXPECT_GT(gpsr.rts_sent, 0u);
+    EXPECT_GT(gpsr.metrics.counter("mac.rts_sent"), 0u);
     const auto agfw = ScenarioRunner(tiny(Scheme::kAgfwAck)).run();
-    EXPECT_EQ(agfw.rts_sent, 0u);
-    EXPECT_GT(agfw.data_frames, 0u);
+    EXPECT_EQ(agfw.metrics.counter("mac.rts_sent"), 0u);
+    EXPECT_GT(agfw.metrics.counter("mac.data_sent"), 0u);
 }
 
 TEST(Workload, TrafficStopsAtConfiguredTime) {
@@ -128,7 +128,10 @@ TEST(Workload, PerimeterStatsFlowThrough) {
     cfg.agfw.enable_perimeter = true;
     const auto r = ScenarioRunner(cfg).run();
     // No crash, and the counters are wired (>= 0 trivially; exercise read).
-    EXPECT_GE(r.perimeter_entries + r.perimeter_forwards + r.perimeter_recoveries, 0u);
+    EXPECT_GE(r.metrics.counter("agfw.perimeter_entries") +
+                  r.metrics.counter("agfw.perimeter_forwards") +
+                  r.metrics.counter("agfw.perimeter_recoveries"),
+              0u);
 }
 
 TEST(Workload, EventsProcessedScalesWithDensity) {
