@@ -16,38 +16,33 @@ void ObservationFeed::on_frame(const phy::Frame& frame, const util::Vec2& pos,
     ++frames_seen_;
 
     if (params_.record) {
-        if (params_.max_observations != 0 &&
-            observations_.size() >= params_.max_observations) {
-            ++observations_dropped_;
-        } else {
-            Observation o;
-            o.t_s = t_s;
-            o.pos = pos;
-            o.true_sender = true_sender;
-            if (frame.type == phy::Frame::Type::kData && frame.payload) {
-                switch (frame.payload->type) {
-                    case net::PacketType::kAgfwHello:
-                        o.kind = ObservationKind::kHello;
-                        o.handle = frame.payload->hello_pseudonym;
-                        break;
-                    case net::PacketType::kGpsrHello:
-                        // A cleartext beacon identity is a handle that never
-                        // rotates — fold it in so the same linker covers the
-                        // no-anonymity baseline.
-                        o.kind = ObservationKind::kHello;
-                        o.handle = identity_handle(frame.payload->src_id);
-                        break;
-                    case net::PacketType::kAgfwData:
-                    case net::PacketType::kGpsrData:
-                        o.kind = ObservationKind::kData;
-                        break;
-                    default:
-                        o.kind = ObservationKind::kOther;
-                        break;
-                }
+        Observation o;
+        o.t_s = t_s;
+        o.pos = pos;
+        o.true_sender = true_sender;
+        if (frame.type == phy::Frame::Type::kData && frame.payload) {
+            switch (frame.payload->type) {
+                case net::PacketType::kAgfwHello:
+                    o.kind = ObservationKind::kHello;
+                    o.handle = frame.payload->hello_pseudonym;
+                    break;
+                case net::PacketType::kGpsrHello:
+                    // A cleartext beacon identity is a handle that never
+                    // rotates — fold it in so the same linker covers the
+                    // no-anonymity baseline.
+                    o.kind = ObservationKind::kHello;
+                    o.handle = identity_handle(frame.payload->src_id);
+                    break;
+                case net::PacketType::kAgfwData:
+                case net::PacketType::kGpsrData:
+                    o.kind = ObservationKind::kData;
+                    break;
+                default:
+                    o.kind = ObservationKind::kOther;
+                    break;
             }
-            observations_.push_back(o);
         }
+        observations_.push_back(o);
     }
 
     for (const FrameFn& fn : subscribers_) fn(frame, pos, t_s);

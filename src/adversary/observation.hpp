@@ -55,9 +55,6 @@ class ObservationFeed {
         /// Keep the per-transmission Observation log (required by
         /// run_attack). Off = dispatch-only feed.
         bool record{true};
-        /// Cap on retained observations (0 = unbounded). Overflow is counted
-        /// in observations_dropped(), never silent.
-        std::size_t max_observations{0};
     };
 
     using GroundTruthFn = std::function<net::NodeId(net::MacAddr)>;
@@ -79,7 +76,6 @@ class ObservationFeed {
 
     const std::vector<Observation>& observations() const { return observations_; }
     std::uint64_t frames_seen() const { return frames_seen_; }
-    std::uint64_t observations_dropped() const { return observations_dropped_; }
 
   private:
     void on_frame(const phy::Frame& frame, const util::Vec2& pos,
@@ -90,7 +86,6 @@ class ObservationFeed {
     std::vector<FrameFn> subscribers_;
     std::vector<Observation> observations_;
     std::uint64_t frames_seen_{0};
-    std::uint64_t observations_dropped_{0};
 };
 
 }  // namespace geoanon::adversary

@@ -4,12 +4,24 @@
 
 namespace geoanon::obs {
 
-std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
+namespace {
+
+/// Value of `name` in a name-sorted list; V{} when absent.
+template <typename V>
+V find_value(const std::vector<std::pair<std::string, V>>& sorted, std::string_view name) {
     const auto it =
-        std::lower_bound(counters.begin(), counters.end(), name,
+        std::lower_bound(sorted.begin(), sorted.end(), name,
                          [](const auto& kv, std::string_view n) { return kv.first < n; });
-    return it != counters.end() && it->first == name ? it->second : 0;
+    return it != sorted.end() && it->first == name ? it->second : V{};
 }
+
+}  // namespace
+
+std::uint64_t MetricsSnapshot::counter(std::string_view name) const {
+    return find_value(counters, name);
+}
+
+double MetricsSnapshot::gauge(std::string_view name) const { return find_value(gauges, name); }
 
 const MetricsSnapshot::Hist& MetricsSnapshot::histogram(std::string_view name) const {
     static const Hist kAbsent{};
@@ -32,6 +44,11 @@ void MetricsRegistry::observe_all(const std::string& name, const util::Sampler& 
     const util::MutexLock lock(mu_);
     util::Sampler& h = hists_[name];
     for (const double x : s.samples()) h.add(x);
+}
+
+void MetricsRegistry::set_series(const std::string& name, std::vector<double> values) {
+    const util::MutexLock lock(mu_);
+    series_[name] = std::move(values);
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
@@ -58,6 +75,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
         out.sum = stat.sum();
         snap.histograms.push_back(std::move(out));
     }
+    snap.series.assign(series_.begin(), series_.end());
     return snap;
 }
 

@@ -36,10 +36,13 @@ struct MetricsSnapshot {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, double>> gauges;
     std::vector<Hist> histograms;
+    /// Named value sequences, e.g. one value per time window.
+    std::vector<std::pair<std::string, std::vector<double>>> series;
 
-    /// Counter lookup; 0 when the name was never published. A published
-    /// counter may still hold 0, so 0 does not mean "absent".
+    /// Counter and gauge lookup; 0 when the name was never published. A
+    /// published value may still be 0, so 0 does not mean "absent".
     std::uint64_t counter(std::string_view name) const;
+    double gauge(std::string_view name) const;
     /// Histogram lookup; an all-zero Hist with an empty name when the name
     /// was never published.
     const Hist& histogram(std::string_view name) const;
@@ -61,6 +64,7 @@ class MetricsRegistry {
     void set_gauge(const std::string& name, double v);
     /// Append a layer-owned sampler's samples to the named histogram.
     void observe_all(const std::string& name, const util::Sampler& s);
+    void set_series(const std::string& name, std::vector<double> values);
 
     MetricsSnapshot snapshot() const;
 
@@ -70,6 +74,7 @@ class MetricsRegistry {
     std::map<std::string, double> gauges_ GEOANON_GUARDED_BY(mu_);
     /// One sample store per histogram; the snapshot derives the moments.
     std::map<std::string, util::Sampler> hists_ GEOANON_GUARDED_BY(mu_);
+    std::map<std::string, std::vector<double>> series_ GEOANON_GUARDED_BY(mu_);
 };
 
 }  // namespace geoanon::obs
