@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
                     p99s.add(h->p99);
                 }
             }
-            violations += run.result.invariants.violations();
+            violations += run.result.invariant_violations();
             stale += run.result.metrics.counter("ls.failover.stale_reads");
         }
         if (violations > 0) invariants_clean = false;

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
         const int policy = static_cast<int>(pt.values[0]);
         const bool strong = static_cast<int>(pt.values[1]) == 1;
         const double tracking = pt.mean([](const workload::ScenarioResult& r) {
-            return r.attack.tracking_success_rate;
+            return r.metrics.gauge("adv.tracking_success_rate");
         });
         const double delivery = pt.mean([](const workload::ScenarioResult& r) {
             return r.delivery_fraction();
@@ -113,15 +113,15 @@ int main(int argc, char** argv) {
             .cell(static_cast<long long>(suppressed))
             .cell(tracking, 3)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.attack.link_precision;
+                      return r.metrics.gauge("adv.link_precision");
                   }),
                   3)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.attack.mean_anonymity_set;
+                      return r.metrics.gauge("adv.mean_anonymity_set");
                   }),
                   2)
             .cell(pt.mean([](const workload::ScenarioResult& r) {
-                      return r.attack.mean_path_error_m;
+                      return r.metrics.gauge("adv.mean_path_error_m");
                   }),
                   1)
             .cell(delivery, 3);

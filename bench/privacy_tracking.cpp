@@ -44,19 +44,18 @@ int main(int argc, char** argv) {
                               "pseudonym->MAC links", "tracking", "precision",
                               "anon-set"});
     for (const experiment::PointRecord& pt : points) {
-        const auto& adv = pt.runs.front().result.adversary;
-        const auto& atk = pt.runs.front().result.attack;
+        const obs::MetricsSnapshot& m = pt.runs.front().result.metrics;
         table.row()
             .cell(pt.labels[0])
-            .cell(static_cast<long long>(adv.frames_observed))
-            .cell(static_cast<long long>(adv.identity_sightings))
-            .cell(static_cast<long long>(adv.pseudonym_sightings))
-            .cell(static_cast<long long>(adv.nodes_ever_localized))
-            .cell(adv.mean_tracking_coverage, 3)
-            .cell(static_cast<long long>(adv.mac_pseudonym_links))
-            .cell(atk.tracking_success_rate, 3)
-            .cell(atk.link_precision, 3)
-            .cell(atk.mean_anonymity_set, 2);
+            .cell(static_cast<long long>(m.counter("adv.frames_observed")))
+            .cell(static_cast<long long>(m.counter("eav.identity_sightings")))
+            .cell(static_cast<long long>(m.counter("eav.pseudonym_sightings")))
+            .cell(static_cast<long long>(m.counter("eav.nodes_ever_localized")))
+            .cell(m.gauge("eav.mean_tracking_coverage"), 3)
+            .cell(static_cast<long long>(m.counter("eav.mac_pseudonym_links")))
+            .cell(m.gauge("adv.tracking_success_rate"), 3)
+            .cell(m.gauge("adv.link_precision"), 3)
+            .cell(m.gauge("adv.mean_anonymity_set"), 2);
     }
     table.print();
 

@@ -61,13 +61,14 @@ int main(int argc, char** argv) {
     util::TablePrinter table({"scheme", "identity sightings", "nodes localized",
                               "tracking coverage", "pseudonym->MAC links"});
     for (const Case& c : cases) {
-        const auto r = run_case(c.scheme, c.anon_mac, nodes, seconds, seed);
+        const obs::MetricsSnapshot m =
+            run_case(c.scheme, c.anon_mac, nodes, seconds, seed).metrics;
         table.row()
             .cell(c.name)
-            .cell(static_cast<long long>(r.adversary.identity_sightings))
-            .cell(static_cast<long long>(r.adversary.nodes_ever_localized))
-            .cell(r.adversary.mean_tracking_coverage, 3)
-            .cell(static_cast<long long>(r.adversary.mac_pseudonym_links));
+            .cell(static_cast<long long>(m.counter("eav.identity_sightings")))
+            .cell(static_cast<long long>(m.counter("eav.nodes_ever_localized")))
+            .cell(m.gauge("eav.mean_tracking_coverage"), 3)
+            .cell(static_cast<long long>(m.counter("eav.mac_pseudonym_links")));
         std::printf("%-16s : %s\n", c.name, c.story);
     }
     std::printf("\n");

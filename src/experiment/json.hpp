@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -16,26 +14,11 @@ namespace geoanon::experiment {
 using util::JsonWriter;
 using util::write_text_file;
 
-/// One key of the result's top-level, "ls" and "resilience" sections and the
-/// registry value it prints: counter `name` plus counter `name2` (kCounter),
-/// counter `name` / counter `name2` or 0 (kRatio), or the sum / count,
-/// sample count, median or 95th percentile of histogram `name`.
-struct ResultKey {
-    enum class Read : std::uint8_t { kCounter, kRatio, kAverage, kCount, kP50, kP95 };
-    const char* section;  ///< "" for the top level
-    const char* key;
-    Read read;
-    const char* name;
-    const char* name2{nullptr};
-};
-
-/// The table result_to_json walks, in output order.
-std::span<const ResultKey> result_keys();
-
-/// Serialize every deterministic field of a ScenarioResult. With
-/// `include_perf`, the host-side perf block (wall-clock, events/sec, peak
-/// queue depth) is appended; leave it off when comparing runs for equality
-/// or emitting byte-stable sweep trajectories.
+/// Serialize a ScenarioResult: {"metrics": {counters, gauges, histograms},
+/// "series": {...}, "events_processed", "peak_queue_depth"}. With
+/// `include_perf`, the host-side perf block (wall-clock, events/sec) is
+/// appended; leave it off when comparing runs for equality or emitting
+/// byte-stable sweep trajectories.
 void result_to_json(JsonWriter& w, const workload::ScenarioResult& r, bool include_perf);
 std::string result_to_json(const workload::ScenarioResult& r, bool include_perf = false);
 

@@ -81,42 +81,38 @@ struct ScenarioConfig {
     bool attach_eavesdropper{false};
     /// Record a compact per-transmission observation log and run the offline
     /// pseudonym-linking / trajectory attack at aggregation time (results in
-    /// ScenarioResult::attack). Implies the same single snoop tap the
+    /// the adv.* metrics). Implies the same single snoop tap the
     /// eavesdropper rides; the pseudonym-change countermeasure under test is
     /// configured via agfw.pseudonym_policy.
     bool attach_observer{false};
-    /// Offline attack knobs (attacker strength, scoring window). A zero
-    /// linker.max_speed_mps is filled in from max_speed_mps — the attacker
-    /// is assumed to know the mobility envelope.
+    /// Offline attacker strength. A zero linker.max_speed_mps is filled in
+    /// from max_speed_mps — the attacker is assumed to know the mobility
+    /// envelope.
     adversary::AttackParams attack{};
     /// Run the protocol invariant checker alongside the scenario (passive;
-    /// cannot change the outcome). Results land in ScenarioResult::invariants.
+    /// cannot change the outcome). Results land in the inv.* metrics.
     bool check_invariants{true};
 
     core::AgfwAgent::Params agfw{};
     routing::GpsrGreedyAgent::Params gpsr{};
 };
 
-/// Aggregated outcome of one run. Every value a layer counts lives in
-/// `metrics`, the run's registry snapshot; the accessors below derive the
-/// paper's delivery and latency metrics (§5) and the mean hop count from
-/// it. The other members are reports the registry does not carry.
+/// Aggregated outcome of one run. Every result value lives in `metrics`,
+/// the run's registry snapshot; the accessors below derive the paper's
+/// delivery and latency metrics (§5), the mean hop count and the checker's
+/// violation total from it.
 struct ScenarioResult {
-    /// Copies of the app.sent and app.delivered counters (unique (flow, seq)
-    /// at the destination).
-    std::uint64_t app_sent{0};
-    std::uint64_t app_delivered{0};
-
-    /// Everything every layer published into the run's MetricsRegistry,
-    /// sorted by name.
+    /// Everything every layer, the checker and the adversary published into
+    /// the run's MetricsRegistry, sorted by name.
     obs::MetricsSnapshot metrics{};
 
-    // Adversary (when attached)
-    adversary::Eavesdropper::Report adversary{};
-    /// Offline linking/trajectory attack (when attach_observer is on).
+    // Copies that perfbench/main.cpp reads; read `metrics` everywhere else.
+    /// app.sent and app.delivered (unique (flow, seq) at the destination).
+    std::uint64_t app_sent{0};
+    std::uint64_t app_delivered{0};
+    /// adv.* (when attach_observer is on).
     adversary::AttackReport attack{};
-
-    // Protocol invariant counters (when check_invariants is on)
+    /// inv.* (when check_invariants is on).
     analysis::InvariantChecker::Counters invariants{};
 
     std::uint64_t events_processed{0};
@@ -132,10 +128,10 @@ struct ScenarioResult {
     };
     Perf perf{};
 
-    /// app_delivered / app_sent; 0 when nothing was sent.
+    /// app.delivered / app.sent; 0 when nothing was sent.
     double delivery_fraction() const {
-        return app_sent > 0 ? static_cast<double>(app_delivered) / static_cast<double>(app_sent)
-                            : 0.0;
+        const auto sent = static_cast<double>(metrics.counter("app.sent"));
+        return sent > 0.0 ? static_cast<double>(metrics.counter("app.delivered")) / sent : 0.0;
     }
     /// Mean, median and 95th-percentile end-to-end latency of the delivered
     /// packets, in ms (app.latency_ms).
@@ -144,6 +140,8 @@ struct ScenarioResult {
     double p95_latency_ms() const { return metrics.histogram("app.latency_ms").p95; }
     /// Mean hop count of the delivered packets (app.hops).
     double avg_hops() const { return metrics.histogram("app.hops").average(); }
+    /// Sum of the checker's ten inv.* violation counters.
+    std::uint64_t invariant_violations() const;
 };
 
 /// Builds the network for a ScenarioConfig, drives the CBR workload, runs

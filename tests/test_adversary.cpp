@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include "published_metrics.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
 
 using namespace geoanon;
+using test::published_counter;
+using test::published_gauge;
 using workload::Scheme;
 using workload::ScenarioConfig;
 using workload::ScenarioResult;
@@ -27,26 +30,26 @@ TEST(Adversary, GpsrExposesEveryone) {
     const auto r = run(Scheme::kGpsrGreedy);
     // Every node beacons its identity+location every 1.5 s: the passive
     // sniffer localizes all of them, nearly continuously (§2's threat).
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 40u);
-    EXPECT_GT(r.adversary.identity_sightings, 1000u);
-    EXPECT_GT(r.adversary.mean_tracking_coverage, 0.9);
+    EXPECT_EQ(published_counter(r.metrics, "eav.nodes_ever_localized"), 40u);
+    EXPECT_GT(published_counter(r.metrics, "eav.identity_sightings"), 1000u);
+    EXPECT_GT(published_gauge(r.metrics, "eav.mean_tracking_coverage"), 0.9);
 }
 
 TEST(Adversary, AgfwExposesNothing) {
     const auto r = run(Scheme::kAgfwAck);
     // §4: "no node exposes its identity and location simultaneously".
-    EXPECT_EQ(r.adversary.identity_sightings, 0u);
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 0u);
-    EXPECT_EQ(r.adversary.mac_pseudonym_links, 0u);
-    EXPECT_EQ(r.adversary.mean_tracking_coverage, 0.0);
+    EXPECT_EQ(published_counter(r.metrics, "eav.identity_sightings"), 0u);
+    EXPECT_EQ(published_counter(r.metrics, "eav.nodes_ever_localized"), 0u);
+    EXPECT_EQ(published_counter(r.metrics, "eav.mac_pseudonym_links"), 0u);
+    EXPECT_EQ(published_gauge(r.metrics, "eav.mean_tracking_coverage"), 0.0);
     // The sniffer still sees plenty of (unlinkable) pseudonymous traffic.
-    EXPECT_GT(r.adversary.pseudonym_sightings, 1000u);
+    EXPECT_GT(published_counter(r.metrics, "eav.pseudonym_sightings"), 1000u);
 }
 
 TEST(Adversary, AgfwNoAckAlsoExposesNothing) {
     const auto r = run(Scheme::kAgfwNoAck);
-    EXPECT_EQ(r.adversary.identity_sightings, 0u);
-    EXPECT_EQ(r.adversary.nodes_ever_localized, 0u);
+    EXPECT_EQ(published_counter(r.metrics, "eav.identity_sightings"), 0u);
+    EXPECT_EQ(published_counter(r.metrics, "eav.nodes_ever_localized"), 0u);
 }
 
 TEST(Adversary, MacAddressLeakEnablesCorrelationAttack) {
@@ -55,16 +58,17 @@ TEST(Adversary, MacAddressLeakEnablesCorrelationAttack) {
     // == same uid) and binds pseudonyms to the persistent MAC, after which
     // hellos localize the victim.
     const auto r = run(Scheme::kAgfwAck, /*anonymous_mac=*/false);
-    EXPECT_GT(r.adversary.mac_pseudonym_links, 0u);
-    EXPECT_GT(r.adversary.identity_sightings, 0u);
-    EXPECT_GT(r.adversary.nodes_ever_localized, 0u);
+    EXPECT_GT(published_counter(r.metrics, "eav.mac_pseudonym_links"), 0u);
+    EXPECT_GT(published_counter(r.metrics, "eav.identity_sightings"), 0u);
+    EXPECT_GT(published_counter(r.metrics, "eav.nodes_ever_localized"), 0u);
 }
 
 TEST(Adversary, AnonymousMacClosesTheLeak) {
     const auto with_leak = run(Scheme::kAgfwAck, false, 5);
     const auto sealed = run(Scheme::kAgfwAck, true, 5);
-    EXPECT_GT(with_leak.adversary.identity_sightings, sealed.adversary.identity_sightings);
-    EXPECT_EQ(sealed.adversary.mac_pseudonym_links, 0u);
+    EXPECT_GT(published_counter(with_leak.metrics, "eav.identity_sightings"),
+              published_counter(sealed.metrics, "eav.identity_sightings"));
+    EXPECT_EQ(published_counter(sealed.metrics, "eav.mac_pseudonym_links"), 0u);
 }
 
 TEST(Adversary, IndexedAlsLeaksQueryRelationships) {
@@ -83,22 +87,23 @@ TEST(Adversary, IndexedAlsLeaksQueryRelationships) {
     cfg.attach_eavesdropper = true;
     cfg.location_service = routing::LocationService::Mode::kAnonymous;
     const auto indexed = ScenarioRunner(cfg).run();
-    EXPECT_GT(indexed.adversary.index_linkages, 0u);
-    EXPECT_GT(indexed.adversary.relationship_pairs_learned, 0u);
+    EXPECT_GT(published_counter(indexed.metrics, "eav.index_linkages"), 0u);
+    EXPECT_GT(published_counter(indexed.metrics, "eav.relationship_pairs_learned"), 0u);
     // Still zero identity-LOCATION linkage: the leak is relational only.
-    EXPECT_EQ(indexed.adversary.identity_sightings, 0u);
+    EXPECT_EQ(published_counter(indexed.metrics, "eav.identity_sightings"), 0u);
 
     // The index-free alternative closes exactly this channel (at its higher
     // communication/computation cost, see bench/als_overhead).
     cfg.location_service = routing::LocationService::Mode::kAnonymousIndexFree;
     const auto index_free = ScenarioRunner(cfg).run();
-    EXPECT_EQ(index_free.adversary.index_linkages, 0u);
+    EXPECT_EQ(published_counter(index_free.metrics, "eav.index_linkages"), 0u);
 }
 
 TEST(Adversary, FramesObservedCountsEverything) {
     const auto r = run(Scheme::kGpsrGreedy);
-    EXPECT_GT(r.adversary.frames_observed, r.adversary.identity_sightings / 2);
-    EXPECT_GE(r.adversary.frames_observed, r.metrics.counter("phy.transmissions") / 2);
+    const std::uint64_t frames = published_counter(r.metrics, "adv.frames_observed");
+    EXPECT_GT(frames, published_counter(r.metrics, "eav.identity_sightings") / 2);
+    EXPECT_GE(frames, r.metrics.counter("phy.transmissions") / 2);
 }
 
 }  // namespace

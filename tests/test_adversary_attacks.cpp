@@ -177,8 +177,8 @@ TEST(LinkingAttackE2E, GpsrIdentityBeaconsCalibrateTheAttack) {
     // track essentially every node for essentially the whole run.
     workload::ScenarioRunner runner(scenario(workload::Scheme::kGpsrGreedy));
     const auto r = runner.run();
-    EXPECT_GT(r.attack.hello_observations, 1000u);
-    EXPECT_GT(r.attack.tracking_success_rate, 0.9);
+    EXPECT_GT(r.metrics.counter("adv.hello_observations"), 1000u);
+    EXPECT_GT(r.metrics.gauge("adv.tracking_success_rate"), 0.9);
 }
 
 TEST(LinkingAttackE2E, MixZonePolicyBeatsPerHello) {
@@ -197,8 +197,8 @@ TEST(LinkingAttackE2E, MixZonePolicyBeatsPerHello) {
     EXPECT_EQ(r_base.metrics.counter("agfw.hello_suppressed"), 0u);
     EXPECT_GT(r_mixed.metrics.counter("agfw.hello_suppressed"), 0u);
     // Fewer observable hellos and broken continuity: tracking must drop.
-    EXPECT_LT(r_mixed.attack.tracking_success_rate,
-              r_base.attack.tracking_success_rate);
+    EXPECT_LT(r_mixed.metrics.gauge("adv.tracking_success_rate"),
+              r_base.metrics.gauge("adv.tracking_success_rate"));
     // Suppression costs beacons, not data: traffic still flows.
     EXPECT_GT(r_mixed.delivery_fraction(), 0.5);
 }

@@ -57,13 +57,13 @@ TEST(ChurnStress, BoundedDeliveryUnder20PercentChurn) {
 
     // Delivery degrades but stays bounded away from zero: ANT silence purge
     // plus NL-ACK rerouting route around the holes.
-    EXPECT_GT(r.app_sent, 0u);
+    EXPECT_GT(r.metrics.counter("app.sent"), 0u);
     EXPECT_GT(r.delivery_fraction(), 0.1);
     EXPECT_LT(r.delivery_fraction(), 1.0);
 
     // Faults never produce protocol-invariant violations.
-    EXPECT_EQ(r.invariants.violations(), 0u);
-    EXPECT_GT(r.invariants.frames_checked, 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
+    EXPECT_GT(r.metrics.counter("inv.frames_checked"), 0u);
 }
 
 TEST(ChurnStress, DeterministicUnderChurn) {
@@ -71,8 +71,8 @@ TEST(ChurnStress, DeterministicUnderChurn) {
     cfg.faults = churn_plan_20pct(cfg.num_nodes);
     ScenarioResult a = ScenarioRunner(cfg).run();
     ScenarioResult b = ScenarioRunner(cfg).run();
-    EXPECT_EQ(a.app_sent, b.app_sent);
-    EXPECT_EQ(a.app_delivered, b.app_delivered);
+    EXPECT_EQ(a.metrics.counter("app.sent"), b.metrics.counter("app.sent"));
+    EXPECT_EQ(a.metrics.counter("app.delivered"), b.metrics.counter("app.delivered"));
     EXPECT_EQ(a.metrics.counter("fault.node_crashes"), b.metrics.counter("fault.node_crashes"));
     EXPECT_EQ(a.metrics.counter("phy.frames_missed_down"),
               b.metrics.counter("phy.frames_missed_down"));
@@ -167,8 +167,8 @@ TEST(ChurnStress, AllFaultClassesKeepInvariantsClean) {
         SCOPED_TRACE(name);
         ScenarioResult r = ScenarioRunner(cfg).run();
         EXPECT_GT(r.metrics.counter("fault.faults_injected"), 0u);
-        EXPECT_EQ(r.invariants.violations(), 0u);
-        EXPECT_GT(r.invariants.frames_checked, 0u);
+        EXPECT_EQ(r.invariant_violations(), 0u);
+        EXPECT_GT(r.metrics.counter("inv.frames_checked"), 0u);
     }
 }
 
@@ -187,14 +187,14 @@ TEST(ChurnStress, ResilienceCountersSurfaceInResult) {
     EXPECT_EQ(r.metrics.counter("fault.node_recoveries"), 2u);
     EXPECT_GE(r.metrics.counter("fault.faults_injected"), 3u);
     EXPECT_GT(r.metrics.counter("fault.frames_lost_jam"), 0u);
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(ChurnStress, AlsOutageDegradesResolutionGracefully) {
     // With the anonymous location service under a server-grid outage the run
     // must complete with some failed resolutions at most — never a crash,
     // never an invariant violation — and the outage is visible in the
-    // resilience counters.
+    // fault.* counters.
     ScenarioConfig cfg = churn_base();
     cfg.num_nodes = 30;
     cfg.sim_seconds = 90.0;
@@ -210,7 +210,7 @@ TEST(ChurnStress, AlsOutageDegradesResolutionGracefully) {
     EXPECT_GE(r.metrics.counter("fault.als_outages"), 1u);
     EXPECT_GT(r.metrics.counter("fault.node_crashes"), 0u);
     EXPECT_GT(r.metrics.counter("ls.queries_sent"), 0u);
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 }  // namespace

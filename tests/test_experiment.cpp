@@ -141,7 +141,6 @@ TEST(Json, WriterShapesAndEscaping) {
 
 TEST(Json, ResultSerializationIsDeterministic) {
     ScenarioResult r;
-    r.app_sent = 10;
     r.metrics.counters = {{"app.delivered", 1}, {"app.sent", 10}};
     r.perf.wall_seconds = 1.25;  // non-deterministic field
     ScenarioResult same = r;

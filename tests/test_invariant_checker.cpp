@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/invariant_checker.hpp"
+#include "published_metrics.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -40,21 +41,14 @@ TEST(InvariantChecker, AgfwScenarioRunsClean) {
     ScenarioRunner runner(small_config(Scheme::kAgfwAck));
     const ScenarioResult r = runner.run();
     ASSERT_NE(runner.invariant_checker(), nullptr);
-    EXPECT_GT(r.invariants.frames_checked, 0u);
-    EXPECT_GT(r.invariants.packets_checked, 0u);
-    EXPECT_GT(r.invariants.sweeps, 30u);
-    EXPECT_GT(r.invariants.ant_entries_checked, 0u);
-    EXPECT_EQ(r.invariants.violations(), 0u)
-        << "cleartext_identity=" << r.invariants.cleartext_identity
-        << " mac_address_exposed=" << r.invariants.mac_address_exposed
-        << " missing_trapdoor=" << r.invariants.missing_trapdoor
-        << " unknown_pseudonym=" << r.invariants.unknown_pseudonym
-        << " stale_pseudonym_target=" << r.invariants.stale_pseudonym_target
-        << " overlong_ant_ttl=" << r.invariants.overlong_ant_ttl
-        << " stale_ant_entry=" << r.invariants.stale_ant_entry
-        << " ack_without_delivery=" << r.invariants.ack_without_delivery
-        << " codec_reject=" << r.invariants.codec_reject
-        << " wire_size_mismatch=" << r.invariants.wire_size_mismatch;
+    EXPECT_GT(r.metrics.counter("inv.frames_checked"), 0u);
+    EXPECT_GT(r.metrics.counter("inv.packets_checked"), 0u);
+    EXPECT_GT(r.metrics.counter("inv.sweeps"), 30u);
+    EXPECT_GT(r.metrics.counter("inv.ant_entries_checked"), 0u);
+    std::string counts;
+    for (const auto& [name, v] : r.metrics.counters)
+        if (name.starts_with("inv.")) counts += " " + name + "=" + std::to_string(v);
+    EXPECT_EQ(r.invariant_violations(), 0u) << counts;
 }
 
 TEST(InvariantChecker, GpsrScenarioRunsClean) {
@@ -62,9 +56,9 @@ TEST(InvariantChecker, GpsrScenarioRunsClean) {
     const ScenarioResult r = runner.run();
     // GPSR is the identity-bearing baseline: only the wire-discipline checks
     // apply, and those must still pass.
-    EXPECT_GT(r.invariants.packets_checked, 0u);
-    EXPECT_EQ(r.invariants.cleartext_identity, 0u);
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_GT(r.metrics.counter("inv.packets_checked"), 0u);
+    EXPECT_EQ(test::published_counter(r.metrics, "inv.cleartext_identity"), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(InvariantChecker, DisabledScenarioHasNoChecker) {
@@ -74,7 +68,7 @@ TEST(InvariantChecker, DisabledScenarioHasNoChecker) {
     ScenarioRunner runner(cfg);
     const ScenarioResult r = runner.run();
     EXPECT_EQ(runner.invariant_checker(), nullptr);
-    EXPECT_EQ(r.invariants.frames_checked, 0u);
+    for (const auto& [name, v] : r.metrics.counters) EXPECT_FALSE(name.starts_with("inv.")) << name;
 }
 
 TEST(InvariantChecker, CheckerIsPassive) {
@@ -84,8 +78,8 @@ TEST(InvariantChecker, CheckerIsPassive) {
     off.check_invariants = false;
     const ScenarioResult r_on = ScenarioRunner(on).run();
     const ScenarioResult r_off = ScenarioRunner(off).run();
-    EXPECT_EQ(r_on.app_sent, r_off.app_sent);
-    EXPECT_EQ(r_on.app_delivered, r_off.app_delivered);
+    EXPECT_EQ(r_on.metrics.counter("app.sent"), r_off.metrics.counter("app.sent"));
+    EXPECT_EQ(r_on.metrics.counter("app.delivered"), r_off.metrics.counter("app.delivered"));
     EXPECT_EQ(r_on.metrics.counter("phy.transmissions"),
               r_off.metrics.counter("phy.transmissions"));
     EXPECT_DOUBLE_EQ(r_on.avg_latency_ms(), r_off.avg_latency_ms());
@@ -94,10 +88,10 @@ TEST(InvariantChecker, CheckerIsPassive) {
 TEST(InvariantChecker, DeterministicAcrossRuns) {
     const ScenarioResult a = ScenarioRunner(small_config(Scheme::kAgfwAck, 9)).run();
     const ScenarioResult b = ScenarioRunner(small_config(Scheme::kAgfwAck, 9)).run();
-    EXPECT_EQ(a.invariants.frames_checked, b.invariants.frames_checked);
-    EXPECT_EQ(a.invariants.packets_checked, b.invariants.packets_checked);
-    EXPECT_EQ(a.invariants.last_attempt_frames, b.invariants.last_attempt_frames);
-    EXPECT_EQ(a.invariants.rotated_out_targets, b.invariants.rotated_out_targets);
+    for (const char* name : {"inv.frames_checked", "inv.packets_checked",
+                             "inv.last_attempt_frames", "inv.rotated_out_targets"}) {
+        EXPECT_EQ(a.metrics.counter(name), b.metrics.counter(name)) << name;
+    }
 }
 
 TEST(InvariantChecker, StrictCheckerFlagsGpsrTraffic) {
@@ -132,7 +126,7 @@ TEST(InvariantChecker, StrictCheckerFlagsMacAblation) {
     InvariantChecker strict(runner.network(), strict_params);
     strict.attach();
     const ScenarioResult r = runner.run();
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
     EXPECT_GT(strict.counters().mac_address_exposed, 0u);
     EXPECT_EQ(strict.counters().cleartext_identity, 0u);
 }

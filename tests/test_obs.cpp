@@ -211,9 +211,9 @@ TEST(TraceScenario, EveryUndeliveredPacketHasCauseAndHopChain) {
         ++data;
         if (f.status == obs::Flight::Status::kDelivered) ++delivered;
     }
-    EXPECT_EQ(data, r.app_sent);
+    EXPECT_EQ(data, r.metrics.counter("app.sent"));
     // Delivered flights = unique delivered uids = unique (flow, seq).
-    EXPECT_EQ(delivered, r.app_delivered);
+    EXPECT_EQ(delivered, r.metrics.counter("app.delivered"));
 
     const auto lost = index.undelivered_data();
     EXPECT_EQ(lost.size(), data - delivered);
@@ -236,13 +236,13 @@ TEST(TraceScenario, TracingDoesNotPerturbTheRun) {
     const workload::ScenarioResult b = untraced.run();
 
     // Only the recorder's own trace.* counters may differ. The result JSON
-    // carries every other counter, gauge and histogram, the attack report
-    // and the invariant counters.
+    // carries every other counter, gauge, histogram and series, including
+    // the attack's adv.* and the checker's inv.* values.
     EXPECT_GT(a.metrics.counter("trace.recorded"), 0u);
     std::erase_if(a.metrics.counters,
                   [](const auto& kv) { return kv.first.starts_with("trace."); });
-    EXPECT_GT(b.attack.hello_observations, 0u);
-    EXPECT_GT(b.invariants.frames_checked, 0u);
+    EXPECT_GT(b.metrics.counter("adv.hello_observations"), 0u);
+    EXPECT_GT(b.metrics.counter("inv.frames_checked"), 0u);
     EXPECT_EQ(experiment::result_to_json(a), experiment::result_to_json(b));
 }
 

@@ -42,8 +42,8 @@ TEST(Scenario, GpsrBaselineDeliversWell) {
     EXPECT_GT(r.metrics.counter("mac.rts_sent"), 0u);       // RTS/CTS in use
     EXPECT_EQ(r.metrics.counter("agfw.acks_sent"), 0u);      // no NL acks in GPSR
     // Wire discipline holds for the baseline too.
-    EXPECT_GT(r.invariants.packets_checked, 0u);
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_GT(r.metrics.counter("inv.packets_checked"), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(Scenario, AgfwAckMatchesGpsrDelivery) {
@@ -55,8 +55,8 @@ TEST(Scenario, AgfwAckMatchesGpsrDelivery) {
     EXPECT_GT(agfw.metrics.counter("agfw.acks_sent"), 0u);
     EXPECT_GT(agfw.metrics.counter("agfw.trapdoor_opens"), 0u);
     // The anonymity/addressing/reliability invariants hold throughout.
-    EXPECT_GT(agfw.invariants.frames_checked, 0u);
-    EXPECT_EQ(agfw.invariants.violations(), 0u);
+    EXPECT_GT(agfw.metrics.counter("inv.frames_checked"), 0u);
+    EXPECT_EQ(agfw.invariant_violations(), 0u);
 }
 
 TEST(Scenario, AgfwNoAckDeliversWorse) {
@@ -155,7 +155,7 @@ TEST(Scenario, LocationServiceModeRuns) {
     // Some packets deliver through the full anonymous stack.
     EXPECT_GT(r.delivery_fraction(), 0.3);
     // ALS traffic also stays identity-free on the air.
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(Scenario, RealCryptoScenarioEndToEnd) {

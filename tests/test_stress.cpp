@@ -153,7 +153,7 @@ TEST(Stress, SaturatingTrafficDoesNotWedge) {
     EXPECT_GT(r.delivery_fraction(), 0.0);  // something still gets through
     EXPECT_LT(r.delivery_fraction(), 1.0);  // and the overload is visible
     // Even under 12x overload the protocol never violates its invariants.
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(Stress, HighMobilityNoPauseRuns) {
@@ -170,7 +170,7 @@ TEST(Stress, HighMobilityNoPauseRuns) {
     // Extreme churn hurts but must not zero out delivery entirely.
     EXPECT_GT(r.delivery_fraction(), 0.2);
     // Mobility churn stresses ANT freshness; the invariants must still hold.
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 TEST(Stress, TinyRadioRangeMostlyPartitions) {
@@ -185,7 +185,7 @@ TEST(Stress, TinyRadioRangeMostlyPartitions) {
     EXPECT_LT(r.delivery_fraction(), 0.5);
     EXPECT_GT(r.metrics.counter("agfw.drop_no_route") + r.metrics.counter("agfw.drop_unreachable"),
               0u);
-    EXPECT_EQ(r.invariants.violations(), 0u);
+    EXPECT_EQ(r.invariant_violations(), 0u);
 }
 
 }  // namespace
