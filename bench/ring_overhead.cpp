@@ -78,8 +78,8 @@ int main() {
     std::printf("\nCert-by-reference fetches over time (40 nodes, authenticated ANT):\n");
     workload::ScenarioConfig cfg =
         bench::paper_scenario(workload::Scheme::kAgfwAck, 40, 120.0, 5);
-    cfg.authenticated_hello = true;
-    cfg.ring_k = 4;
+    cfg.agfw.authenticated_hello = true;
+    cfg.agfw.ring_k = 4;
     workload::ScenarioRunner runner(cfg);
     runner.setup();
     runner.network().start_agents();

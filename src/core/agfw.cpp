@@ -13,20 +13,26 @@
 
 namespace geoanon::core {
 
-using routing::kAgfwAckBytes;
-using routing::kAgfwDataHeaderBytes;
-using routing::kAgfwHelloBaseBytes;
-using routing::kCertReferenceBytes;
 using util::ByteWriter;
 using util::SimTime;
 
 namespace {
+/// Slack on the ANT silence window past the missed hello intervals, so a
+/// hello that arrives a little late does not purge a live neighbor.
+constexpr SimTime kSilenceSlack = SimTime::seconds(0.5);
+/// How long a data uid is remembered for duplicate suppression.
+constexpr SimTime kSeenTtl = SimTime::seconds(10.0);
+/// How long a next hop that exhausted its ACK retries is avoided.
+constexpr SimTime kBlacklistTtl = SimTime::seconds(5.0);
+/// Safety TTL for a face traversal (perimeter hops per packet).
+constexpr int kPerimeterHopLimit = 32;
+
 /// Fill in the derived ANT silence window: k missed hello intervals plus
-/// the jitter bound, unless the caller pinned silence_timeout explicitly.
+/// the slack, unless the caller pinned silence_timeout explicitly.
 AnonymousNeighborTable::Params ant_params_for(const AgfwAgent::Params& p) {
     AnonymousNeighborTable::Params ap = p.ant;
     if (ap.silence_timeout == SimTime::zero() && p.ant_silence_hellos > 0)
-        ap.silence_timeout = p.hello_interval * p.ant_silence_hellos + p.hello_jitter;
+        ap.silence_timeout = p.hello_interval * p.ant_silence_hellos + kSilenceSlack;
     return ap;
 }
 
@@ -106,7 +112,7 @@ bool AgfwAgent::in_last_hop_region(const Vec2& dst_loc) const {
 
 void AgfwAgent::purge_soft_state() {
     const SimTime now = node_.sim().now();
-    seen_.expire(now, params_.seen_ttl);
+    seen_.expire(now, kSeenTtl);
     std::erase_if(blacklist_, [&](const auto& kv) { return kv.second <= now; });
 }
 
@@ -148,7 +154,6 @@ void AgfwAgent::on_node_restart() {
         ack_flush_event_ = sim::kInvalidEvent;
     }
     known_certs_.clear();
-    loc_cache_.clear();
     if (ls_) ls_->reset();
 }
 
@@ -232,14 +237,7 @@ void AgfwAgent::send_hello() {
         cost = engine_.costs().ring_sign(pkt->ring_members.size());
     }
 
-    // Canonical encoding covers everything except full-certificate
-    // attachment, which replaces each 4-byte reference with the whole cert.
     pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
-    if (params_.authenticated_hello && !params_.certs_by_reference) {
-        pkt->wire_bytes += static_cast<std::uint32_t>(
-            pkt->ring_members.size() *
-            (engine_.certificate_bytes() - kCertReferenceBytes));
-    }
 
     charge(cost, [this, pkt] {
         ++stats_.hello_sent;
@@ -262,15 +260,11 @@ void AgfwAgent::handle_hello(const PacketPtr& pkt) {
     }
 
     // §4 cert-by-reference: fetch (and thereafter cache) unknown certificates.
-    if (params_.certs_by_reference) {
-        std::size_t unknown = 0;
-        for (const auto id : pkt->ring_members)
-            if (known_certs_.insert(id).second) ++unknown;
-        if (unknown > 0) {
-            stats_.cert_fetches += unknown;
-            stats_.control_bytes += unknown * engine_.certificate_bytes();
-        }
-    }
+    std::size_t unknown = 0;
+    for (const auto id : pkt->ring_members)
+        if (known_certs_.insert(id).second) ++unknown;
+    stats_.cert_fetches += unknown;
+    stats_.control_bytes += unknown * engine_.certificate_bytes();
 
     const SimTime cost = engine_.costs().ring_verify(pkt->ring_members.size());
     charge(cost, [this, pkt] {
@@ -349,17 +343,7 @@ void AgfwAgent::send_data(NodeId dst, net::FlowId flow, std::uint32_t seq,
     };
 
     if (ls_) {
-        if (auto it = loc_cache_.find(dst);
-            it != loc_cache_.end() &&
-            node_.sim().now() - it->second.second <= params_.loc_cache_ttl) {
-            proceed(it->second.first);
-            return;
-        }
-        ls_->resolve(dst, [this, dst, cb = std::move(proceed)](
-                              std::optional<Vec2> loc) mutable {
-            if (loc) loc_cache_[dst] = {*loc, node_.sim().now()};
-            cb(loc);
-        });
+        ls_->resolve(dst, std::move(proceed));
     } else {
         proceed(locate_(dst));
     }
@@ -417,7 +401,7 @@ bool AgfwAgent::try_forward(const PacketPtr& pkt, std::vector<Pseudonym> exclude
 bool AgfwAgent::try_perimeter(const PacketPtr& pkt, const Vec2& came_from,
                               std::vector<Pseudonym> exclude) {
     if (!params_.enable_perimeter) return false;
-    if (pkt->perimeter_hops >= params_.perimeter_hop_limit) {
+    if (pkt->perimeter_hops >= kPerimeterHopLimit) {
         ++stats_.perimeter_ttl_drops;
         return false;
     }
@@ -553,7 +537,7 @@ void AgfwAgent::on_ack_timeout(std::uint64_t uid) {
 
     // This next hop is unreachable: blacklist it, drop its ANT entries, and
     // try an alternate neighbor (bounded).
-    blacklist_[p.next_hop] = node_.sim().now() + params_.blacklist_ttl;
+    blacklist_[p.next_hop] = node_.sim().now() + kBlacklistTtl;
     ant_.erase(p.next_hop);
     if (p.reroutes < params_.reroute_limit) {
         ++p.reroutes;

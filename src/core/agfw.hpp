@@ -15,7 +15,6 @@
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "routing/location_service.hpp"
-#include "routing/wire.hpp"
 #include "sim/simulator.hpp"
 
 namespace geoanon::core {
@@ -42,11 +41,10 @@ class AgfwAgent final : public net::RoutingAgent {
   public:
     struct Params {
         util::SimTime hello_interval{util::SimTime::seconds(1.5)};
-        util::SimTime hello_jitter{util::SimTime::seconds(0.5)};
         AnonymousNeighborTable::Params ant{};
         /// ANT silence-based purge, in missed hello intervals: a neighbor
-        /// whose newest hello is older than this many intervals (plus the
-        /// jitter bound) is treated as crashed even if its announced entry
+        /// whose newest hello is older than this many intervals (plus a
+        /// 0.5 s slack) is treated as crashed even if its announced entry
         /// lifetime has not elapsed. Matches §3.1.1's rule that only a
         /// node's two latest pseudonyms are answered. 0 disables; ignored
         /// when ant.silence_timeout is set explicitly.
@@ -73,10 +71,10 @@ class AgfwAgent final : public net::RoutingAgent {
         util::SimTime ack_aggregation{util::SimTime::zero()};
 
         /// Ring-signed hellos (§3.1.2): authenticated, (k+1)-anonymous ANT.
+        /// Certificates travel by reference; a receiver fetches each unknown
+        /// one once (§4).
         bool authenticated_hello{false};
         std::size_t ring_k{4};  ///< k other signers besides the sender
-        /// Send certificates by reference, fetching unknown ones once (§4).
-        bool certs_by_reference{true};
 
         /// When and how often hellos change their pseudonym — the
         /// countermeasure axis of the adversary experiments (DESIGN.md §16).
@@ -89,17 +87,10 @@ class AgfwAgent final : public net::RoutingAgent {
         /// Attach a velocity hint to hellos (§3.1.1 predictable motion).
         bool send_velocity_hint{true};
 
-        util::SimTime seen_ttl{util::SimTime::seconds(10.0)};
-        util::SimTime blacklist_ttl{util::SimTime::seconds(5.0)};
-        /// ALS result cache TTL (per-packet queries would flood the grid).
-        util::SimTime loc_cache_ttl{util::SimTime::seconds(8.0)};
-
         /// Perimeter-mode recovery at greedy local maxima — the extension §6
         /// leaves to future work. Off by default (the paper's AGFW drops at
         /// dead ends); bench/ablation_perimeter measures the gain.
         bool enable_perimeter{false};
-        /// Safety TTL for a face traversal (perimeter hops per packet).
-        int perimeter_hop_limit{32};
     };
 
     struct Stats {
@@ -253,8 +244,6 @@ class AgfwAgent final : public net::RoutingAgent {
     std::unordered_set<crypto::NodeIdNum> known_certs_;
 
     std::unique_ptr<routing::LocationService> ls_;
-    /// ALS result cache: dst -> (location, resolved-at).
-    std::unordered_map<NodeId, std::pair<Vec2, util::SimTime>> loc_cache_;
     std::uint32_t next_uid_{1};
     Stats stats_;
 };

@@ -14,6 +14,8 @@ namespace {
 /// censored (dropped) — long enough for several hello rounds.
 constexpr double kRecoveryWatchS = 30.0;
 constexpr double kRecoveryPollS = 0.25;
+/// GPS error is redrawn once per epoch of this length.
+constexpr SimTime kGpsNoiseEpoch = SimTime::seconds(1.0);
 
 /// Uniform double in [0, 1) from one SplitMix64 draw.
 double to_unit(std::uint64_t u) { return (u >> 11) * 0x1.0p-53; }
@@ -195,7 +197,7 @@ void FaultInjector::install_gps_noise() {
             if (now < g.start) return {};
             if (g.stop > SimTime{} && now >= g.stop) return {};
             const std::uint64_t epoch =
-                static_cast<std::uint64_t>(now.ns() / g.epoch.ns());
+                static_cast<std::uint64_t>(now.ns() / kGpsNoiseEpoch.ns());
             util::SplitMix64 sm(seed ^ (0x9E3779B97F4A7C15ULL * (id + 1)) ^
                                 (0xDA942042E4DD58B5ULL * (epoch + 1)));
             const double u1 = to_unit(sm.next());

@@ -80,12 +80,11 @@ struct FaultPlan {
     std::vector<Jam> jams;
 
     /// GPS error: every node's self-reported position (hellos, location
-    /// updates, greedy decisions) is offset by a per-node, per-epoch draw
-    /// from N(0, sigma_m) on each axis. The true physical position — what
-    /// the radio propagation model uses — is unaffected.
+    /// updates, greedy decisions) is offset by a per-node draw from
+    /// N(0, sigma_m) on each axis, redrawn every second. The true physical
+    /// position — what the radio propagation model uses — is unaffected.
     struct GpsNoise {
         double sigma_m{15.0};
-        SimTime epoch{SimTime::seconds(1.0)};
         SimTime start{};
         SimTime stop{};
     };

@@ -10,22 +10,39 @@ namespace geoanon::mac {
 
 using phy::Frame;
 
+namespace {
+// 802.11 DSSS DCF constants, the ns-2 CMU defaults the paper ran with.
+constexpr SimTime kSlot = SimTime::micros(20);
+constexpr SimTime kSifs = SimTime::micros(10);
+constexpr SimTime kDifs = SimTime::micros(50);
+constexpr int kCwMin = 31;
+constexpr int kCwMax = 1023;
+constexpr int kRetryLimit = 7;  ///< short retry limit
+constexpr std::uint32_t kRtsBytes = 20;
+constexpr std::uint32_t kCtsBytes = 14;
+constexpr std::uint32_t kAckBytes = 14;
+/// MAC header + FCS added to every DATA frame.
+constexpr std::uint32_t kDataHeaderBytes = 28;
+/// Extra margin on CTS/ACK timeouts (propagation + rx/tx turnaround).
+constexpr SimTime kTimeoutSlack = SimTime::micros(25);
+}  // namespace
+
 Mac80211::Mac80211(sim::Simulator& sim, phy::Radio& radio, net::MacAddr addr,
                    MacParams params, Rng rng)
     : sim_(sim), radio_(radio), addr_(addr), params_(params), rng_(rng),
-      cw_(params.cw_min) {
+      cw_(kCwMin) {
     radio_.set_mac_hooks([this] { on_channel_busy(); }, [this] { on_channel_idle(); },
                          [this](const Frame& f) { on_frame(f); });
 }
 
 SimTime Mac80211::data_airtime(const net::PacketPtr& pkt) const {
-    return radio_.phy_params().airtime(pkt->wire_bytes + params_.data_header_bytes);
+    return radio_.phy_params().airtime(pkt->wire_bytes + kDataHeaderBytes);
 }
 
 SimTime Mac80211::rts_nav(const net::PacketPtr& pkt) const {
     const auto& phy = radio_.phy_params();
-    return params_.sifs + phy.airtime(params_.cts_bytes) + params_.sifs +
-           data_airtime(pkt) + params_.sifs + phy.airtime(params_.ack_bytes);
+    return kSifs + phy.airtime(kCtsBytes) + kSifs + data_airtime(pkt) + kSifs +
+           phy.airtime(kAckBytes);
 }
 
 void Mac80211::set_enabled(bool enabled) {
@@ -54,7 +71,7 @@ void Mac80211::set_enabled(bool enabled) {
         nav_wake_event_ = sim::kInvalidEvent;
     }
     phase_ = Phase::kIdle;
-    cw_ = params_.cw_min;
+    cw_ = kCwMin;
     backoff_slots_ = -1;
     nav_until_ = SimTime{};
     in_flight_ = phy::Frame{};
@@ -120,9 +137,8 @@ void Mac80211::try_begin_access() {
     }
     if (backoff_slots_ < 0)
         backoff_slots_ = static_cast<int>(rng_.uniform_int(0, cw_));
-    access_difs_end_ = sim_.now() + params_.difs;
-    access_event_ = sim_.after(params_.difs + params_.slot * backoff_slots_,
-                               [this] { on_access_won(); });
+    access_difs_end_ = sim_.now() + kDifs;
+    access_event_ = sim_.after(kDifs + kSlot * backoff_slots_, [this] { on_access_won(); });
 }
 
 void Mac80211::freeze_backoff() {
@@ -130,8 +146,8 @@ void Mac80211::freeze_backoff() {
     sim_.cancel(access_event_);
     access_event_ = sim::kInvalidEvent;
     if (backoff_slots_ > 0 && sim_.now() > access_difs_end_) {
-        const auto consumed = static_cast<int>((sim_.now() - access_difs_end_).ns() /
-                                               params_.slot.ns());
+        const auto consumed =
+            static_cast<int>((sim_.now() - access_difs_end_).ns() / kSlot.ns());
         backoff_slots_ = std::max(0, backoff_slots_ - consumed);
     }
 }
@@ -158,7 +174,7 @@ void Mac80211::transmit_head() {
         f.dst = net::kBroadcastAddr;
         f.seq = item.seq;
         f.payload = item.pkt;
-        f.wire_bytes = item.pkt->wire_bytes + params_.data_header_bytes;
+        f.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
         ++stats_.data_sent;
         start_frame(std::move(f), Phase::kTxData);
         return;
@@ -170,7 +186,7 @@ void Mac80211::transmit_head() {
         f.src = addr_;
         f.dst = item.dst;
         f.nav = rts_nav(item.pkt);
-        f.wire_bytes = params_.rts_bytes;
+        f.wire_bytes = kRtsBytes;
         ++stats_.rts_sent;
         start_frame(std::move(f), Phase::kTxRts);
     } else {
@@ -178,11 +194,11 @@ void Mac80211::transmit_head() {
         f.type = Frame::Type::kData;
         f.src = addr_;
         f.dst = item.dst;
-        f.nav = params_.sifs + phy.airtime(params_.ack_bytes);
+        f.nav = kSifs + phy.airtime(kAckBytes);
         f.seq = item.seq;
         f.retry = item.retries > 0;
         f.payload = item.pkt;
-        f.wire_bytes = item.pkt->wire_bytes + params_.data_header_bytes;
+        f.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
         ++stats_.data_sent;
         start_frame(std::move(f), Phase::kTxData);
     }
@@ -201,18 +217,16 @@ void Mac80211::on_tx_end() {
     switch (phase_) {
         case Phase::kTxRts:
             phase_ = Phase::kWaitCts;
-            timeout_event_ = sim_.after(
-                params_.sifs + phy.airtime(params_.cts_bytes) + params_.timeout_slack,
-                [this] { on_timeout(); });
+            timeout_event_ = sim_.after(kSifs + phy.airtime(kCtsBytes) + kTimeoutSlack,
+                                        [this] { on_timeout(); });
             break;
         case Phase::kTxData:
             if (in_flight_.dst == net::kBroadcastAddr) {
                 finish_head(true);
             } else {
                 phase_ = Phase::kWaitAck;
-                timeout_event_ = sim_.after(
-                    params_.sifs + phy.airtime(params_.ack_bytes) + params_.timeout_slack,
-                    [this] { on_timeout(); });
+                timeout_event_ = sim_.after(kSifs + phy.airtime(kAckBytes) + kTimeoutSlack,
+                                            [this] { on_timeout(); });
             }
             break;
         case Phase::kTxCts:
@@ -232,7 +246,7 @@ void Mac80211::on_timeout() {
     TxItem& item = queue_.front();
     ++item.retries;
     ++stats_.retries;
-    if (item.retries > params_.retry_limit) {
+    if (item.retries > kRetryLimit) {
         ++stats_.unicast_drop_retry;
         GEOANON_TRACE(sim_, .type = obs::EventType::kMacDrop,
                       .cause = obs::DropCause::kMacRetry, .node = trace_node_,
@@ -240,7 +254,7 @@ void Mac80211::on_timeout() {
         finish_head(false);
         return;
     }
-    cw_ = std::min(cw_ * 2 + 1, params_.cw_max);
+    cw_ = std::min(cw_ * 2 + 1, kCwMax);
     backoff_slots_ = -1;  // redraw from the doubled window
     try_begin_access();
 }
@@ -249,7 +263,7 @@ void Mac80211::finish_head(bool success) {
     TxItem item = std::move(queue_.front());
     queue_.pop_front();
     if (success && item.dst != net::kBroadcastAddr) ++stats_.unicast_delivered;
-    cw_ = params_.cw_min;
+    cw_ = kCwMin;
     backoff_slots_ = -1;
     phase_ = Phase::kIdle;
     if (tx_done_handler_) tx_done_handler_(item.pkt, item.dst, success);
@@ -258,7 +272,7 @@ void Mac80211::finish_head(bool success) {
 
 void Mac80211::respond_after_sifs(Frame frame, Phase phase) {
     phase_ = phase;  // blocks our own access until the response is out
-    sim_.after(params_.sifs, [this, frame = std::move(frame), phase] {
+    sim_.after(kSifs, [this, frame = std::move(frame), phase] {
         if (phase_ != phase) return;  // state changed under us; abort response
         if (radio_.transmitting()) {  // should not happen; stay safe
             phase_ = Phase::kIdle;
@@ -290,10 +304,10 @@ void Mac80211::on_frame(const Frame& f) {
             cts.type = Frame::Type::kCts;
             cts.src = addr_;
             cts.dst = f.src;
-            const SimTime cts_air = radio_.phy_params().airtime(params_.cts_bytes);
-            cts.nav = f.nav > params_.sifs + cts_air ? f.nav - params_.sifs - cts_air
+            const SimTime cts_air = radio_.phy_params().airtime(kCtsBytes);
+            cts.nav = f.nav > kSifs + cts_air ? f.nav - kSifs - cts_air
                                                      : SimTime::zero();
-            cts.wire_bytes = params_.cts_bytes;
+            cts.wire_bytes = kCtsBytes;
             respond_after_sifs(std::move(cts), Phase::kTxCts);
             break;
         }
@@ -303,18 +317,18 @@ void Mac80211::on_frame(const Frame& f) {
             timeout_event_ = sim::kInvalidEvent;
             // SIFS, then the DATA frame of the pending head item.
             phase_ = Phase::kTxData;  // reserve state through the SIFS gap
-            sim_.after(params_.sifs, [this] {
+            sim_.after(kSifs, [this] {
                 if (phase_ != Phase::kTxData || queue_.empty()) return;
                 const TxItem& item = queue_.front();
                 Frame data;
                 data.type = Frame::Type::kData;
                 data.src = addr_;
                 data.dst = item.dst;
-                data.nav = params_.sifs + radio_.phy_params().airtime(params_.ack_bytes);
+                data.nav = kSifs + radio_.phy_params().airtime(kAckBytes);
                 data.seq = item.seq;
                 data.retry = item.retries > 0;
                 data.payload = item.pkt;
-                data.wire_bytes = item.pkt->wire_bytes + params_.data_header_bytes;
+                data.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
                 ++stats_.data_sent;
                 start_frame(std::move(data), Phase::kTxData);
             });
@@ -340,7 +354,7 @@ void Mac80211::on_frame(const Frame& f) {
                 ack.type = Frame::Type::kAck;
                 ack.src = addr_;
                 ack.dst = f.src;
-                ack.wire_bytes = params_.ack_bytes;
+                ack.wire_bytes = kAckBytes;
                 respond_after_sifs(std::move(ack), Phase::kTxAck);
             }
             break;

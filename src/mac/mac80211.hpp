@@ -17,26 +17,14 @@ namespace geoanon::mac {
 using util::Rng;
 using util::SimTime;
 
-/// IEEE 802.11 DCF parameters. Defaults are 802.11 DSSS (the ns-2 CMU
-/// defaults used by the paper): 20 us slot, 10 us SIFS, 50 us DIFS,
-/// CW 31..1023, short retry limit 7.
+/// IEEE 802.11 DCF settings. The DCF timing and frame sizes are fixed at
+/// the 802.11 DSSS values the paper's ns-2 runs used (20 us slot, 10 us
+/// SIFS, 50 us DIFS, CW 31..1023, short retry limit 7); they are constants
+/// in mac80211.cpp.
 struct MacParams {
-    SimTime slot{SimTime::micros(20)};
-    SimTime sifs{SimTime::micros(10)};
-    SimTime difs{SimTime::micros(50)};
-    int cw_min{31};
-    int cw_max{1023};
-    int retry_limit{7};
     /// Unicast exchanges use RTS/CTS virtual carrier sensing when true —
     /// the behavior Figure 1(b) attributes GPSR's high-density latency to.
     bool use_rtscts{true};
-    std::uint32_t rts_bytes{20};
-    std::uint32_t cts_bytes{14};
-    std::uint32_t ack_bytes{14};
-    /// MAC header + FCS added to every DATA frame.
-    std::uint32_t data_header_bytes{28};
-    /// Extra margin on CTS/ACK timeouts (propagation + rx/tx turnaround).
-    SimTime timeout_slack{SimTime::micros(25)};
     /// Interface queue length (drop-tail beyond this; ns-2 default 50).
     std::size_t queue_limit{50};
     /// §3.2: anonymous senders must not expose their MAC address; broadcast

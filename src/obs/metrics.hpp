@@ -55,8 +55,7 @@ struct MetricsSnapshot {
 /// std::map keeps snapshots sorted and therefore byte-stable in JSON.
 ///
 /// Thread-safe: all maps sit behind mu_ (clang -Wthread-safety checked), so
-/// concurrent SweepRunner workers — or the future sharded simulator — can
-/// publish into one registry. Determinism is unaffected: counters commute,
+/// concurrent SweepRunner workers can publish into one registry. Determinism is unaffected: counters commute,
 /// and snapshots are name-sorted regardless of publish order.
 class MetricsRegistry {
   public:

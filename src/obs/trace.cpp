@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "util/log.hpp"
-
 namespace geoanon::obs {
 
 const char* event_type_name(EventType t) {
@@ -95,17 +93,6 @@ void TraceRecorder::record(SimTime now, Event e) {
         shard.ring[shard.head] = e;
         shard.head = (shard.head + 1) % params_.shard_capacity;
         ++evicted_;
-    }
-
-    if (params_.mirror_stderr) {
-        util::log_trace("t=%.9f node=%d %s uid=%llu flow=%u seq=%u cause=%s "
-                        "detail=0x%llx",
-                        e.t.to_seconds(),
-                        e.node == net::kInvalidNode ? -1 : static_cast<int>(e.node),
-                        event_type_name(e.type),
-                        static_cast<unsigned long long>(e.uid), e.flow, e.seq,
-                        drop_cause_name(e.cause),
-                        static_cast<unsigned long long>(e.detail));
     }
 }
 

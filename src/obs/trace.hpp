@@ -126,9 +126,6 @@ struct TraceParams {
     /// Ring capacity per shard (shard = node + 1; shard 0 holds events with
     /// no node attribution). Oldest events in a shard are evicted first.
     std::size_t shard_capacity{1 << 14};
-    /// Mirror every event to stderr through util::log_trace (needs the log
-    /// level lowered to kTrace; for interactive debugging only).
-    bool mirror_stderr{false};
 };
 
 /// Bounded, per-node-sharded ring buffer of Events.
@@ -138,11 +135,11 @@ struct TraceParams {
 /// reconstructs exact record order. Ids are deterministic for a fixed
 /// (config, seed) — the export built on them is byte-stable.
 ///
-/// The shard state sits behind mu_ (clang -Wthread-safety checked) so a
-/// recorder outlives any thread confinement assumption: SweepRunner workers
-/// each own a recorder today, but the sharded in-run simulator (ROADMAP
-/// item 2) will fan events in from several threads. enabled_ is NOT guarded:
-/// it is a setup-time switch that must not be toggled while workers record.
+/// The shard state sits behind mu_ (clang -Wthread-safety checked) because
+/// SweepRunner runs scenarios on worker threads: each worker owns its run's
+/// recorder, and the lock keeps a recorder safe to read from a thread other
+/// than the one that filled it. enabled_ is NOT guarded: it is a setup-time
+/// switch that must not be toggled while workers record.
 class TraceRecorder {
   public:
     explicit TraceRecorder(TraceParams params = {});

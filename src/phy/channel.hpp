@@ -23,14 +23,17 @@ namespace geoanon::phy {
 using util::SimTime;
 using util::Vec2;
 
+/// 2 Mb/s WaveLAN bit rate and 192 us PLCP preamble+header: the ns-2 CMU
+/// defaults the paper inherited.
+inline constexpr double kBitrateBps = 2e6;
+inline constexpr SimTime kPlcpOverhead = SimTime::micros(192);
+
 /// Radio/channel parameters. Defaults follow the paper's setup (250 m nominal
-/// range) and the ns-2 CMU defaults it inherited (2 Mb/s WaveLAN, 550 m
-/// carrier-sense/interference range, 192 us PLCP preamble+header).
+/// range) and the ns-2 CMU defaults it inherited (550 m
+/// carrier-sense/interference range).
 struct PhyParams {
     double range_m{250.0};
     double cs_range_m{550.0};
-    double bitrate_bps{2e6};
-    SimTime plcp_overhead{SimTime::micros(192)};
 
     /// Spatial-index tuning. Radios are re-bucketed from their EngineState
     /// position rows at transmission time, at most once per
@@ -43,8 +46,8 @@ struct PhyParams {
 
     /// Time on air for a link-layer frame of `bytes` bytes.
     SimTime airtime(std::size_t bytes) const {
-        const double tx_s = static_cast<double>(bytes) * 8.0 / bitrate_bps;
-        return plcp_overhead + SimTime::seconds(tx_s);
+        const double tx_s = static_cast<double>(bytes) * 8.0 / kBitrateBps;
+        return kPlcpOverhead + SimTime::seconds(tx_s);
     }
 };
 

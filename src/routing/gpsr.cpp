@@ -6,6 +6,12 @@
 
 namespace geoanon::routing {
 
+namespace {
+/// A neighbor is forgotten 4.5 s after its last hello (three default hello
+/// intervals).
+constexpr util::SimTime kNeighborTtl = util::SimTime::seconds(4.5);
+}  // namespace
+
 GpsrGreedyAgent::GpsrGreedyAgent(net::Node& node, Params params, LocateFn locate,
                                  DeliverFn deliver)
     : node_(node),
@@ -25,9 +31,6 @@ void GpsrGreedyAgent::enable_location_service(GridMap grid,
     hooks.my_id = node_.id();
     hooks.sim = &node_.sim();
     hooks.rng = &node_.rng();
-    hooks.charge = [this](util::SimTime cost, std::function<void()> done) {
-        node_.sim().after(cost, std::move(done));
-    };
     hooks.is_up = [this] { return node_.up(); };
     ls_ = std::make_unique<LocationService>(LocationService::Mode::kPlain, grid,
                                             ls_params, std::move(hooks));
@@ -44,7 +47,6 @@ void GpsrGreedyAgent::start() {
 void GpsrGreedyAgent::on_node_restart() {
     neighbors_.clear();
     reroute_counts_.clear();
-    loc_cache_.clear();
     if (ls_) ls_->reset();
 }
 
@@ -69,7 +71,7 @@ void GpsrGreedyAgent::send_hello() {
 void GpsrGreedyAgent::purge_neighbors() {
     const util::SimTime now = node_.sim().now();
     std::erase_if(neighbors_, [&](const auto& kv) {
-        return now - kv.second.ts > params_.neighbor_ttl;
+        return now - kv.second.ts > kNeighborTtl;
     });
 }
 
@@ -84,7 +86,7 @@ const GpsrGreedyAgent::Neighbor* GpsrGreedyAgent::best_neighbor(
     // not depend on hash-map iteration order.
     // geoanon-lint: allow(unordered-iter) -- selection below is order-independent (strict min with id tie-break)
     for (const auto& [id, n] : neighbors_) {
-        if (now - n.ts > params_.neighbor_ttl) continue;
+        if (now - n.ts > kNeighborTtl) continue;
         const double d = util::distance(n.loc, dst_loc);
         if (d < best_dist || (d == best_dist && best != nullptr && id < best_id)) {
             best_dist = d;
@@ -126,17 +128,7 @@ void GpsrGreedyAgent::send_data(NodeId dst, net::FlowId flow, std::uint32_t seq,
     };
 
     if (ls_) {
-        if (auto it = loc_cache_.find(dst);
-            it != loc_cache_.end() &&
-            node_.sim().now() - it->second.second <= params_.loc_cache_ttl) {
-            send_with_loc(it->second.first);
-            return;
-        }
-        ls_->resolve(dst, [this, dst, cb = std::move(send_with_loc)](
-                              std::optional<Vec2> loc) mutable {
-            if (loc) loc_cache_[dst] = {*loc, node_.sim().now()};
-            cb(loc);
-        });
+        ls_->resolve(dst, std::move(send_with_loc));
     } else {
         send_with_loc(locate_(dst));
     }

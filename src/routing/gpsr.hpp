@@ -8,7 +8,6 @@
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "routing/location_service.hpp"
-#include "routing/wire.hpp"
 #include "sim/simulator.hpp"
 
 namespace geoanon::routing {
@@ -28,13 +27,8 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
   public:
     struct Params {
         util::SimTime hello_interval{util::SimTime::seconds(1.5)};
-        util::SimTime hello_jitter{util::SimTime::seconds(0.5)};
-        util::SimTime neighbor_ttl{util::SimTime::seconds(4.5)};
         /// How many alternate next hops to try after a MAC-level failure.
         int reroute_limit{3};
-        /// Resolved destination locations are reused this long before the
-        /// location service is queried again (real GLS-style caching).
-        util::SimTime loc_cache_ttl{util::SimTime::seconds(8.0)};
     };
 
     struct Stats {
@@ -98,8 +92,6 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
     /// Alternate-next-hop attempts per packet uid after MAC failures.
     std::unordered_map<std::uint64_t, int> reroute_counts_;
     std::unique_ptr<LocationService> ls_;
-    /// Location-service result cache: dst -> (location, resolved-at).
-    std::unordered_map<NodeId, std::pair<Vec2, util::SimTime>> loc_cache_;
     sim::PeriodicTimer hello_timer_;
     std::uint32_t next_uid_{1};
     Stats stats_;

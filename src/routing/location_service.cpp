@@ -46,6 +46,22 @@ std::uint64_t plain_key_hash(net::NodeId subject) {
     return fnv1a(fnv1a(kFnvOffset, &tag, 1), b, 4);
 }
 
+// First update 3 s after start() (neighbor tables warm up), plus up to 2 s.
+constexpr SimTime kFirstUpdateDelay = SimTime::seconds(3.0);
+constexpr SimTime kUpdateJitter = SimTime::seconds(2.0);
+// Query reissue backoff (util::RetryPolicy): the first retry waits 2 s,
+// doubling per attempt up to 8 s, with 25% jitter drawn from the host RNG so
+// requesters hitting the same dark grid do not retry in lockstep. Each
+// degradation-ladder stage sends once and reissues once.
+constexpr SimTime kQueryTimeout = SimTime::seconds(2.0);
+constexpr SimTime kQueryBackoffCap = SimTime::seconds(8.0);
+constexpr double kQueryJitter = 0.25;
+constexpr int kQueryRetries = 1;
+// Anti-entropy digest period of a serving replica.
+constexpr SimTime kDigestInterval = SimTime::seconds(5.0);
+// How long a resolved location is reused before resolve() queries again.
+constexpr SimTime kResultCacheTtl = SimTime::seconds(8.0);
+
 }  // namespace
 
 LocationService::LocationService(Mode mode, GridMap grid, Params params, Hooks hooks)
@@ -57,11 +73,10 @@ LocationService::LocationService(Mode mode, GridMap grid, Params params, Hooks h
 }
 
 void LocationService::charge(SimTime cost, std::function<void()> done) {
-    if (params_.charge_crypto_costs && hooks_.charge) {
+    if (hooks_.charge)
         hooks_.charge(cost, std::move(done));
-    } else {
+    else
         done();
-    }
 }
 
 Bytes LocationService::make_index(NodeId updater, NodeId requester) const {
@@ -70,18 +85,14 @@ Bytes LocationService::make_index(NodeId updater, NodeId requester) const {
 
 void LocationService::start() {
     const SimTime first =
-        params_.first_update_delay +
-        SimTime::nanos(hooks_.rng->uniform_int(0, params_.update_jitter.ns()));
+        kFirstUpdateDelay + SimTime::nanos(hooks_.rng->uniform_int(0, kUpdateJitter.ns()));
     update_timer_.start(*hooks_.sim, params_.update_interval, first,
                         [this] { send_update(); });
-    if (params_.replicate && params_.anti_entropy &&
-        params_.digest_interval > SimTime::zero()) {
+    if (params_.replicate && params_.anti_entropy) {
         // Jittered first tick: co-located replicas must not gossip in phase.
         const SimTime dfirst =
-            params_.digest_interval +
-            SimTime::nanos(hooks_.rng->uniform_int(0, params_.digest_interval.ns() / 4));
-        digest_timer_.start(*hooks_.sim, params_.digest_interval, dfirst,
-                            [this] { digest_tick(); });
+            kDigestInterval + SimTime::nanos(hooks_.rng->uniform_int(0, kDigestInterval.ns() / 4));
+        digest_timer_.start(*hooks_.sim, kDigestInterval, dfirst, [this] { digest_tick(); });
     }
     if (params_.sweep_interval > SimTime::zero()) {
         sweep_timer_.start(*hooks_.sim, params_.sweep_interval, params_.sweep_interval,
@@ -95,6 +106,7 @@ void LocationService::reset() {
     serving_.clear();
     last_digest_.clear();
     resolved_qids_.clear();
+    result_cache_.clear();
     stats_.pending_wiped += pending_.size();
     // geoanon-lint: allow(unordered-iter) -- cancel() only marks event ids; cancellation order cannot reach any output
     for (auto& [qid, q] : pending_) hooks_.sim->cancel(q.timeout);
@@ -157,6 +169,12 @@ void LocationService::send_update() {
 
 void LocationService::resolve(NodeId target,
                               std::function<void(std::optional<util::Vec2>)> cb) {
+    if (auto it = result_cache_.find(target);
+        it != result_cache_.end() &&
+        hooks_.sim->now() - it->second.second <= kResultCacheTtl) {
+        cb(it->second.first);
+        return;
+    }
     const std::uint64_t qid =
         (static_cast<std::uint64_t>(hooks_.my_id) << 32) | next_query_id_++;
     PendingQuery q;
@@ -192,10 +210,10 @@ LocationService::stage_format(std::uint8_t stage) const {
 }
 
 SimTime LocationService::retry_delay(int attempt) {
-    const util::RetryPolicy::Params p{.initial = params_.query_timeout,
+    const util::RetryPolicy::Params p{.initial = kQueryTimeout,
                                       .multiplier = 2.0,
-                                      .cap = params_.query_backoff_cap,
-                                      .jitter = params_.query_jitter};
+                                      .cap = kQueryBackoffCap,
+                                      .jitter = kQueryJitter};
     return util::RetryPolicy::delay(p, attempt, *hooks_.rng);
 }
 
@@ -245,7 +263,7 @@ void LocationService::send_query(std::uint64_t qid) {
     q.timeout = hooks_.sim->after(retry_delay(q.attempts), [this, qid] {
         auto it2 = pending_.find(qid);
         if (it2 == pending_.end()) return;
-        if (it2->second.attempts <= params_.query_retries) {
+        if (it2->second.attempts <= kQueryRetries) {
             send_query(qid);
             return;
         }
@@ -535,6 +553,7 @@ void LocationService::complete_ok(std::uint64_t qid, util::Vec2 loc) {
             (hooks_.sim->now() - it->second.started).to_millis());
     }
     resolved_qids_[qid] = hooks_.sim->now();
+    result_cache_[it->second.target] = {loc, hooks_.sim->now()};
     auto cb = std::move(it->second.cb);
     hooks_.sim->cancel(it->second.timeout);
     pending_.erase(it);
@@ -639,7 +658,7 @@ void LocationService::push_plain_row(NodeId subject, const PlainRow& row) {
 
 // Builds and broadcasts this node's anti-entropy digest for `grid`: one
 // (key hash, expiry) row per stored entry of that grid. Runs every
-// digest_interval on every serving replica, so it must not thrash the heap.
+// kDigestInterval on every serving replica, so it must not thrash the heap.
 // geoanon: hot
 void LocationService::send_digest(std::uint32_t grid) {
     // geoanon-lint: allow(hot-alloc) -- packets are immutable shared-ownership objects by design; a packet arena is ROADMAP item 1, not a per-call fix
@@ -762,7 +781,7 @@ void LocationService::on_digest(const PacketPtr& pkt) {
     // pushes them our way. Rate-limited per grid to half a digest interval.
     if (known_hashes_here < peer.size()) {
         auto last = last_digest_.find(g);
-        const SimTime gap = SimTime::nanos(params_.digest_interval.ns() / 2);
+        const SimTime gap = SimTime::nanos(kDigestInterval.ns() / 2);
         if (last == last_digest_.end() || last->second + gap <= now) send_digest(g);
     }
 }

@@ -14,7 +14,6 @@
 #include "net/packet.hpp"
 #include "net/types.hpp"
 #include "routing/grid.hpp"
-#include "routing/wire.hpp"
 #include "sim/simulator.hpp"
 #include "util/retry.hpp"
 #include "util/rng.hpp"
@@ -53,26 +52,14 @@ class LocationService {
 
     struct Params {
         SimTime update_interval{SimTime::seconds(10.0)};
-        SimTime update_jitter{SimTime::seconds(2.0)};
-        /// First update goes out after this delay (neighbor tables warm up).
-        SimTime first_update_delay{SimTime::seconds(3.0)};
         SimTime entry_ttl{SimTime::seconds(40.0)};
-        SimTime query_timeout{SimTime::seconds(2.0)};
-        int query_retries{1};
-        /// Reissue backoff (util::RetryPolicy): the first retry waits
-        /// query_timeout, doubling per attempt up to this cap, with
-        /// `query_jitter` fractional jitter drawn from the host RNG so
-        /// requesters hitting the same dark grid do not retry in lockstep.
-        SimTime query_backoff_cap{SimTime::seconds(8.0)};
-        double query_jitter{0.25};
         /// Replicate stored rows to in-range in-grid neighbors on update.
         bool replicate{true};
-        /// Anti-entropy among in-grid replicas: periodic digest exchange,
-        /// push repair of rows a peer lacks, hinted handoff when a server
-        /// leaves the radius, and read repair on assisted serves. Only
-        /// meaningful with `replicate` on.
+        /// Anti-entropy among in-grid replicas: periodic digest exchange
+        /// (every 5 s), push repair of rows a peer lacks, hinted handoff
+        /// when a server leaves the radius, and read repair on assisted
+        /// serves. Only meaningful with `replicate` on.
         bool anti_entropy{true};
-        SimTime digest_interval{SimTime::seconds(5.0)};
         /// Last rung of the degradation ladder: serve a row that expired no
         /// longer than this ago when no live row exists (the requester gets
         /// a possibly stale location instead of a failure). Zero disables.
@@ -82,8 +69,6 @@ class LocationService {
         SimTime sweep_interval{SimTime::seconds(10.0)};
         /// Radius around the grid center within which a node serves.
         double server_radius_m{200.0};
-        /// Charge modeled crypto CPU costs on ALS operations.
-        bool charge_crypto_costs{true};
     };
 
     /// Agent-provided capabilities; keeps this component agent-agnostic.
@@ -101,6 +86,8 @@ class LocationService {
         /// Required for the anonymous modes.
         crypto::CryptoEngine* engine{nullptr};
         /// Charge a modeled CPU delay then run `done` (may run immediately).
+        /// Unset: `done` runs at once. The host agent decides whether crypto
+        /// costs are charged at all.
         std::function<void(SimTime, std::function<void()>)> charge;
         /// Host-node liveness; unset means always up. Periodic work (update
         /// beacons) is suppressed while the node is down.
@@ -150,13 +137,16 @@ class LocationService {
     /// Begin periodic location updates.
     void start();
 
-    /// Node reboot: wipe volatile state — stored rows and in-flight queries
-    /// (their callbacks are dropped; the senders' own timeouts handle it).
-    /// Cumulative stats survive.
+    /// Node reboot: wipe volatile state — stored rows, cached results and
+    /// in-flight queries (their callbacks are dropped; the senders' own
+    /// timeouts handle it). Cumulative stats survive.
     void reset();
 
-    /// Resolve the location of `target`, asynchronously. The callback fires
-    /// exactly once with the location or nullopt (timeout after retries).
+    /// Resolve the location of `target`. The callback fires exactly once
+    /// with the location or nullopt (timeout after retries). A result this
+    /// node resolved in the last 8 s is reused: the callback then runs
+    /// synchronously and no query is sent (per-packet queries would flood
+    /// the grid).
     void resolve(NodeId target, std::function<void(std::optional<util::Vec2>)> cb);
 
     /// Offer an incoming location-service packet. Returns true when consumed
@@ -216,7 +206,8 @@ class LocationService {
     /// RetryPolicy delay after the `attempt`-th send of the current stage.
     SimTime retry_delay(int attempt);
     /// Close a pending query successfully: cancel the timeout, record the
-    /// qid for duplicate suppression, sample failover latency, run the cb.
+    /// qid for duplicate suppression, sample failover latency, cache the
+    /// result, run the cb.
     void complete_ok(std::uint64_t qid, util::Vec2 loc);
 
     // Replica-set maintenance (anti-entropy / handoff / sweep).
@@ -254,6 +245,8 @@ class LocationService {
     /// quorum are suppressed (counted, not treated as late). Purged by the
     /// expiry sweep after entry_ttl.
     std::map<std::uint64_t, SimTime> resolved_qids_;
+    /// Resolved locations: target -> (location, resolved-at).
+    std::unordered_map<NodeId, std::pair<util::Vec2, SimTime>> result_cache_;
     std::uint64_t next_query_id_{1};
     Stats stats_;
 };

@@ -18,7 +18,6 @@ LogLevel log_level();
 /// (ordering between threads is best-effort).
 void log(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
-inline void log_trace(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 inline void log_debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 inline void log_info(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 inline void log_warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
@@ -26,12 +25,6 @@ inline void log_error(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 
 void vlog(LogLevel level, const char* fmt, va_list args);
 
-inline void log_trace(const char* fmt, ...) {
-    va_list args;
-    va_start(args, fmt);
-    vlog(LogLevel::kTrace, fmt, args);
-    va_end(args);
-}
 inline void log_debug(const char* fmt, ...) {
     va_list args;
     va_start(args, fmt);

@@ -9,6 +9,11 @@ namespace geoanon::workload {
 
 using util::SimTime;
 
+namespace {
+/// CBR packet body: 64-byte packets at 4/s is the paper's ~2 kb/s CBR load.
+constexpr std::size_t kCbrPayloadBytes = 64;
+}  // namespace
+
 std::string scheme_name(Scheme s) {
     switch (s) {
         case Scheme::kGpsrGreedy: return "gpsr-greedy";
@@ -46,11 +51,9 @@ void ScenarioRunner::setup() {
     built_ = true;
 
     if (config_.use_real_crypto) {
-        engine_ = std::make_unique<crypto::RealCryptoEngine>(config_.seed * 7919 + 17,
-                                                             config_.modulus_bits);
+        engine_ = std::make_unique<crypto::RealCryptoEngine>(config_.seed * 7919 + 17);
     } else {
-        engine_ = std::make_unique<crypto::ModeledCryptoEngine>(config_.seed * 7919 + 17,
-                                                                config_.modulus_bits);
+        engine_ = std::make_unique<crypto::ModeledCryptoEngine>(config_.seed * 7919 + 17);
     }
     network_ = std::make_unique<net::Network>(config_.phy, config_.seed);
     if (config_.trace.enabled) {
@@ -152,9 +155,6 @@ void ScenarioRunner::build_nodes() {
         if (agfw) {
             core::AgfwAgent::Params ap = config_.agfw;
             ap.use_net_ack = config_.scheme == Scheme::kAgfwAck;
-            ap.authenticated_hello = config_.authenticated_hello;
-            ap.ring_k = config_.ring_k;
-            ap.charge_crypto_costs = config_.charge_crypto_costs;
             auto agent =
                 std::make_unique<core::AgfwAgent>(node, ap, *engine_, locate, deliver);
             agfw_agents_.push_back(agent.get());
@@ -240,7 +240,7 @@ void ScenarioRunner::cbr_tick(std::size_t f) {
         sim.after(gap, [this, f] { cbr_tick(f); });
         return;
     }
-    net::Bytes body(config_.cbr_payload_bytes, 0xAB);
+    net::Bytes body(kCbrPayloadBytes, 0xAB);
     const std::uint32_t seq = flow.next_seq++;
     network_->node(flow.src).agent().send_data(flow.dst, flow.id, seq, std::move(body));
     sim.after(gap, [this, f] { cbr_tick(f); });

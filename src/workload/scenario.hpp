@@ -48,18 +48,13 @@ struct ScenarioConfig {
     std::size_t num_flows{30};
     std::size_t num_senders{20};
     double cbr_pps{4.0};             ///< 64-byte packets at 4/s ~= 2 kb/s CBR
-    std::size_t cbr_payload_bytes{64};
     double traffic_start_s{10.0};
     double traffic_stop_s{880.0};
 
     phy::PhyParams phy{};
 
     // Crypto / anonymity knobs -------------------------------------------
-    bool use_real_crypto{false};      ///< real RSA math (small runs only)
-    std::size_t modulus_bits{512};
-    bool charge_crypto_costs{true};
-    bool authenticated_hello{false};  ///< ring-signed ANT (§3.1.2)
-    std::size_t ring_k{4};
+    bool use_real_crypto{false};  ///< real 512-bit RSA math (small runs only)
     /// §3.2: broadcast frames hide the sender MAC. Turning this off enables
     /// the correlation attack the paper warns about (privacy ablation).
     bool anonymous_mac{true};
@@ -93,6 +88,9 @@ struct ScenarioConfig {
     /// cannot change the outcome). Results land in the inv.* metrics.
     bool check_invariants{true};
 
+    /// Agent settings (ring-signed hellos, ring_k, crypto-cost charging,
+    /// ACK timers, ...) live here and nowhere else; only agfw.use_net_ack is
+    /// overwritten, derived from `scheme`.
     core::AgfwAgent::Params agfw{};
     routing::GpsrGreedyAgent::Params gpsr{};
 };

@@ -238,7 +238,6 @@ TEST(Agfw, CertByReferenceFetchesDeclineOverTime) {
     AgfwAgent::Params params;
     params.authenticated_hello = true;
     params.ring_k = 2;
-    params.certs_by_reference = true;
     AgfwNet net({{0, 0}, {150, 0}, {80, 100}}, params);
     net.warm_up(20.0);
     // §4: explicit cert requests decline after boot — the cache can never

@@ -7,6 +7,7 @@
 #include "mobility/mobility.hpp"
 #include "net/network.hpp"
 #include "routing/gpsr.hpp"
+#include "routing/wire.hpp"
 
 namespace {
 

@@ -504,6 +504,123 @@ TEST(LintHotAlloc, SuppressionApplies) {
 }
 
 // ---------------------------------------------------------------------------
+// GL040 unset-field
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::vector<Finding> unset_fields(const std::vector<FileInput>& files,
+                                  const std::vector<FileInput>& evidence = {}) {
+    geoanon::lint::ScanOptions opts;
+    opts.enabled = {Rule::kUnsetField};
+    return scan_files(files, opts, evidence);
+}
+
+}  // namespace
+
+TEST(LintUnsetField, FlagsDefaultedMemberNoFileAssigns) {
+    const auto fs = unset_fields({
+        {"src/mac/mac.hpp",
+         "struct MacParams {\n"
+         "  int cw_min{31};\n"
+         "  bool use_rtscts{true};\n"
+         "  int queue_limit = 50;\n"
+         "};\n"},
+        {"tests/t.cpp", "void f(MacParams& p) { p.use_rtscts = false; }\n"},
+    });
+    ASSERT_EQ(fs.size(), 2u);
+    EXPECT_EQ(fs[0].line, 2u);
+    EXPECT_NE(fs[0].message.find("MacParams::cw_min"), std::string::npos);
+    EXPECT_EQ(fs[1].line, 4u);
+}
+
+TEST(LintUnsetField, DesignatedInitializersAndPushBackCount) {
+    const auto fs = unset_fields({
+        {"src/a.hpp",
+         "struct RetryParams {\n"
+         "  double jitter{0.0};\n"
+         "  std::vector<int> zones{};\n"
+         "};\n"},
+        {"src/a.cpp",
+         "RetryParams p{.jitter = 0.25};\n"
+         "void g() { cfg.policy.zones.push_back(3); }\n"},
+    });
+    EXPECT_TRUE(fs.empty());
+}
+
+TEST(LintUnsetField, ComparisonsAndCompoundAssignmentsAreNotEvidence) {
+    const auto fs = unset_fields({
+        {"src/a.hpp", "struct FooConfig {\n  int n{1};\n  int m{2};\n};\n"},
+        {"src/a.cpp", "bool f(const FooConfig& c) { return c.n == 1; }\nvoid g(FooConfig& c) { c.m += 1; }\n"},
+    });
+    EXPECT_EQ(count_rule(fs, Rule::kUnsetField), 2u);
+}
+
+TEST(LintUnsetField, NestedStructsAreCheckedUnderTheirQualifiedName) {
+    const auto fs = unset_fields({
+        {"src/core/agent.hpp",
+         "class Agent {\n"
+         " public:\n"
+         "  struct Params {\n"
+         "    int ttl{5};\n"
+         "    enum class Kind { kA, kB };\n"
+         "    Kind kind{Kind::kA};\n"
+         "  };\n"
+         "};\n"
+         "struct FaultPlan {\n"
+         "  struct Noise {\n"
+         "    double sigma{1.0};\n"
+         "  };\n"
+         "  std::optional<Noise> noise;\n"
+         "};\n"},
+        {"tests/t.cpp", "void f() { p.kind = Agent::Params::Kind::kB; }\n"},
+    });
+    ASSERT_EQ(fs.size(), 2u);
+    EXPECT_NE(fs[0].message.find("'Agent::Params::ttl'"), std::string::npos);
+    EXPECT_NE(fs[1].message.find("'FaultPlan::Noise::sigma'"), std::string::npos);
+}
+
+TEST(LintUnsetField, SettingsTypedMembersFunctionsAndStaticsAreNotFields) {
+    const auto fs = unset_fields({
+        {"src/w/scenario.hpp",
+         "struct PhyParams {\n"
+         "  double range_m{250.0};\n"
+         "  SimTime airtime(std::size_t bytes) const { return SimTime{bytes}; }\n"
+         "  static constexpr int kMax = 3;\n"
+         "};\n"
+         "struct ScenarioConfig {\n"
+         "  phy::PhyParams phy{};\n"
+         "  Agent::Params agent{};\n"
+         "};\n"},
+        {"tests/t.cpp", "void f() { cfg.phy.range_m = 200.0; }\n"},
+    });
+    EXPECT_TRUE(fs.empty());
+}
+
+TEST(LintUnsetField, OnlySrcStructsAreReportedAndEvidenceIsNot) {
+    const std::string decl = "struct BenchConfig {\n  int reps{3};\n};\n";
+    EXPECT_TRUE(unset_fields({{"bench/b.hpp", decl}}).empty());
+    EXPECT_EQ(unset_fields({{"src/b.hpp", decl}}).size(), 1u);
+    // Assignments in evidence files count; the evidence itself is never
+    // reported on, even when it declares an unset member.
+    EXPECT_TRUE(unset_fields({{"src/b.hpp", decl}},
+                             {{"examples/e.cpp", "void f(BenchConfig& c) { c.reps = 5; }\n"},
+                              {"src/other.hpp", "struct XParams {\n  int y{1};\n};\n"}})
+                    .empty());
+}
+
+TEST(LintUnsetField, SuppressionApplies) {
+    const auto fs = unset_fields({
+        {"src/a.hpp",
+         "struct FooParams {\n"
+         "  // geoanon-lint: allow(unset-field) -- fixture reason\n"
+         "  int n{1};\n"
+         "};\n"},
+    });
+    EXPECT_TRUE(fs.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Suppressions (GL000 + application)
 // ---------------------------------------------------------------------------
 
@@ -699,6 +816,8 @@ TEST(LintOutput, RuleIdsAreStable) {
     EXPECT_STREQ(rule_name(Rule::kPrivacyTaint), "privacy-taint");
     EXPECT_STREQ(rule_name(Rule::kLayerDag), "layer-dag");
     EXPECT_STREQ(rule_name(Rule::kHotAlloc), "hot-alloc");
+    EXPECT_STREQ(rule_id(Rule::kUnsetField), "GL040");
+    EXPECT_STREQ(rule_name(Rule::kUnsetField), "unset-field");
     Rule r;
     ASSERT_TRUE(geoanon::lint::rule_from_name("unordered-iter", r));
     EXPECT_EQ(r, Rule::kUnorderedIter);
@@ -802,8 +921,9 @@ TEST(LintCli, CheckFlagValidatesJsonOutput) {
 }
 
 TEST(LintCli, CanaryFixturesStillFire) {
-    // The CI canaries: a deliberate GL010 leak and a deliberate GL020 upward
-    // include must keep failing, proving the passes can't silently rot.
+    // The CI canaries: a deliberate GL010 leak, a deliberate GL020 upward
+    // include and a deliberate GL040 unset member must keep failing,
+    // proving the passes can't silently rot.
     const std::string repo = std::filesystem::path(GEOANON_LINT_SRC).string();
     EXPECT_EQ(run_lint("--root=" + repo +
                        " tools/lint/testdata/gl010_canary.cpp.in"),
@@ -814,5 +934,29 @@ TEST(LintCli, CanaryFixturesStillFire) {
     EXPECT_EQ(run_lint("--root=" + repo + "/tools/lint/testdata/layers"
                        " --rules=layer-dag src"),
               1);
+    EXPECT_EQ(run_lint("--root=" + repo + "/tools/lint/testdata/unset_field"
+                       " --rules=unset-field src"),
+              1);
+}
+
+TEST(LintCli, UnsetFieldReadsEvidenceFromTheWholeTree) {
+    // A field assigned only under examples/ is set, even when the scan
+    // covers src/ alone.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() / "geoanon_lint_unset_fixture";
+    fs::remove_all(dir);
+    fs::create_directories(dir / "src");
+    fs::create_directories(dir / "examples");
+    {
+        std::ofstream f(dir / "src" / "params.hpp");
+        f << "struct DemoParams {\n  int knob{1};\n};\n";
+    }
+    EXPECT_EQ(run_lint("--root=" + dir.string() + " --rules=unset-field src"), 1);
+    {
+        std::ofstream f(dir / "examples" / "demo.cpp");
+        f << "void f(DemoParams& p) { p.knob = 2; }\n";
+    }
+    EXPECT_EQ(run_lint("--root=" + dir.string() + " --rules=unset-field src"), 0);
+    fs::remove_all(dir);
 }
 #endif  // GEOANON_LINT_BIN

@@ -305,8 +305,8 @@ TEST(Als, HeterogeneousPlainAndAnonymousCoexist) {
 }
 
 TEST(Dlm, QueryTimesOutWhenServersEmpty) {
-    // Query immediately at t=0, before any update: must fail after
-    // query_timeout * (retries + 1).
+    // Query immediately at t=0, before any update: must fail once every
+    // degradation-ladder stage has timed out and reissued.
     net::Network network(phy::PhyParams{}, 31);
     std::vector<GpsrGreedyAgent*> agents;
     const GridMap grid(mobility::Area{1500, 300}, 300.0);
@@ -540,12 +540,26 @@ struct LsHarness {
         return pkt;
     }
 
-    std::size_t count_broadcast(net::PacketType t) const {
+    /// A plain reply to this node's query `qid`, placing the subject at `loc`.
+    std::shared_ptr<Packet> plain_reply(std::uint64_t qid, Vec2 loc = {300, 150}) {
+        auto pkt = std::make_shared<Packet>();
+        pkt->type = net::PacketType::kLocReply;
+        pkt->dst_id = 1;
+        pkt->ls_subject = subject;
+        pkt->ls_subject_loc = loc;
+        pkt->ls_query_id = qid;
+        return pkt;
+    }
+
+    static std::size_t count(const std::vector<std::shared_ptr<Packet>>& pkts,
+                             net::PacketType t) {
         std::size_t n = 0;
-        for (const auto& p : broadcast)
+        for (const auto& p : pkts)
             if (p->type == t) ++n;
         return n;
     }
+    std::size_t count_broadcast(net::PacketType t) const { return count(broadcast, t); }
+    std::size_t count_routed(net::PacketType t) const { return count(routed, t); }
 
     void run_until(double s) { sim.run_until(SimTime::seconds(s)); }
 
@@ -563,7 +577,7 @@ TEST(LsReplica, DigestAdvertisesStoredRows) {
     LsHarness h;
     ASSERT_TRUE(h.ls->handle(h.plain_update({100, 100})));
     h.ls->start();
-    h.run_until(7.0);  // first digest tick at digest_interval + <=25% jitter
+    h.run_until(7.0);  // first digest tick at 5 s + <=25% jitter
     ASSERT_GE(h.ls->stats().digests_sent, 1u);
     ASSERT_GE(h.count_broadcast(net::PacketType::kLocDigest), 1u);
     for (const auto& p : h.broadcast) {
@@ -679,13 +693,7 @@ TEST(LsFailover, DuplicateQuorumRepliesAreSuppressed) {
         ++calls;
         got = loc;
     });
-    const std::uint64_t qid = (1ULL << 32) | 1;  // requester id 1, first query
-    auto reply = std::make_shared<Packet>();
-    reply->type = net::PacketType::kLocReply;
-    reply->dst_id = 1;
-    reply->ls_subject = h.subject;
-    reply->ls_subject_loc = {300, 150};
-    reply->ls_query_id = qid;
+    auto reply = h.plain_reply((1ULL << 32) | 1);  // requester id 1, first query
     ASSERT_TRUE(h.ls->handle(reply));
     ASSERT_EQ(calls, 1);
     ASSERT_TRUE(got.has_value());
@@ -708,14 +716,7 @@ TEST(LsFailover, CrashWipePendingThenReplyCountsLate) {
     h.ls->resolve(h.subject, [&](std::optional<Vec2>) { ++calls; });
     h.ls->reset();
     EXPECT_EQ(h.ls->stats().pending_wiped, 1u);
-    const std::uint64_t qid = (1ULL << 32) | 1;
-    auto reply = std::make_shared<Packet>();
-    reply->type = net::PacketType::kLocReply;
-    reply->dst_id = 1;
-    reply->ls_subject = h.subject;
-    reply->ls_subject_loc = {300, 150};
-    reply->ls_query_id = qid;
-    ASSERT_TRUE(h.ls->handle(reply));
+    ASSERT_TRUE(h.ls->handle(h.plain_reply((1ULL << 32) | 1)));
     EXPECT_EQ(calls, 0);
     EXPECT_EQ(h.ls->stats().late_replies, 1u);
     // Restarted node resolves again with a fresh query id; the old reply
@@ -723,10 +724,53 @@ TEST(LsFailover, CrashWipePendingThenReplyCountsLate) {
     ASSERT_TRUE(h.ls->handle(h.plain_update({100, 100})));
     std::optional<Vec2> got;
     h.ls->resolve(h.subject, [&](std::optional<Vec2> loc) { got = loc; });
-    auto reply2 = std::make_shared<Packet>(*reply);
-    reply2->ls_query_id = (1ULL << 32) | 2;
-    ASSERT_TRUE(h.ls->handle(reply2));
+    ASSERT_TRUE(h.ls->handle(h.plain_reply((1ULL << 32) | 2)));
     ASSERT_TRUE(got.has_value());
+}
+
+TEST(LsCache, ResolvedLocationIsReusedForEightSeconds) {
+    LsHarness h;
+    std::optional<Vec2> got;
+    auto record = [&](std::optional<Vec2> loc) { got = loc; };
+    h.ls->resolve(h.subject, record);
+    ASSERT_EQ(h.count_routed(net::PacketType::kLocRequest), 1u);
+    ASSERT_TRUE(h.ls->handle(h.plain_reply((1ULL << 32) | 1)));
+    ASSERT_EQ(got, (Vec2{300, 150}));
+
+    // Within 8 s: the callback runs before resolve() returns, and no new
+    // query goes out.
+    h.run_until(7.5);
+    got.reset();
+    h.ls->resolve(h.subject, record);
+    EXPECT_EQ(got, (Vec2{300, 150}));
+    EXPECT_EQ(h.count_routed(net::PacketType::kLocRequest), 1u);
+    EXPECT_EQ(h.ls->stats().queries_sent, 1u);
+
+    // Past 8 s: the cached result has expired, so resolve() queries again.
+    h.run_until(8.5);
+    got.reset();
+    h.ls->resolve(h.subject, record);
+    EXPECT_FALSE(got.has_value());
+    EXPECT_EQ(h.count_routed(net::PacketType::kLocRequest), 2u);
+    ASSERT_TRUE(h.ls->handle(h.plain_reply((1ULL << 32) | 2, {310, 150})));
+    EXPECT_EQ(got, (Vec2{310, 150}));
+}
+
+TEST(LsCache, ResetClearsTheCache) {
+    LsHarness h;
+    std::optional<Vec2> got;
+    auto record = [&](std::optional<Vec2> loc) { got = loc; };
+    h.ls->resolve(h.subject, record);
+    ASSERT_TRUE(h.ls->handle(h.plain_reply((1ULL << 32) | 1)));
+    ASSERT_TRUE(got.has_value());
+
+    // A reboot forgets the result: the next resolve() queries again.
+    h.ls->reset();
+    got.reset();
+    h.ls->resolve(h.subject, record);
+    EXPECT_FALSE(got.has_value());
+    EXPECT_EQ(h.count_routed(net::PacketType::kLocRequest), 2u);
+    EXPECT_EQ(h.ls->stats().queries_sent, 2u);
 }
 
 TEST(LsFailover, StuckDigestDiesQuietly) {

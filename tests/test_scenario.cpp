@@ -87,7 +87,7 @@ TEST(Scenario, DifferentSeedsDiffer) {
 TEST(Scenario, CryptoCostsRaiseLatency) {
     ScenarioConfig with = small_config(Scheme::kAgfwAck, 4);
     ScenarioConfig without = small_config(Scheme::kAgfwAck, 4);
-    without.charge_crypto_costs = false;
+    without.agfw.charge_crypto_costs = false;
     const ScenarioResult r_with = ScenarioRunner(with).run();
     const ScenarioResult r_without = ScenarioRunner(without).run();
     // The 8.5 ms trapdoor decryption at the last hop must be visible.
@@ -97,8 +97,8 @@ TEST(Scenario, CryptoCostsRaiseLatency) {
 TEST(Scenario, AuthenticatedHellosCostControlBytes) {
     ScenarioConfig plain_cfg = small_config(Scheme::kAgfwAck, 6);
     ScenarioConfig auth_cfg = small_config(Scheme::kAgfwAck, 6);
-    auth_cfg.authenticated_hello = true;
-    auth_cfg.ring_k = 4;
+    auth_cfg.agfw.authenticated_hello = true;
+    auth_cfg.agfw.ring_k = 4;
     const ScenarioResult plain = ScenarioRunner(plain_cfg).run();
     const ScenarioResult auth = ScenarioRunner(auth_cfg).run();
     EXPECT_GT(auth.metrics.counter("agfw.control_bytes"),
@@ -111,15 +111,33 @@ TEST(Scenario, AuthenticatedHelloRingDrawsArePinned) {
     // list: a change in the shared list's order or size, or in the ring's
     // RNG draws, moves them.
     ScenarioConfig cfg = small_config(Scheme::kAgfwAck, 6);
-    cfg.authenticated_hello = true;
-    cfg.ring_k = 4;
-    cfg.agfw.certs_by_reference = true;
+    cfg.agfw.authenticated_hello = true;
+    cfg.agfw.ring_k = 4;
     const ScenarioResult r = ScenarioRunner(cfg).run();
     EXPECT_EQ(r.metrics.counter("agfw.hello_verified"), 17346u);
     EXPECT_EQ(r.metrics.counter("agfw.cert_fetches"), 1600u);
     EXPECT_EQ(r.metrics.counter("agfw.control_bytes"), 1178909u);
     EXPECT_EQ(r.events_processed, 117671u);
     EXPECT_EQ(r.app_delivered, 4221u);
+}
+
+TEST(Scenario, AgentParamsReachTheAgents) {
+    // cfg.agfw is the only owner of the agent settings: the runner must not
+    // overwrite them (use_net_ack alone follows the scheme).
+    ScenarioConfig cfg = small_config(Scheme::kAgfwAck, 3);
+    cfg.num_nodes = 20;
+    cfg.sim_seconds = 20.0;
+    cfg.traffic_stop_s = 15.0;
+    cfg.agfw.authenticated_hello = true;
+    cfg.agfw.ring_k = 2;
+    cfg.agfw.charge_crypto_costs = false;
+    ScenarioRunner runner(cfg);
+    const ScenarioResult r = runner.run();
+    const core::AgfwAgent::Params& p = runner.agfw_agent(0)->params();
+    EXPECT_TRUE(p.authenticated_hello);
+    EXPECT_EQ(p.ring_k, 2u);
+    EXPECT_FALSE(p.charge_crypto_costs);
+    EXPECT_GT(r.metrics.counter("agfw.hello_verified"), 0u);
 }
 
 /// Resident set size in MiB from /proc/self/status; negative if unreadable.

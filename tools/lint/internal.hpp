@@ -145,4 +145,14 @@ void check_hotpath(const std::string& path, const std::vector<Token>& toks,
 /// GL020: layer audit of one file's quoted includes (src/-relative paths).
 void check_layers(const FileInput& in, std::vector<Finding>& out);
 
+/// GL040 evidence: every member name assigned as `.name =` (plain or
+/// designated initializer) or grown as `.name.push_back(` in `toks`.
+void collect_field_assignments(const std::vector<Token>& toks, std::set<std::string>& out);
+
+/// GL040: members with a default initializer in the src/ settings structs
+/// (*Params, *Config, *Plan and their nested structs) that are not in
+/// `assigned`.
+void check_unset_fields(const std::string& path, const std::vector<Token>& toks,
+                        const std::set<std::string>& assigned, std::vector<Finding>& out);
+
 }  // namespace geoanon::lint::internal

@@ -46,6 +46,8 @@ constexpr RuleInfo kRuleInfo[] = {
      "include edge climbs the documented layer DAG"},
     {Rule::kHotAlloc, "GL030", "hot-alloc",
      "heap allocation inside a `geoanon: hot` per-event path"},
+    {Rule::kUnsetField, "GL040", "unset-field",
+     "settings-struct member with a default that no file assigns"},
 };
 
 const RuleInfo& info(Rule r) {
@@ -583,7 +585,8 @@ void check_unordered_iter(const std::string& path, const std::vector<Token>& tok
 /// errors.
 std::vector<Finding> scan_file_indexed(const FileInput& in,
                                        const std::set<std::string>& extra_unordered,
-                                       const internal::TaintIndex& idx) {
+                                       const internal::TaintIndex& idx,
+                                       const std::set<std::string>& assigned) {
     const std::vector<SourceLine> lines = split_source(in.content);
     const std::vector<Token> toks = tokenize(lines);
     const Suppressions sup = internal::parse_suppressions(in.path, lines);
@@ -606,6 +609,7 @@ std::vector<Finding> scan_file_indexed(const FileInput& in,
     internal::check_taint(in.path, toks, idx, raw);
     internal::check_hotpath(in.path, toks, anns, raw);
     internal::check_layers(in, raw);
+    internal::check_unset_fields(in.path, toks, assigned, raw);
 
     std::vector<Finding> out;
     for (Finding& f : raw)
@@ -668,7 +672,9 @@ std::vector<Finding> scan_file(const FileInput& in,
     std::vector<std::pair<const FileInput*, std::vector<Token>>> tokenized;
     tokenized.emplace_back(&in, std::move(toks));
     const internal::TaintIndex idx = build_index(tokenized);
-    return scan_file_indexed(in, extra_unordered, idx);
+    std::set<std::string> assigned;
+    internal::collect_field_assignments(tokenized.front().second, assigned);
+    return scan_file_indexed(in, extra_unordered, idx, assigned);
 }
 
 std::vector<Finding> scan_files(const std::vector<FileInput>& files) {
@@ -676,7 +682,8 @@ std::vector<Finding> scan_files(const std::vector<FileInput>& files) {
 }
 
 std::vector<Finding> scan_files(const std::vector<FileInput>& files,
-                                const ScanOptions& opts) {
+                                const ScanOptions& opts,
+                                const std::vector<FileInput>& evidence) {
     // Sibling-header resolution: for dir/foo.cpp, names declared unordered in
     // dir/foo.hpp (or .h) are hazards in foo.cpp too — members declared in
     // the class header are iterated in the implementation file.
@@ -689,6 +696,11 @@ std::vector<Finding> scan_files(const std::vector<FileInput>& files,
     for (const FileInput& f : files)
         tokenized.emplace_back(&f, tokenize(split_source(f.content)));
     const internal::TaintIndex idx = build_index(tokenized);
+    std::set<std::string> assigned;
+    for (const auto& [file, toks] : tokenized)
+        internal::collect_field_assignments(toks, assigned);
+    for (const FileInput& f : evidence)
+        internal::collect_field_assignments(tokenize(split_source(f.content)), assigned);
 
     std::vector<Finding> all;
     for (const FileInput& f : files) {
@@ -704,7 +716,7 @@ std::vector<Finding> scan_files(const std::vector<FileInput>& files,
                 }
             }
         }
-        std::vector<Finding> fs = scan_file_indexed(f, extra, idx);
+        std::vector<Finding> fs = scan_file_indexed(f, extra, idx, assigned);
         all.insert(all.end(), fs.begin(), fs.end());
     }
     std::sort(all.begin(), all.end(), [](const Finding& a, const Finding& b) {

@@ -23,13 +23,14 @@ enum class Rule {
     kLayerDag,       ///< GL020: include edge climbs the layer DAG
     kHotAlloc,       ///< GL030: heap allocation inside a `geoanon: hot` path
     kAmbientEnv,     ///< GL007: environment variable read or write
+    kUnsetField,     ///< GL040: settings-struct member no file assigns
 };
 
 inline constexpr Rule kAllRules[] = {
     Rule::kSuppression,    Rule::kWallClock,  Rule::kAmbientRng,
     Rule::kUnseededEngine, Rule::kUnorderedIter, Rule::kPointerKey,
     Rule::kFloatAccum,     Rule::kPrivacyTaint,  Rule::kLayerDag,
-    Rule::kHotAlloc,       Rule::kAmbientEnv,
+    Rule::kHotAlloc,       Rule::kAmbientEnv,    Rule::kUnsetField,
 };
 
 const char* rule_id(Rule r);    ///< "GL001"
@@ -87,8 +88,13 @@ std::vector<Finding> scan_file(const FileInput& in,
 /// set. Findings are sorted by (file, line, rule) so output is stable
 /// regardless of input order.
 std::vector<Finding> scan_files(const std::vector<FileInput>& files);
+/// `evidence` adds GL040 assignment evidence: its `.name =` sites count as
+/// setting `name` (the CLI passes the whole tree, so a field set only by an
+/// example or perfbench is not reported). Nothing in `evidence` is itself
+/// reported on.
 std::vector<Finding> scan_files(const std::vector<FileInput>& files,
-                                const ScanOptions& opts);
+                                const ScanOptions& opts,
+                                const std::vector<FileInput>& evidence = {});
 
 /// Graphviz DOT rendering of the layer-level include graph of the src/ files
 /// in `files` (GL020's view). Violating edges are drawn red. Deterministic:

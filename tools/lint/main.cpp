@@ -7,6 +7,8 @@
 // Paths (files or directories, default: src tests bench tools) are resolved
 // relative to --root (default: cwd). Directories are walked recursively for
 // .cpp/.hpp/.h sources. Exit 0 = clean, 1 = findings, 2 = usage/IO error.
+// GL040 (unset-field) also reads assignments from src, tests, bench, tools,
+// examples and perfbench under --root, whichever exist.
 //
 // --rules=  comma-separated rule names (e.g. privacy-taint,layer-dag) limits
 //           the report to those rules; default is all rules.
@@ -52,6 +54,27 @@ bool load(const fs::path& root, const fs::path& file, std::vector<FileInput>& ou
     fs::path rel = fs::relative(file, root, ec);
     out.push_back({ec ? file.generic_string() : rel.generic_string(), ss.str()});
     return true;
+}
+
+/// Load `p` (a file, or a directory walked recursively for sources, in
+/// sorted order) into `out`. Returns false, with a diagnostic, on a missing
+/// path or an unreadable file.
+bool load_path(const fs::path& root, const std::string& p, std::vector<FileInput>& out) {
+    const fs::path abs = fs::path(p).is_absolute() ? fs::path(p) : root / p;
+    std::error_code ec;
+    if (fs::is_directory(abs, ec)) {
+        std::vector<fs::path> found;
+        for (const auto& ent : fs::recursive_directory_iterator(abs, ec)) {
+            if (ent.is_regular_file() && is_source(ent.path())) found.push_back(ent.path());
+        }
+        std::sort(found.begin(), found.end());
+        for (const fs::path& f : found)
+            if (!load(root, f, out)) return false;
+        return true;
+    }
+    if (fs::is_regular_file(abs, ec)) return load(root, abs, out);
+    std::fprintf(stderr, "geoanon_lint: no such file or directory: %s\n", abs.c_str());
+    return false;
 }
 
 bool parse_rules(const std::string& spec, geoanon::lint::ScanOptions& opts) {
@@ -119,24 +142,16 @@ int main(int argc, char** argv) {
     if (paths.empty()) paths = {"src", "tests", "bench", "tools"};
 
     std::vector<FileInput> files;
-    for (const std::string& p : paths) {
-        const fs::path abs = fs::path(p).is_absolute() ? fs::path(p) : root / p;
-        std::error_code ec;
-        if (fs::is_directory(abs, ec)) {
-            std::vector<fs::path> found;
-            for (const auto& ent : fs::recursive_directory_iterator(abs, ec)) {
-                if (ent.is_regular_file() && is_source(ent.path()))
-                    found.push_back(ent.path());
-            }
-            std::sort(found.begin(), found.end());
-            for (const fs::path& f : found)
-                if (!load(root, f, files)) return 2;
-        } else if (fs::is_regular_file(abs, ec)) {
-            if (!load(root, abs, files)) return 2;
-        } else {
-            std::fprintf(stderr, "geoanon_lint: no such file or directory: %s\n",
-                         abs.c_str());
-            return 2;
+    for (const std::string& p : paths)
+        if (!load_path(root, p, files)) return 2;
+
+    // GL040 looks for assignments in the whole tree, whatever the scanned
+    // paths are: a field set only by an example or perfbench is still set.
+    std::vector<FileInput> evidence;
+    if (opts.rule_enabled(geoanon::lint::Rule::kUnsetField)) {
+        for (const char* dir : {"src", "tests", "bench", "tools", "examples", "perfbench"}) {
+            std::error_code ec;
+            if (fs::is_directory(root / dir, ec) && !load_path(root, dir, evidence)) return 2;
         }
     }
 
@@ -151,7 +166,7 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<geoanon::lint::Finding> findings =
-        geoanon::lint::scan_files(files, opts);
+        geoanon::lint::scan_files(files, opts, evidence);
     const std::string out = json ? geoanon::lint::to_json(findings)
                                  : geoanon::lint::to_text(findings);
     if (check) {
