@@ -15,10 +15,10 @@ constexpr double kWindowSeconds = 10.0;
 
 }  // namespace
 
-Eavesdropper::Eavesdropper(ObservationFeed& feed, std::size_t node_count)
-    : feed_(feed), node_count_(node_count) {
-    feed_.subscribe([this](const phy::Frame& f, const util::Vec2& /*pos*/, double t) {
-        observe(f, t);
+Eavesdropper::Eavesdropper(phy::Channel& channel, std::size_t node_count)
+    : node_count_(node_count) {
+    channel.add_snoop([this, &channel](const phy::Frame& f, const util::Vec2& /*pos*/) {
+        observe(f, channel.simulator().now().to_seconds());
     });
 }
 
@@ -31,7 +31,7 @@ void Eavesdropper::observe(const phy::Frame& frame, double t) {
     const bool has_real_src = frame.src != net::kBroadcastAddr;
 
     // A frame with a persistent source MAC localizes its owner outright.
-    if (has_real_src) identity_sighting(feed_.mac_owner(frame.src), t);
+    if (has_real_src) identity_sighting(net::node_of_mac(frame.src), t);
 
     if (frame.type != phy::Frame::Type::kData || !frame.payload) return;
     const net::Packet& pkt = *frame.payload;
@@ -50,7 +50,7 @@ void Eavesdropper::observe(const phy::Frame& frame, double t) {
             // previously bound to a MAC via the §3.2 correlation attack.
             auto it = pseudonym_to_mac_.find(pkt.hello_pseudonym);
             if (it != pseudonym_to_mac_.end()) {
-                identity_sighting(feed_.mac_owner(it->second), t);
+                identity_sighting(net::node_of_mac(it->second), t);
             } else {
                 ++pseudonym_sightings_;
             }

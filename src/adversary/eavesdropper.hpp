@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "adversary/observation.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
 #include "phy/channel.hpp"
@@ -33,12 +32,11 @@ namespace geoanon::adversary {
 /// Against full AGFW (anonymous MAC + pseudonyms) none of these fire, which
 /// is exactly §4's claim; the published counters quantify it.
 ///
-/// Observations arrive through the shared ObservationFeed (one snoop
-/// registration for every adversary component); the feed also supplies the
-/// scoring-only MAC→NodeId ground truth.
+/// It registers its own regular snoop tap, whose signature carries no
+/// sender id; it scores a MAC address it saw through net::node_of_mac.
 class Eavesdropper {
   public:
-    Eavesdropper(ObservationFeed& feed, std::size_t node_count);
+    Eavesdropper(phy::Channel& channel, std::size_t node_count);
 
     /// §3.3's stated exposure risk for the indexed ALS: "the index part
     /// E_{K_B}(A,B) is a fixed block of data, a sophisticated attacker may
@@ -68,7 +66,6 @@ class Eavesdropper {
     void observe(const phy::Frame& frame, double t_seconds);
     void identity_sighting(net::NodeId victim, double t_seconds);
 
-    ObservationFeed& feed_;
     std::size_t node_count_;
 
     std::uint64_t identity_sightings_{0};

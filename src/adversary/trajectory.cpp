@@ -85,7 +85,7 @@ AttackReport run_attack(const std::vector<Observation>& observations,
     std::vector<HelloSighting> sightings;
     std::vector<net::NodeId> truth;
     for (const Observation& o : observations) {
-        if (o.kind != ObservationKind::kHello || o.handle == 0) continue;
+        if (o.handle == 0) continue;
         sightings.push_back({o.t_s, o.pos, o.handle});
         truth.push_back(o.true_sender);
     }

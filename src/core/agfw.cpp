@@ -67,10 +67,6 @@ AgfwAgent::AgfwAgent(net::Node& node, Params params, crypto::CryptoEngine& engin
     }
 }
 
-std::string AgfwAgent::name() const {
-    return params_.use_net_ack ? "agfw-ack" : "agfw-noack";
-}
-
 void AgfwAgent::enable_location_service(routing::LocationService::Mode mode,
                                         routing::GridMap grid,
                                         routing::LocationService::Params ls_params,

@@ -144,7 +144,6 @@ class AgfwAgent final : public net::RoutingAgent {
     void on_packet(const PacketPtr& pkt, MacAddr src) override;
     void on_mac_tx_done(const PacketPtr& pkt, MacAddr dst, bool success) override;
     void on_node_restart() override;
-    std::string name() const override;
 
     /// Geo-route an already-built packet toward pkt->dst_loc (location
     /// service traffic; also used by tests).

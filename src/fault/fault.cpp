@@ -35,22 +35,12 @@ void FaultInjector::arm() {
         sim.at(c.at, [this, c] { crash_node(c.node, c.duration); });
     for (const auto& o : plan_.als_outages)
         sim.at(o.at, [this, o] { trigger_als_outage(o); });
-    for (const auto& f : plan_.server_flaps) {
+    for (std::size_t i = 0; i < plan_.server_flaps.size(); ++i) {
+        const auto& f = plan_.server_flaps[i];
         ++stats_.faults_injected;
         GEOANON_TRACE(sim, .type = obs::EventType::kFaultFired, .node = f.target,
                       .detail = static_cast<std::uint64_t>(obs::FaultKind::kServerFlap));
-        // Self-rescheduling cycle driver; owned by flap_drivers_, not by its
-        // own captures (same no-cycle idiom as the recovery watchers).
-        auto drive = std::make_shared<std::function<void()>>();
-        flap_drivers_.push_back(drive);
-        auto* raw = drive.get();
-        *drive = [this, f, raw] {
-            const SimTime now = network_.sim().now();
-            if (f.stop > SimTime{} && now >= f.stop) return;
-            flap_once(f);
-            if (f.period > SimTime{}) network_.sim().after(f.period, *raw);
-        };
-        sim.at(f.start, *raw);
+        sim.at(f.start, [this, i] { flap_tick(i); });
     }
     if (plan_.churn) schedule_churn_arrival();
     if (plan_.gps_noise) install_gps_noise();
@@ -92,29 +82,34 @@ util::Sampler& FaultInjector::recovery_sampler(CrashCause cause) {
     return stats_.recovery_crash_s;
 }
 
+void FaultInjector::flap_tick(std::size_t i) {
+    const auto& f = plan_.server_flaps[i];
+    if (f.stop > SimTime{} && network_.sim().now() >= f.stop) return;
+    flap_once(f);
+    if (f.period > SimTime{}) network_.sim().after(f.period, [this, i] { flap_tick(i); });
+}
+
 void FaultInjector::watch_recovery(NodeId node, SimTime recovered_at,
                                    CrashCause cause) {
     if (!recovered_probe_) return;
-    // Self-rescheduling poll: recovery latency is "recovered → routing state
-    // warm again" per the agent probe. Crashing again, or staying cold past
-    // the watch window, censors the sample.
-    // Owned here, not by the closure itself — a self-capturing shared_ptr
-    // would be a reference cycle (function object owning itself).
-    auto poll = std::make_shared<std::function<void()>>();
-    recovery_watchers_.push_back(poll);
-    auto* raw = poll.get();
-    *poll = [this, node, recovered_at, cause, raw] {
-        if (down_[node]) return;
-        const SimTime now = network_.sim().now();
-        if (recovered_probe_(node)) {
-            stats_.recovery_s.add((now - recovered_at).to_seconds());
-            recovery_sampler(cause).add((now - recovered_at).to_seconds());
-            return;
-        }
-        if ((now - recovered_at).to_seconds() >= kRecoveryWatchS) return;
-        network_.sim().after(SimTime::seconds(kRecoveryPollS), *raw);
-    };
-    network_.sim().after(SimTime::seconds(kRecoveryPollS), *raw);
+    network_.sim().after(SimTime::seconds(kRecoveryPollS), [this, node, recovered_at, cause] {
+        poll_recovery(node, recovered_at, cause);
+    });
+}
+
+void FaultInjector::poll_recovery(NodeId node, SimTime recovered_at, CrashCause cause) {
+    // Recovery latency is "recovered → routing state warm again" per the
+    // agent probe. Crashing again, or staying cold past the watch window,
+    // censors the sample.
+    if (down_[node]) return;
+    const SimTime now = network_.sim().now();
+    if (recovered_probe_(node)) {
+        stats_.recovery_s.add((now - recovered_at).to_seconds());
+        recovery_sampler(cause).add((now - recovered_at).to_seconds());
+        return;
+    }
+    if ((now - recovered_at).to_seconds() >= kRecoveryWatchS) return;
+    watch_recovery(node, recovered_at, cause);
 }
 
 void FaultInjector::schedule_churn_arrival() {

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -196,7 +195,15 @@ class FaultInjector {
     bool should_drop(const Vec2& tx_pos, const Vec2& rx_pos);
     void advance_ge_chain(SimTime now);
     void recover_node(NodeId node);
-    void watch_recovery(NodeId node, SimTime crashed_until, CrashCause cause);
+    /// Schedule the next recovery-probe poll, kRecoveryPollS from now.
+    void watch_recovery(NodeId node, SimTime recovered_at, CrashCause cause);
+    /// One recovery-probe poll; polls again until the node is warm, crashes
+    /// again or the watch window ends. Like flap_tick, a member tick: each
+    /// event captures only plain values, which fit the simulator's inline
+    /// callback storage.
+    void poll_recovery(NodeId node, SimTime recovered_at, CrashCause cause);
+    /// One cycle of plan_.server_flaps[i]; reschedules itself every period.
+    void flap_tick(std::size_t i);
     void schedule_churn_arrival();
     void churn_arrival();
     void trigger_als_outage(const FaultPlan::AlsOutage& outage);
@@ -223,11 +230,6 @@ class FaultInjector {
 
     std::function<bool(NodeId)> recovered_probe_;
     std::function<Vec2(NodeId)> home_center_;
-    /// Self-rescheduling recovery-watch polls; owned here (not by their own
-    /// captures) so the injector is leak-free.
-    std::vector<std::shared_ptr<std::function<void()>>> recovery_watchers_;
-    /// Self-rescheduling server-flap cycle drivers (same ownership idiom).
-    std::vector<std::shared_ptr<std::function<void()>>> flap_drivers_;
     Stats stats_;
 };
 

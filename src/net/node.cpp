@@ -2,12 +2,6 @@
 
 namespace geoanon::net {
 
-namespace {
-/// Unique per-node MAC address derived from the identity (never 0 or the
-/// broadcast address).
-MacAddr mac_addr_for(NodeId id) { return static_cast<MacAddr>(id) + 1; }
-}  // namespace
-
 Node::Node(sim::Simulator& sim, phy::Channel& channel, NodeId id,
            std::unique_ptr<mobility::MobilityModel> mobility, mac::MacParams mac_params,
            util::Rng rng)
@@ -16,7 +10,7 @@ Node::Node(sim::Simulator& sim, phy::Channel& channel, NodeId id,
       mobility_(std::move(mobility)),
       rng_(rng),
       radio_(sim, channel, *mobility_),
-      mac_(sim, radio_, mac_addr_for(id), mac_params, rng_.fork()) {
+      mac_(sim, radio_, mac_of(id), mac_params, rng_.fork()) {
     radio_.set_trace_node(id_);
     mac_.set_trace_node(id_);
 }

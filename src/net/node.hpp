@@ -1,7 +1,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 
 #include "mac/mac80211.hpp"
 #include "mobility/mobility.hpp"
@@ -39,8 +38,6 @@ class RoutingAgent {
     /// protocol state — neighbor tables, pending retransmissions, caches —
     /// exactly what a real reboot loses. Cumulative statistics survive.
     virtual void on_node_restart() {}
-
-    virtual std::string name() const = 0;
 };
 
 /// One mobile node: mobility + radio + MAC + routing agent, glued together.

@@ -14,6 +14,13 @@ inline constexpr NodeId kInvalidNode = 0xFFFFFFFF;
 using MacAddr = std::uint64_t;
 inline constexpr MacAddr kBroadcastAddr = 0xFFFFFFFFFFFFULL;
 
+/// The one rule tying a node to its persistent MAC address (never 0 or the
+/// broadcast address).
+constexpr MacAddr mac_of(NodeId id) { return static_cast<MacAddr>(id) + 1; }
+/// Inverse of mac_of: the node that owns a persistent MAC address.
+// geoanon: source(node-id)
+constexpr NodeId node_of_mac(MacAddr mac) { return static_cast<NodeId>(mac - 1); }
+
 /// Flow identity for metric accounting (not carried on the air).
 using FlowId = std::uint32_t;
 

@@ -36,6 +36,8 @@ const char* category(EventType t) {
             return "agfw";
         case EventType::kLsQuery:
         case EventType::kLsReply:
+        case EventType::kLsHandoff:
+        case EventType::kLsReadRepair:
             return "ls";
         case EventType::kFaultFired:
             return "fault";

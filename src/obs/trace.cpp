@@ -77,7 +77,6 @@ TraceRecorder::TraceRecorder(TraceParams params) : params_(params) {
 }
 
 void TraceRecorder::record(SimTime now, Event e) {
-    if (!enabled_) return;
     const util::MutexLock lock(mu_);
     e.t = now;
     e.id = next_id_++;

@@ -122,6 +122,7 @@ struct Event {
 };
 
 struct TraceParams {
+    /// ScenarioRunner builds a recorder only when this is set.
     bool enabled{false};
     /// Ring capacity per shard (shard = node + 1; shard 0 holds events with
     /// no node attribution). Oldest events in a shard are evicted first.
@@ -138,18 +139,13 @@ struct TraceParams {
 /// The shard state sits behind mu_ (clang -Wthread-safety checked) because
 /// SweepRunner runs scenarios on worker threads: each worker owns its run's
 /// recorder, and the lock keeps a recorder safe to read from a thread other
-/// than the one that filled it. enabled_ is NOT guarded: it is a setup-time
-/// switch that must not be toggled while workers record.
+/// than the one that filled it.
 class TraceRecorder {
   public:
     explicit TraceRecorder(TraceParams params = {});
 
-    /// Append one event (no-op while disabled). Called through GEOANON_TRACE.
+    /// Append one event. Called through GEOANON_TRACE.
     void record(SimTime now, Event e);
-
-    /// Runtime gate, independent of the simulator hook being installed.
-    void set_enabled(bool enabled) { enabled_ = enabled; }
-    bool enabled() const { return enabled_; }
 
     std::uint64_t recorded() const {
         const util::MutexLock lock(mu_);
@@ -171,7 +167,6 @@ class TraceRecorder {
     };
 
     TraceParams params_;
-    bool enabled_{true};
     mutable util::Mutex mu_;
     std::uint64_t next_id_ GEOANON_GUARDED_BY(mu_){1};
     std::uint64_t evicted_ GEOANON_GUARDED_BY(mu_){0};

@@ -59,7 +59,6 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
     void on_packet(const PacketPtr& pkt, MacAddr src) override;
     void on_mac_tx_done(const PacketPtr& pkt, MacAddr dst, bool success) override;
     void on_node_restart() override;
-    std::string name() const override { return "gpsr-greedy"; }
 
     /// Geo-route an already-built packet toward pkt->dst_loc (used by the
     /// location service and by tests).

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/callback.hpp"
-#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace geoanon::obs {
@@ -206,8 +205,7 @@ class Simulator {
     obs::TraceRecorder* trace_{nullptr};
 };
 
-/// Repeating timer bound to a Simulator. Calls `tick` every `period`
-/// (optionally with uniform jitter in [0, jitter] added per tick) until
+/// Repeating timer bound to a Simulator. Calls `tick` every `period` until
 /// stopped or destroyed.
 class PeriodicTimer {
   public:
@@ -221,13 +219,6 @@ class PeriodicTimer {
     void start(Simulator& sim, SimTime period, SimTime first_delay,
                std::function<void()> tick);
 
-    /// Start ticking with per-tick jitter: every arm (including the first)
-    /// adds a uniform draw from [0, jitter] on top of its nominal delay.
-    /// Deterministic for a given `rng` seed; a zero jitter draws no RNG at
-    /// all, so enabling the knob at zero cannot perturb replay.
-    void start(Simulator& sim, SimTime period, SimTime first_delay, SimTime jitter,
-               util::Rng& rng, std::function<void()> tick);
-
     void stop();
     bool running() const { return sim_ != nullptr; }
 
@@ -236,8 +227,6 @@ class PeriodicTimer {
 
     Simulator* sim_{nullptr};
     SimTime period_{};
-    SimTime jitter_{};
-    util::Rng* jitter_rng_{nullptr};
     std::function<void()> tick_;
     EventId pending_{kInvalidEvent};
 };

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "util/log.hpp"
-
 namespace geoanon::util {
 
 void JsonWriter::separate() {
@@ -119,7 +117,7 @@ std::string json_escape(const std::string& s) {
 bool write_text_file(const std::string& path, const std::string& content) {
     std::ofstream f(path, std::ios::binary | std::ios::trunc);
     if (!f) {
-        log_error("cannot open %s for writing", path.c_str());
+        std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
         return false;
     }
     f << content << '\n';

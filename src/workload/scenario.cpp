@@ -93,18 +93,11 @@ void ScenarioRunner::setup() {
         checker_->attach();
     }
 
-    if (config_.attach_eavesdropper || config_.attach_observer) {
-        // One audit tap feeds every adversary component. MAC address =
-        // id + 1 (see net/node.cpp) — scoring-only knowledge.
-        adversary::ObservationFeed::Params fp;
-        fp.record = config_.attach_observer;
-        feed_ = std::make_unique<adversary::ObservationFeed>(
-            network_->channel(),
-            [](net::MacAddr mac) { return static_cast<net::NodeId>(mac - 1); }, fp);
-    }
+    if (config_.attach_observer)
+        feed_ = std::make_unique<adversary::ObservationFeed>(network_->channel());
     if (config_.attach_eavesdropper) {
-        eavesdropper_ =
-            std::make_unique<adversary::Eavesdropper>(*feed_, network_->size());
+        eavesdropper_ = std::make_unique<adversary::Eavesdropper>(network_->channel(),
+                                                                  network_->size());
         // §3.3: an attacker holding everyone's certificates can precompute
         // every E_{K_B}(A,B) index and match observed ALS queries.
         if (config_.location_service &&
@@ -294,9 +287,11 @@ ScenarioResult ScenarioRunner::aggregate() {
         reg.add("trace.evicted", recorder_->evicted());
     }
 
-    if (feed_) reg.add("adv.frames_observed", feed_->frames_seen());
+    // Both attackers see every frame on the air: one per transmission.
+    if (feed_ || eavesdropper_)
+        reg.add("adv.frames_observed", network_->channel().stats().transmissions);
     if (eavesdropper_) eavesdropper_->publish_metrics(reg, config_.sim_seconds);  // eav.*
-    if (feed_ && config_.attach_observer) {
+    if (feed_) {
         adversary::AttackParams ap = config_.attack;
         // The attacker knows the mobility envelope unless pinned explicitly.
         if (ap.linker.max_speed_mps <= 0.0) ap.linker.max_speed_mps = config_.max_speed_mps;

@@ -74,11 +74,10 @@ struct ScenarioConfig {
     obs::TraceParams trace{};
 
     bool attach_eavesdropper{false};
-    /// Record a compact per-transmission observation log and run the offline
-    /// pseudonym-linking / trajectory attack at aggregation time (results in
-    /// the adv.* metrics). Implies the same single snoop tap the
-    /// eavesdropper rides; the pseudonym-change countermeasure under test is
-    /// configured via agfw.pseudonym_policy.
+    /// Record every hello on the air and run the offline pseudonym-linking /
+    /// trajectory attack at aggregation time (results in the adv.* metrics);
+    /// the pseudonym-change countermeasure under test is configured via
+    /// agfw.pseudonym_policy.
     bool attach_observer{false};
     /// Offline attacker strength. A zero linker.max_speed_mps is filled in
     /// from max_speed_mps — the attacker is assumed to know the mobility
@@ -163,8 +162,7 @@ class ScenarioRunner {
     analysis::InvariantChecker* invariant_checker() { return checker_.get(); }
     /// The flight recorder (nullptr unless config.trace.enabled).
     obs::TraceRecorder* trace_recorder() { return recorder_.get(); }
-    /// The shared adversary observation feed (nullptr unless
-    /// attach_eavesdropper or attach_observer is set).
+    /// The attack's hello recorder (nullptr unless attach_observer is set).
     adversary::ObservationFeed* observation_feed() { return feed_.get(); }
     /// Export the recorded trace as deterministic Chrome trace-event JSON.
     /// Empty string when tracing was off.
@@ -195,8 +193,6 @@ class ScenarioRunner {
     /// recorder, so it must outlive the network during teardown.
     std::unique_ptr<obs::TraceRecorder> recorder_;
     std::unique_ptr<net::Network> network_;
-    /// Single snoop-registration path for all adversary components; created
-    /// when either attach_eavesdropper or attach_observer is set.
     std::unique_ptr<adversary::ObservationFeed> feed_;
     std::unique_ptr<adversary::Eavesdropper> eavesdropper_;
     std::unique_ptr<analysis::InvariantChecker> checker_;

@@ -103,7 +103,7 @@ TEST(Adversary, FramesObservedCountsEverything) {
     const auto r = run(Scheme::kGpsrGreedy);
     const std::uint64_t frames = published_counter(r.metrics, "adv.frames_observed");
     EXPECT_GT(frames, published_counter(r.metrics, "eav.identity_sightings") / 2);
-    EXPECT_GE(frames, r.metrics.counter("phy.transmissions") / 2);
+    EXPECT_EQ(frames, r.metrics.counter("phy.transmissions"));
 }
 
 }  // namespace

@@ -15,14 +15,12 @@ using namespace geoanon;
 using adversary::AttackParams;
 using adversary::AttackReport;
 using adversary::Observation;
-using adversary::ObservationKind;
 
 Observation hello(double t_s, double x, double y, std::uint64_t handle,
                   net::NodeId owner) {
     Observation o;
     o.t_s = t_s;
     o.pos = {x, y};
-    o.kind = ObservationKind::kHello;
     o.handle = handle;
     o.true_sender = owner;
     return o;
@@ -179,6 +177,18 @@ TEST(LinkingAttackE2E, GpsrIdentityBeaconsCalibrateTheAttack) {
     const auto r = runner.run();
     EXPECT_GT(r.metrics.counter("adv.hello_observations"), 1000u);
     EXPECT_GT(r.metrics.gauge("adv.tracking_success_rate"), 0.9);
+}
+
+TEST(LinkingAttackE2E, ObserverRecordsOnlyHellos) {
+    // The attack reads hello sightings only, so the feed keeps nothing else:
+    // every record is one the attack counts, far fewer than the frames on
+    // the air.
+    workload::ScenarioRunner runner(scenario(workload::Scheme::kAgfwAck));
+    const auto r = runner.run();
+    const std::uint64_t hellos = r.metrics.counter("adv.hello_observations");
+    EXPECT_EQ(runner.observation_feed()->observations().size(), hellos);
+    EXPECT_GT(hellos, 0u);
+    EXPECT_LT(hellos, r.metrics.counter("adv.frames_observed"));
 }
 
 TEST(LinkingAttackE2E, MixZonePolicyBeatsPerHello) {

@@ -308,9 +308,11 @@ TEST(LintPrivacyTaint, HelperReturningTaintBecomesDerivedSource) {
         taint_fixture("std::uint64_t fresh() { return (my_id() << 32) | 1; }\n"
                       "void f(Pkt& p) { p.uid = fresh(); }\n"));
     ASSERT_EQ(count_rule(fs, Rule::kPrivacyTaint), 1u);
-    for (const Finding& f : fs)
-        if (f.rule == Rule::kPrivacyTaint)
+    for (const Finding& f : fs) {
+        if (f.rule == Rule::kPrivacyTaint) {
             EXPECT_EQ(f.taint_source, "derived:fresh");
+        }
+    }
 }
 
 TEST(LintPrivacyTaint, SanitizedHelperIsNotADerivedSource) {

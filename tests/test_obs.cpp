@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,14 +60,6 @@ TEST(TraceRecorder, RingEvictsOldestPerShardButIdsStayStable) {
     EXPECT_EQ(events[3].seq, 9u);
     for (std::size_t i = 1; i < events.size(); ++i)
         EXPECT_LT(events[i - 1].id, events[i].id);
-}
-
-TEST(TraceRecorder, DisabledRecorderDropsEverything) {
-    obs::TraceRecorder rec;
-    rec.set_enabled(false);
-    rec.record(SimTime::millis(1), Event{.type = EventType::kAppSend});
-    EXPECT_EQ(rec.recorded(), 0u);
-    EXPECT_TRUE(rec.events().empty());
 }
 
 TEST(TraceNames, RoundTripEveryEnumerator) {
@@ -284,6 +277,27 @@ TEST(TraceExport, RoundTripsThroughTheReader) {
     const obs::FlightIndex from_file(loaded.events);
     const obs::FlightIndex from_memory(original);
     EXPECT_EQ(from_file.undelivered_data().size(), from_memory.undelivered_data().size());
+}
+
+TEST(TraceExport, EveryEventTypeHasALayerCategory) {
+    obs::TraceRecorder rec;
+    for (const EventType t : obs::kAllEventTypes)
+        rec.record(SimTime::millis(1), Event{.type = t, .node = 0});
+    const std::string json = obs::to_chrome_trace_json(rec.events(), obs::TraceMeta{});
+
+    obs::JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(obs::parse_json(json, doc, error)) << error;
+    const obs::JsonValue* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->array.size(), std::size(obs::kAllEventTypes));
+    const std::set<std::string> layers = {"phy", "mac", "net", "ant", "agfw", "ls", "fault"};
+    for (const obs::JsonValue& e : events->array) {
+        const obs::JsonValue* cat = e.find("cat");
+        ASSERT_NE(cat, nullptr);
+        EXPECT_TRUE(layers.contains(cat->string))
+            << e.find("name")->string << " has category " << cat->string;
+    }
 }
 
 TEST(TraceExport, FrameLogListsPhyEvents) {

@@ -7,7 +7,6 @@
 #include "mobility/mobility.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
-#include "util/log.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -15,21 +14,6 @@ namespace {
 using namespace geoanon;
 using namespace geoanon::util::literals;
 using util::SimTime;
-
-// ------------------------------------------------------------------- logging
-
-TEST(Log, LevelGetSet) {
-    const auto prev = util::log_level();
-    util::set_log_level(util::LogLevel::kError);
-    EXPECT_EQ(util::log_level(), util::LogLevel::kError);
-    // Below-threshold calls are cheap no-ops; above-threshold calls must not
-    // crash with varied format arguments.
-    util::log_debug("dropped %d", 42);
-    util::log_error("kept %s %f", "x", 1.5);
-    util::set_log_level(util::LogLevel::kOff);
-    util::log_error("also dropped");
-    util::set_log_level(prev);
-}
 
 // ------------------------------------------------------ simulator under load
 
