@@ -18,7 +18,7 @@
 //     every radio a candidate; tests/reference/single_cell.hpp) and a
 //     delivery digest (receiver id folded with the reception timestamp)
 //     must match, proving the same delivery schedule, not just the same
-//     counts. The reference is not timed: it sorts all N candidates per
+//     counts. The reference is not timed: it visits all N candidates per
 //     transmission, so it is no speed baseline. With
 //     --sweep=10000,100000,1000000 the grid runs alone at each count
 //     (routing off — this is how the 100k and 1M points are measured).

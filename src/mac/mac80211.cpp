@@ -33,6 +33,8 @@ Mac80211::Mac80211(sim::Simulator& sim, phy::Radio& radio, net::MacAddr addr,
       cw_(kCwMin) {
     radio_.set_mac_hooks([this] { on_channel_busy(); }, [this] { on_channel_idle(); },
                          [this](const Frame& f) { on_frame(f); });
+    // Busy/idle edges only matter while something is queued (see enqueue).
+    radio_.set_wants_edges(false);
 }
 
 SimTime Mac80211::data_airtime(const net::PacketPtr& pkt) const {
@@ -74,8 +76,9 @@ void Mac80211::set_enabled(bool enabled) {
     cw_ = kCwMin;
     backoff_slots_ = -1;
     nav_until_ = SimTime{};
-    in_flight_ = phy::Frame{};
+    in_flight_dst_ = net::kBroadcastAddr;
     last_rx_seq_.clear();
+    radio_.set_wants_edges(false);
 }
 
 bool Mac80211::enqueue(TxItem item) {
@@ -93,6 +96,10 @@ bool Mac80211::enqueue(TxItem item) {
                   .uid = item.pkt ? item.pkt->uid : 0, .seq = item.seq,
                   .detail = item.dst);
     queue_.push_back(std::move(item));
+    // With the queue empty no access event is armed, so busy/idle edges
+    // were no-ops and the radio skipped them; try_begin_access reads
+    // energy_busy() itself, and from here on the edges drive contention.
+    radio_.set_wants_edges(true);
     try_begin_access();
     return true;
 }
@@ -206,7 +213,7 @@ void Mac80211::transmit_head() {
 
 void Mac80211::start_frame(Frame frame, Phase phase) {
     phase_ = phase;
-    in_flight_ = frame;
+    in_flight_dst_ = frame.dst;
     const SimTime air = radio_.phy_params().airtime(frame.wire_bytes);
     radio_.start_tx(frame);
     sim_.after(air, [this] { on_tx_end(); });
@@ -221,7 +228,7 @@ void Mac80211::on_tx_end() {
                                         [this] { on_timeout(); });
             break;
         case Phase::kTxData:
-            if (in_flight_.dst == net::kBroadcastAddr) {
+            if (in_flight_dst_ == net::kBroadcastAddr) {
                 finish_head(true);
             } else {
                 phase_ = Phase::kWaitAck;
@@ -262,6 +269,7 @@ void Mac80211::on_timeout() {
 void Mac80211::finish_head(bool success) {
     TxItem item = std::move(queue_.front());
     queue_.pop_front();
+    if (queue_.empty()) radio_.set_wants_edges(false);
     if (success && item.dst != net::kBroadcastAddr) ++stats_.unicast_delivered;
     cw_ = kCwMin;
     backoff_slots_ = -1;

@@ -152,7 +152,7 @@ class Mac80211 {
     sim::EventId nav_wake_event_{sim::kInvalidEvent};
     SimTime nav_until_{};
     std::uint32_t next_seq_{1};
-    phy::Frame in_flight_;             ///< frame currently being transmitted
+    net::MacAddr in_flight_dst_{net::kBroadcastAddr};  ///< dst of the frame on the air
     MacStats stats_;
 
     /// Receiver-side dedup of MAC-level retransmissions: last seq per source.

@@ -1,6 +1,7 @@
 #include "phy/channel.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -44,7 +45,7 @@ void Radio::start_tx(const Frame& frame) {
 void Radio::begin_own_tx() {
     transmitting_ = true;
     // Half-duplex: transmitting corrupts everything we were receiving.
-    for (auto& [id, rx] : receptions_) {
+    for (Reception& rx : receptions_) {
         if (!rx.corrupted) {
             rx.corrupted = true;
             channel_.note_collision();
@@ -52,18 +53,18 @@ void Radio::begin_own_tx() {
         }
     }
     ++energy_count_;
-    if (energy_count_ == 1 && on_busy_) on_busy_();
+    if (energy_count_ == 1 && wants_edges_ && on_busy_) on_busy_();
 }
 
 void Radio::end_own_tx() {
     transmitting_ = false;
     --energy_count_;
-    if (energy_count_ == 0 && on_idle_) on_idle_();
+    if (energy_count_ == 0 && wants_edges_ && on_idle_) on_idle_();
 }
 
 void Radio::energy_start(std::uint64_t tx_id, bool decodable, const Frame& frame) {
     // New energy corrupts every ongoing reception here.
-    for (auto& [id, rx] : receptions_) {
+    for (Reception& rx : receptions_) {
         if (!rx.corrupted) {
             rx.corrupted = true;
             channel_.note_collision();
@@ -73,25 +74,22 @@ void Radio::energy_start(std::uint64_t tx_id, bool decodable, const Frame& frame
     const bool clear = energy_count_ == 0 && !transmitting_;
     ++energy_count_;
     if (decodable) {
-        Reception rx;
-        rx.frame = frame;
-        rx.corrupted = !clear;
-        if (rx.corrupted) {
+        if (!clear) {
             channel_.note_collision();
             ++stats_.frames_corrupted;
         }
-        receptions_.emplace_back(tx_id, std::move(rx));
+        receptions_.push_back(Reception{tx_id, &frame, !clear});
     }
-    if (energy_count_ == 1 && on_busy_) on_busy_();
+    if (energy_count_ == 1 && wants_edges_ && on_busy_) on_busy_();
 }
 
 void Radio::energy_end(std::uint64_t tx_id) {
     --energy_count_;
     auto it = std::find_if(receptions_.begin(), receptions_.end(),
-                           [tx_id](const auto& e) { return e.first == tx_id; });
+                           [tx_id](const Reception& rx) { return rx.tx_id == tx_id; });
     if (it != receptions_.end()) {
-        const bool ok = !it->second.corrupted && !transmitting_;
-        Frame frame = std::move(it->second.frame);
+        const bool ok = !it->corrupted && !transmitting_;
+        const Frame& frame = *it->frame;
         receptions_.erase(it);
         if (ok) {
             if (!enabled()) {
@@ -115,7 +113,7 @@ void Radio::energy_end(std::uint64_t tx_id) {
                           .detail = static_cast<std::uint64_t>(frame.type));
         }
     }
-    if (energy_count_ == 0 && on_idle_) on_idle_();
+    if (energy_count_ == 0 && wants_edges_ && on_idle_) on_idle_();
 }
 
 Channel::Channel(sim::Simulator& sim, PhyParams params) : sim_(sim), params_(params) {
@@ -155,24 +153,26 @@ void Channel::rebucket_if_stale() {
     for (std::size_t i = 0; i < radios_.size(); ++i) {
         const auto idx = static_cast<EngineState::Index>(i);
         const Cell c = cell_of(state_.position(idx, now));
+        // Buckets stay sorted, so a transmission merges them instead of
+        // sorting its candidates.
         if (state_.bucketed(idx)) {
             const Cell prev{state_.cell_x(idx), state_.cell_y(idx)};
             if (c == prev) continue;
             auto& old_bucket = buckets_[cell_key(prev)];
-            old_bucket.erase(
-                std::find(old_bucket.begin(), old_bucket.end(), static_cast<std::uint32_t>(i)));
+            old_bucket.erase(std::lower_bound(old_bucket.begin(), old_bucket.end(), idx));
         }
         state_.set_cell(idx, c.x, c.y);
         state_.set_bucketed(idx, true);
-        buckets_[cell_key(c)].push_back(static_cast<std::uint32_t>(i));
+        auto& bucket = buckets_[cell_key(c)];
+        bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), idx), idx);
     }
 }
 
-void Channel::deliver_from(Radio* /*sender*/, const Frame& frame, const Vec2& sender_pos,
-                           std::uint64_t tx_id, Radio* receiver, const Vec2& rx_pos,
-                           std::uint32_t slot) {
+void Channel::deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id,
+                           Radio* receiver, const Vec2& rx_pos) {
     const double d = util::distance(sender_pos, rx_pos);
     if (d > params_.cs_range_m) return;
+    const Frame& frame = tx.frame;
     bool decodable = d <= params_.range_m;
     if (decodable && drop_ && drop_(frame, sender_pos, rx_pos)) {
         decodable = false;
@@ -182,9 +182,7 @@ void Channel::deliver_from(Radio* /*sender*/, const Frame& frame, const Vec2& se
                       .uid = frame_uid(frame), .bytes = frame.wire_bytes,
                       .detail = static_cast<std::uint64_t>(frame.type));
     }
-    // Indexed access, not a cached reference: energy_start can re-enter
-    // start_tx through MAC hooks, and a nested acquire may grow tx_slots_.
-    tx_slots_[slot].affected.push_back(receiver);
+    tx.affected.push_back(receiver);
     receiver->energy_start(tx_id, decodable, frame);
 }
 
@@ -207,9 +205,42 @@ std::uint32_t Channel::grow_tx_slots() {
 
 // geoanon: hot
 void Channel::release_tx_slot(std::uint32_t slot) {
-    tx_slots_[slot].affected.clear();  // keeps capacity for the next reuse
-    tx_slots_[slot].next_free = tx_free_;
+    TxSlot& tx = tx_slots_[slot];
+    tx.frame.payload.reset();  // the packet's lifetime is not the slot's
+    tx.affected.clear();       // keeps capacity for the next reuse
+    tx.next_free = tx_free_;
     tx_free_ = slot;
+}
+
+// geoanon: hot
+void Channel::gather_candidates(Cell center) {
+    std::array<const std::vector<std::uint32_t>*, 9> runs{};
+    std::size_t k = 0;
+    std::size_t total = 0;
+    for (std::int32_t dx = -1; dx <= 1; ++dx) {
+        for (std::int32_t dy = -1; dy <= 1; ++dy) {
+            const auto it = buckets_.find(cell_key({center.x + dx, center.y + dy}));
+            if (it == buckets_.end() || it->second.empty()) continue;
+            runs[k++] = &it->second;
+            total += it->second.size();
+        }
+    }
+    // Both scratch vectors keep their capacity across calls, so after
+    // warm-up this allocates nothing. Merging each bucket into the sorted
+    // prefix beats one sort of the whole set for few large buckets (dense
+    // fields) and matches it for many one-radio buckets (sparse fields).
+    candidates_.resize(total);
+    merge_buf_.resize(total);
+    if (k == 0) return;
+    std::copy(runs[0]->begin(), runs[0]->end(), candidates_.begin());
+    std::size_t merged = runs[0]->size();
+    for (std::size_t j = 1; j < k; ++j) {
+        const auto prefix_end = candidates_.begin() + static_cast<std::ptrdiff_t>(merged);
+        std::merge(candidates_.begin(), prefix_end, runs[j]->begin(), runs[j]->end(),
+                   merge_buf_.begin());
+        merged += runs[j]->size();
+        candidates_.swap(merge_buf_);
+    }
 }
 
 // geoanon: hot
@@ -230,37 +261,27 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
     // Reception membership is decided at transmission start. Candidates
     // are visited in registration order, so MAC callbacks (and the events
     // they schedule) fire in an order that does not depend on the cell
-    // size. The reception set lives in a pooled slot so the end-of-airtime
-    // closure captures 28 bytes (inline in sim::Callback) and steady-state
-    // transmissions allocate nothing.
+    // size. The slot holds the one copy of the frame every reception
+    // refers to, so the end-of-airtime closure captures 28 bytes (inline
+    // in sim::Callback) and steady-state transmissions allocate nothing.
     const std::uint32_t slot = acquire_tx_slot();
+    TxSlot& tx = tx_slots_[slot];
+    tx.frame = frame;
     rebucket_if_stale();
-    candidates_.clear();
-    const Cell center = cell_of(sender_pos);
-    for (std::int32_t dx = -1; dx <= 1; ++dx) {
-        for (std::int32_t dy = -1; dy <= 1; ++dy) {
-            const auto it = buckets_.find(cell_key({center.x + dx, center.y + dy}));
-            if (it == buckets_.end()) continue;
-            // geoanon-lint: allow(hot-alloc) -- candidates_ is member scratch: capacity persists across calls, so growth amortizes to zero over the run
-            candidates_.insert(candidates_.end(), it->second.begin(), it->second.end());
-        }
-    }
-    std::sort(candidates_.begin(), candidates_.end());
-    tx_slots_[slot].affected.reserve(candidates_.size());
+    gather_candidates(cell_of(sender_pos));
+    tx.affected.reserve(candidates_.size());
     for (const std::uint32_t idx : candidates_) {
         Radio* r = radios_[idx];
         if (r == sender) continue;
-        deliver_from(sender, frame, sender_pos, tx_id, r, state_.position(idx, now), slot);
+        deliver_from(tx, sender_pos, tx_id, r, state_.position(idx, now));
     }
 
     sim_.after(airtime, [this, sender, tx_id, slot] {
         sender->end_own_tx();
-        // Indexed loop with a fresh tx_slots_ lookup each pass: energy_end
-        // (via the MAC's on_idle hook) can start a new transmission, which
-        // may acquire a slot and grow the pool mid-loop.
-        for (std::size_t k = 0; k < tx_slots_[slot].affected.size(); ++k) {
-            tx_slots_[slot].affected[k]->energy_end(tx_id);
-        }
+        // energy_end (via on_rx or the MAC's on_idle hook) can start a new
+        // transmission, which may grow the pool; the deque keeps this slot,
+        // its frame and its reception set where they are.
+        for (Radio* r : tx_slots_[slot].affected) r->energy_end(tx_id);
         release_tx_slot(slot);
     });
 }

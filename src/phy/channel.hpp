@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <utility>
@@ -91,9 +92,17 @@ class Radio {
     Radio& operator=(const Radio&) = delete;
 
     /// MAC hookup. on_busy fires on the 0->1 energy transition, on_idle on
-    /// the 1->0 transition, on_rx with every intact decodable frame.
+    /// the 1->0 transition, on_rx with every intact decodable frame. The
+    /// busy/idle edges go only to a radio whose MAC wants them (see
+    /// set_wants_edges; on by default); on_rx always fires.
     void set_mac_hooks(std::function<void()> on_busy, std::function<void()> on_idle,
                        std::function<void(const Frame&)> on_rx);
+
+    /// Whether on_busy/on_idle fire. A MAC with nothing queued has no
+    /// access event armed, so both edges would be no-ops there; it turns
+    /// them off while its queue is empty and reads energy_busy() when it
+    /// next enqueues. Energy counting, corruption and on_rx are unaffected.
+    void set_wants_edges(bool wants) { wants_edges_ = wants; }
 
     /// Begin transmitting; the channel computes reception at all radios in
     /// range. Must not be called while already transmitting.
@@ -135,8 +144,12 @@ class Radio {
     void begin_own_tx();
     void end_own_tx();
 
+    /// A reception in progress. The frame is the channel's per-transmission
+    /// copy (TxSlot::frame), shared by every receiver and alive until the
+    /// transmission's end event has run energy_end everywhere.
     struct Reception {
-        Frame frame;
+        std::uint64_t tx_id{0};
+        const Frame* frame{nullptr};
         bool corrupted{false};
     };
 
@@ -149,12 +162,13 @@ class Radio {
 
     int energy_count_{0};
     bool transmitting_{false};
+    bool wants_edges_{true};
     net::NodeId trace_node_{net::kInvalidNode};
-    /// Concurrent receptions, keyed by tx id. Insertion-ordered (a plain
-    /// vector, typically 0-3 entries) so corruption sweeps traverse in the
-    /// same order on every standard library, keeping runs reproducible
-    /// across platforms, not just within one.
-    std::vector<std::pair<std::uint64_t, Reception>> receptions_;
+    /// Concurrent receptions. Insertion-ordered (a plain vector, typically
+    /// 0-3 entries) so corruption sweeps traverse in the same order on every
+    /// standard library, keeping runs reproducible across platforms, not
+    /// just within one.
+    std::vector<Reception> receptions_;
     Stats stats_;
 };
 
@@ -165,16 +179,21 @@ class Radio {
 /// overlapping receptions at that radio are corrupted. Hidden terminals
 /// emerge naturally from this rule.
 ///
+/// Every radio within cs_range_m of the sender counts the frame's energy;
+/// on_busy/on_idle reach only the radios whose MAC asked for edges
+/// (Radio::set_wants_edges), on_rx every radio that decodes the frame.
+///
 /// Reception membership is resolved through a spatial hash grid (cell size
 /// cs_range_m plus a mobility slack): a transmission only inspects radios
 /// bucketed in the 9 cells around the sender, and radios re-bucket lazily
 /// from their EngineState rows at transmission time. The grid is an index,
-/// not a model change: candidate radios are visited in registration order
-/// and filtered by the exact distance test, so the event stream does not
-/// depend on the cell size. With grid_max_speed_mps = +inf every radio
-/// shares one cell and each transmission visits all radios in registration
-/// order; tests/reference/single_cell.hpp uses that as the reference the
-/// grid is checked against.
+/// not a model change: each bucket is kept in registration order, the 9
+/// buckets are merged, and candidates are filtered by the exact distance
+/// test, so the event stream does not depend on the cell size. With
+/// grid_max_speed_mps = +inf every radio shares one cell and each
+/// transmission visits all radios in registration order;
+/// tests/reference/single_cell.hpp uses that as the reference the grid is
+/// checked against.
 class Channel {
   public:
     struct Stats {
@@ -243,11 +262,13 @@ class Channel {
         bool operator==(const Cell&) const = default;
     };
 
-    /// Pooled per-transmission reception set: the end-of-airtime event
-    /// captures a slot index instead of a freshly-allocated vector, so
-    /// steady-state transmissions do zero heap allocations (the vectors keep
-    /// their capacity across reuse).
+    /// Pooled per-transmission state: the frame every reception refers to
+    /// and the reception set. The end-of-airtime event captures a slot index
+    /// instead of a freshly-allocated vector, so steady-state transmissions
+    /// do zero heap allocations (the vectors keep their capacity across
+    /// reuse).
     struct TxSlot {
+        Frame frame;
         std::vector<Radio*> affected;
         std::uint32_t next_free{kNilSlot};
     };
@@ -263,9 +284,11 @@ class Channel {
     /// older than grid_rebucket_interval (no-op otherwise). Called at tx time
     /// only, so it schedules nothing and leaves the event stream untouched.
     void rebucket_if_stale();
-    void deliver_from(Radio* sender, const Frame& frame, const Vec2& sender_pos,
-                      std::uint64_t tx_id, Radio* receiver, const Vec2& rx_pos,
-                      std::uint32_t slot);
+    void deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id,
+                      Radio* receiver, const Vec2& rx_pos);
+    /// Merge the sorted buckets of the 9 cells around `center` into
+    /// candidates_ (ascending registration index).
+    void gather_candidates(Cell center);
     std::uint32_t acquire_tx_slot();
     std::uint32_t grow_tx_slots();
     void release_tx_slot(std::uint32_t slot);
@@ -279,17 +302,21 @@ class Channel {
     std::vector<SnoopFn> taps_;
     std::vector<AuditSnoopFn> audit_taps_;
     DropFn drop_;
-    std::vector<TxSlot> tx_slots_;
+    /// A deque, so a slot (and the frame receptions point at) stays put
+    /// when a nested transmission started from on_rx grows the pool.
+    std::deque<TxSlot> tx_slots_;
     std::uint32_t tx_free_{kNilSlot};
 
     // Spatial hash grid ---------------------------------------------------
     double cell_m_{1.0};
+    /// Radio indices per cell, each bucket sorted ascending.
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
     /// False until the first sweep, and again after every registration, so
     /// a newly registered radio is bucketed by the next transmission.
     bool swept_once_{false};
     SimTime last_sweep_{};
     std::vector<std::uint32_t> candidates_;   ///< per-tx scratch
+    std::vector<std::uint32_t> merge_buf_;    ///< per-tx merge scratch
 };
 
 }  // namespace geoanon::phy

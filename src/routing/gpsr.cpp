@@ -1,5 +1,7 @@
 #include "routing/gpsr.hpp"
 
+#include <algorithm>
+
 #include "net/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -70,28 +72,23 @@ void GpsrGreedyAgent::send_hello() {
 
 void GpsrGreedyAgent::purge_neighbors() {
     const util::SimTime now = node_.sim().now();
-    std::erase_if(neighbors_, [&](const auto& kv) {
-        return now - kv.second.ts > kNeighborTtl;
-    });
+    std::erase_if(neighbors_, [&](const Neighbor& n) { return now - n.ts > kNeighborTtl; });
 }
 
 const GpsrGreedyAgent::Neighbor* GpsrGreedyAgent::best_neighbor(
     const Vec2& from, const Vec2& dst_loc) const {
     const double my_dist = util::distance(from, dst_loc);
     const Neighbor* best = nullptr;
-    NodeId best_id = net::kInvalidNode;
     double best_dist = my_dist;
     const util::SimTime now = node_.sim().now();
     // Ties on distance are broken by the lowest node id so the winner does
-    // not depend on hash-map iteration order.
-    // geoanon-lint: allow(unordered-iter) -- selection below is order-independent (strict min with id tie-break)
-    for (const auto& [id, n] : neighbors_) {
+    // not depend on table order.
+    for (const Neighbor& n : neighbors_) {
         if (now - n.ts > kNeighborTtl) continue;
         const double d = util::distance(n.loc, dst_loc);
-        if (d < best_dist || (d == best_dist && best != nullptr && id < best_id)) {
+        if (d < best_dist || (d == best_dist && best != nullptr && n.id < best->id)) {
             best_dist = d;
             best = &n;
-            best_id = id;
         }
     }
     return best;
@@ -195,9 +192,16 @@ void GpsrGreedyAgent::forward(const PacketPtr& pkt) {
 void GpsrGreedyAgent::on_packet(const PacketPtr& pkt, MacAddr src) {
     if (!node_.up()) return;  // radio gates this too; belt and braces
     switch (pkt->type) {
-        case net::PacketType::kGpsrHello:
-            neighbors_[pkt->src_id] = Neighbor{pkt->hello_loc, src, node_.sim().now()};
+        case net::PacketType::kGpsrHello: {
+            const Neighbor heard{pkt->src_id, pkt->hello_loc, src, node_.sim().now()};
+            auto it = std::find_if(neighbors_.begin(), neighbors_.end(),
+                                   [&](const Neighbor& n) { return n.id == heard.id; });
+            if (it != neighbors_.end())
+                *it = heard;
+            else
+                neighbors_.push_back(heard);
             break;
+        }
         case net::PacketType::kGpsrData:
             if (pkt->dst_id == node_.id())
                 deliver_local(pkt);
@@ -225,13 +229,9 @@ void GpsrGreedyAgent::on_mac_tx_done(const PacketPtr& pkt, MacAddr dst, bool suc
     }
     // The MAC exhausted its retries: assume the neighbor is gone (GPSR's
     // beacon-timeout shortcut) and try the next-best one.
-    // geoanon-lint: allow(unordered-iter) -- MAC addresses are unique per node, so at most one entry matches regardless of walk order
-    for (auto it = neighbors_.begin(); it != neighbors_.end(); ++it) {
-        if (it->second.mac == dst) {
-            neighbors_.erase(it);
-            break;
-        }
-    }
+    auto gone = std::find_if(neighbors_.begin(), neighbors_.end(),
+                             [dst](const Neighbor& n) { return n.mac == dst; });
+    if (gone != neighbors_.end()) neighbors_.erase(gone);
     const int attempts = ++reroute_counts_[pkt->uid];
     if (attempts <= params_.reroute_limit) {
         forward(pkt);

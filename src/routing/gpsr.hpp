@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "net/network.hpp"
 #include "net/node.hpp"
@@ -72,6 +73,7 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
 
   private:
     struct Neighbor {
+        NodeId id;
         Vec2 loc;
         MacAddr mac;
         util::SimTime ts;
@@ -87,7 +89,9 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
     Params params_;
     LocateFn locate_;
     DeliverFn deliver_;
-    std::unordered_map<NodeId, Neighbor> neighbors_;
+    /// One entry per neighbor id, in order of first hello. Readers do not
+    /// depend on that order (best_neighbor breaks ties by lowest id).
+    std::vector<Neighbor> neighbors_;
     /// Alternate-next-hop attempts per packet uid after MAC failures.
     std::unordered_map<std::uint64_t, int> reroute_counts_;
     std::unique_ptr<LocationService> ls_;

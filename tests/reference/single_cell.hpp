@@ -5,7 +5,7 @@
 // radios in registration order, the same visits a full O(N) scan makes. The
 // default grid must produce byte-identical results against it
 // (test_channel_grid, bench/scaling_grid). It is a correctness reference,
-// not a speed baseline: it sorts all N candidates on every transmission.
+// not a speed baseline: it visits all N candidates on every transmission.
 
 #include <limits>
 

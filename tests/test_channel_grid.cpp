@@ -254,6 +254,67 @@ TEST(ChannelGrid, LateRegisteredRadioHeardBeforeFirstSweep) {
     ASSERT_EQ(rig.received[1].size(), 1u);
 }
 
+TEST(ChannelGrid, ReceiversInAllNineCellsHearInRegistrationOrder) {
+    // Cell size 562.5 m (550 m cs range + 50 m/s x 250 ms slack); the sender
+    // sits at the center of cell (0,0) and the 500 m decode range reaches a
+    // receiver in each of the 9 cells around it. Receivers are registered
+    // in an order unrelated to their cells, so visiting cell by cell would
+    // interleave them: on_rx must still fire in ascending registration
+    // index. It must stay so after every receiver changes cell at each
+    // sweep (bucket erase/insert churn) and after a late registration.
+    PhyParams p;
+    p.range_m = 500.0;
+    Rig rig(p);
+    const double cell = p.cs_range_m + p.grid_max_speed_mps * p.grid_rebucket_interval.to_seconds();
+    const Vec2 center{cell / 2, cell / 2};
+    // One spot per cell, listed out of cell order, 100 to 424 m from the
+    // sender.
+    const std::vector<Vec2> spots{
+        {center.x + 300, center.y + 300}, {center.x - 300, center.y},
+        {center.x + 100, center.y},       {center.x + 300, center.y - 300},
+        {center.x - 300, center.y + 300}, {center.x, center.y - 300},
+        {center.x + 300, center.y},       {center.x - 300, center.y - 300},
+        {center.x, center.y + 300}};
+    std::vector<std::uint32_t> order;
+    Radio& tx = rig.add(center);
+    std::vector<test_support::TeleportMobility*> movers;
+    for (const Vec2& spot : spots) {
+        movers.push_back(&rig.add_teleport(spot));
+        const auto idx = static_cast<std::uint32_t>(rig.radios.size() - 1);
+        rig.radios.back()->set_mac_hooks(nullptr, nullptr,
+                                         [&order, idx](const Frame&) { order.push_back(idx); });
+    }
+    const std::vector<std::uint32_t> all_nine{1, 2, 3, 4, 5, 6, 7, 8, 9};
+
+    // Round r puts receiver i on spot (i * 4 + r) % 9, a different cell each
+    // sweep; the rebucket interval has passed before every transmission.
+    constexpr int kRounds = 12;
+    for (int r = 0; r < kRounds; ++r) {
+        rig.sim.at(p.grid_rebucket_interval * r, [&, r] {
+            for (std::size_t i = 0; i < movers.size(); ++i)
+                movers[i]->move_to(spots[(i * 4 + static_cast<std::size_t>(r)) % spots.size()]);
+            order.clear();
+            tx.start_tx(rig.frame());
+        });
+        rig.sim.at(p.grid_rebucket_interval * r + SimTime::millis(5),
+                   [&, r] { EXPECT_EQ(order, all_nine) << "round " << r; });
+    }
+    rig.sim.run();
+
+    // A late radio in cell (-1,-1), the first cell the query looks at, has
+    // the highest index: it must be heard last.
+    rig.add({center.x - 300.0, center.y - 300.0});
+    const auto late = static_cast<std::uint32_t>(rig.radios.size() - 1);
+    rig.radios.back()->set_mac_hooks(nullptr, nullptr,
+                                     [&order, late](const Frame&) { order.push_back(late); });
+    order.clear();
+    tx.start_tx(rig.frame());
+    rig.sim.run();
+    std::vector<std::uint32_t> expected = all_nine;
+    expected.push_back(late);
+    EXPECT_EQ(order, expected);
+}
+
 TEST(ChannelGrid, ReceiversMatchGeometricOracle) {
     // 200 radios crossing a 3 km square at up to the grid's speed hint (so
     // buckets go stale between sweeps by as much as the slack allows), one

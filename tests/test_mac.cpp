@@ -210,6 +210,40 @@ TEST(Mac, NavDefersThirdParty) {
     EXPECT_EQ(a.mac->stats().retries, 0u);  // the exchange was never disturbed
 }
 
+TEST(Mac, EnqueueMidForeignFrameWaitsForItsEndPlusDifs) {
+    // b has nothing queued when a's long broadcast starts, so it has no
+    // backoff to freeze. A packet queued in the middle of that frame must
+    // find the medium busy: b's own frame may not start before a's frame
+    // ends plus DIFS (50 us).
+    Rig rig;
+    Station& a = rig.add({0, 0});
+    Station& b = rig.add({100, 0});
+    struct OnAir {
+        SimTime start;
+        SimTime end;
+        net::MacAddr src;
+    };
+    std::vector<OnAir> on_air;
+    rig.channel.add_snoop([&](const phy::Frame& f, const Vec2&) {
+        on_air.push_back({rig.sim.now(), rig.sim.now() + rig.channel.params().airtime(f.wire_bytes),
+                          f.src});
+    });
+    a.mac->send_broadcast(Rig::packet(10000));  // ~40 ms on the air
+    rig.sim.at(5_ms, [&] {
+        ASSERT_EQ(on_air.size(), 1u);  // a's frame is on the air, b's queue was empty
+        ASSERT_TRUE(b.radio->energy_busy());
+        b.mac->send_broadcast(Rig::packet(100, /*seq=*/777));
+    });
+    rig.sim.run_until(1_s);
+    ASSERT_EQ(on_air.size(), 2u);
+    EXPECT_EQ(on_air[0].src, a.mac->address());
+    EXPECT_EQ(on_air[1].src, b.mac->address());
+    EXPECT_GE(on_air[1].start, on_air[0].end + 50_us);
+    ASSERT_EQ(a.received.size(), 1u);  // b's broadcast arrived intact
+    EXPECT_EQ(a.received[0]->seq, 777u);
+    EXPECT_EQ(b.received.size(), 1u);  // and a's was not disturbed
+}
+
 TEST(Mac, ReceiverDedupsMacRetransmissions) {
     // Force an ACK loss so the sender retransmits: receiver must deliver the
     // packet upstream exactly once. We emulate by a heavily loaded channel

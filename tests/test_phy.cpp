@@ -3,7 +3,9 @@
 #include <memory>
 #include <vector>
 
+#include "mac/mac80211.hpp"
 #include "mobility/mobility.hpp"
+#include "net/packet.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 
@@ -182,6 +184,98 @@ TEST(Phy, BusyIdleCallbacks) {
     rig.sim.run();
     EXPECT_EQ(busy, 1);
     EXPECT_EQ(idle, 1);
+}
+
+TEST(Phy, EdgesOnlyWhenWanted) {
+    // A radio that does not want edges still counts energy (carrier sense
+    // and corruption are unchanged); only on_busy/on_idle are skipped.
+    Rig rig;
+    Radio& tx = rig.add({0, 0});
+    Radio& rx = rig.add({100, 0});
+    int busy = 0, idle = 0, heard = 0;
+    rx.set_mac_hooks([&] { ++busy; }, [&] { ++idle; }, [&](const Frame&) { ++heard; });
+    rx.set_wants_edges(false);
+    const SimTime air = rig.channel.params().airtime(100);
+    bool busy_mid = false;
+    rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame()); });
+    rig.sim.at(SimTime::nanos(air.ns() / 2), [&] { busy_mid = rx.energy_busy(); });
+    rig.sim.at(air * 2, [&] {
+        rx.set_wants_edges(true);
+        tx.start_tx(rig.frame());
+    });
+    rig.sim.run();
+    EXPECT_TRUE(busy_mid);
+    EXPECT_FALSE(rx.energy_busy());
+    EXPECT_EQ(heard, 2);
+    EXPECT_EQ(busy, 1);  // the second frame only
+    EXPECT_EQ(idle, 1);
+}
+
+TEST(Phy, IdleMacSchedulesNothingWhileCarrierSenseFollowsTheMedium) {
+    // A MAC with nothing queued has no backoff to freeze and nothing to
+    // start, so foreign frames make it schedule no event, while its radio's
+    // energy_busy() still tracks the medium. After a crash, a re-enable and
+    // an enqueue in the middle of a foreign frame, it contends normally:
+    // its frame starts after that frame ends plus DIFS (50 us).
+    sim::Simulator sim;
+    Channel channel(sim, PhyParams{});
+    mobility::StationaryMobility at_tx({0, 0});
+    mobility::StationaryMobility at_mac({100, 0});
+    Radio tx(sim, channel, at_tx);
+    Radio radio(sim, channel, at_mac);
+    mac::Mac80211 mac(sim, radio, /*addr=*/2, mac::MacParams{}, util::Rng(7));
+    std::vector<std::uint32_t> heard_by_tx;  // seqs of frames tx decoded
+    tx.set_mac_hooks(nullptr, nullptr, [&](const Frame& f) { heard_by_tx.push_back(f.seq); });
+    std::vector<SimTime> mac_tx_starts;
+    channel.add_snoop([&](const Frame&, const Vec2& pos) {
+        if (pos == at_mac.position_at(sim.now())) mac_tx_starts.push_back(sim.now());
+    });
+
+    Frame foreign;
+    foreign.type = Frame::Type::kData;
+    foreign.src = 1;
+    foreign.dst = 9;  // overheard, not addressed to the MAC; no NAV
+    foreign.wire_bytes = 2000;
+    const SimTime air = channel.params().airtime(foreign.wire_bytes);
+
+    bool busy_mid = false, idle_after = false;
+    std::uint64_t events_before = 0;
+    sim.at(SimTime::zero(), [&] {
+        events_before = sim.events_processed();
+        tx.start_tx(foreign);
+    });
+    sim.at(SimTime::nanos(air.ns() / 2), [&] { busy_mid = radio.energy_busy(); });
+    sim.at(air + 1_us, [&] { idle_after = !radio.energy_busy(); });
+    sim.run_until(air + 2_us);
+    EXPECT_TRUE(busy_mid);
+    EXPECT_TRUE(idle_after);
+    // After the first event: the mid probe, the channel's end-of-airtime
+    // event and the after probe. Nothing from the MAC.
+    EXPECT_EQ(sim.events_processed() - events_before, 3u);
+    EXPECT_EQ(sim.pending_events(), 0u);
+
+    // Crash during a foreign frame, recover, then enqueue mid-frame.
+    const SimTime t1 = sim.now() + 1_ms;
+    sim.at(t1, [&] {
+        mac.set_enabled(false);
+        radio.set_enabled(false);
+        tx.start_tx(foreign);
+    });
+    sim.at(t1 + SimTime::nanos(air.ns() / 4), [&] {
+        radio.set_enabled(true);
+        mac.set_enabled(true);
+    });
+    sim.at(t1 + SimTime::nanos(air.ns() / 2), [&] {
+        auto pkt = net::make_packet();
+        pkt->wire_bytes = 64;
+        EXPECT_TRUE(mac.send_broadcast(std::move(pkt)));
+    });
+    sim.run_until(t1 + 1_s);
+    ASSERT_EQ(mac_tx_starts.size(), 1u);
+    EXPECT_GE(mac_tx_starts[0], t1 + air + 50_us);
+    EXPECT_EQ(mac.stats().data_sent, 1u);
+    EXPECT_EQ(heard_by_tx.size(), 1u);  // the MAC's broadcast arrived intact
+    EXPECT_EQ(mac.queue_length(), 0u);
 }
 
 TEST(Phy, TransmittingWhileReceivingCorrupts) {
