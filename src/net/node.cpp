@@ -30,11 +30,12 @@ void Node::set_up(bool up) {
 
 void Node::set_agent(std::unique_ptr<RoutingAgent> agent) {
     agent_ = std::move(agent);
-    mac_.set_rx_handler(
-        [this](const PacketPtr& pkt, MacAddr src) { agent_->on_packet(pkt, src); });
-    mac_.set_tx_done_handler([this](const PacketPtr& pkt, MacAddr dst, bool ok) {
-        agent_->on_mac_tx_done(pkt, dst, ok);
-    });
+    // The handlers hold the agent itself, not this Node, so a reception
+    // touches no Node cache line on its way up.
+    RoutingAgent* const a = agent_.get();
+    mac_.set_rx_handler([a](const PacketPtr& pkt, MacAddr src) { a->on_packet(pkt, src); });
+    mac_.set_tx_done_handler(
+        [a](const PacketPtr& pkt, MacAddr dst, bool ok) { a->on_mac_tx_done(pkt, dst, ok); });
 }
 
 }  // namespace geoanon::net

@@ -34,6 +34,7 @@ void Radio::set_mac_hooks(std::function<void()> on_busy, std::function<void()> o
     on_busy_ = std::move(on_busy);
     on_idle_ = std::move(on_idle);
     on_rx_ = std::move(on_rx);
+    refresh_quiet();
 }
 
 void Radio::start_tx(const Frame& frame) {
@@ -52,14 +53,12 @@ void Radio::begin_own_tx() {
             ++stats_.frames_corrupted;
         }
     }
-    ++energy_count_;
-    if (energy_count_ == 1 && wants_edges_ && on_busy_) on_busy_();
+    if (++energy_count() == 1 && wants_edges_ && on_busy_) on_busy_();
 }
 
 void Radio::end_own_tx() {
     transmitting_ = false;
-    --energy_count_;
-    if (energy_count_ == 0 && wants_edges_ && on_idle_) on_idle_();
+    if (--energy_count() == 0 && wants_edges_ && on_idle_) on_idle_();
 }
 
 void Radio::energy_start(std::uint64_t tx_id, bool decodable, const Frame& frame) {
@@ -71,26 +70,30 @@ void Radio::energy_start(std::uint64_t tx_id, bool decodable, const Frame& frame
             ++stats_.frames_corrupted;
         }
     }
-    const bool clear = energy_count_ == 0 && !transmitting_;
-    ++energy_count_;
+    std::int32_t& energy = energy_count();
+    const bool clear = energy == 0 && !transmitting_;
+    ++energy;
     if (decodable) {
         if (!clear) {
             channel_.note_collision();
             ++stats_.frames_corrupted;
         }
         receptions_.push_back(Reception{tx_id, &frame, !clear});
+        refresh_quiet();
     }
-    if (energy_count_ == 1 && wants_edges_ && on_busy_) on_busy_();
+    if (energy == 1 && wants_edges_ && on_busy_) on_busy_();
 }
 
 void Radio::energy_end(std::uint64_t tx_id) {
-    --energy_count_;
+    --energy_count();
     auto it = std::find_if(receptions_.begin(), receptions_.end(),
                            [tx_id](const Reception& rx) { return rx.tx_id == tx_id; });
     if (it != receptions_.end()) {
         const bool ok = !it->corrupted && !transmitting_;
         const Frame& frame = *it->frame;
         receptions_.erase(it);
+        // Before on_rx: a transmission it starts reads this radio's flag.
+        refresh_quiet();
         if (ok) {
             if (!enabled()) {
                 ++stats_.frames_missed_down;
@@ -113,7 +116,7 @@ void Radio::energy_end(std::uint64_t tx_id) {
                           .detail = static_cast<std::uint64_t>(frame.type));
         }
     }
-    if (energy_count_ == 0 && wants_edges_ && on_idle_) on_idle_();
+    if (energy_count() == 0 && wants_edges_ && on_idle_) on_idle_();
 }
 
 Channel::Channel(sim::Simulator& sim, PhyParams params) : sim_(sim), params_(params) {
@@ -135,6 +138,7 @@ std::uint64_t Channel::cell_key(Cell c) {
 EngineState::Index Channel::register_radio(Radio* radio, mobility::MobilityModel* model) {
     const EngineState::Index idx = state_.add_row(model);
     radios_.push_back(radio);
+    sense_.emplace_back();
     assert(radios_.size() == state_.size() && "state rows mirror registration order");
     // The next transmission sweeps and buckets the new row. Scenarios
     // register every radio before the first transmission, so this adds no
@@ -168,22 +172,27 @@ void Channel::rebucket_if_stale() {
     }
 }
 
-void Channel::deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id,
-                           Radio* receiver, const Vec2& rx_pos) {
-    const double d = util::distance(sender_pos, rx_pos);
-    if (d > params_.cs_range_m) return;
+// geoanon: hot
+void Channel::deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id, InRange rx,
+                           SimTime now) {
     const Frame& frame = tx.frame;
-    bool decodable = d <= params_.range_m;
-    if (decodable && drop_ && drop_(frame, sender_pos, rx_pos)) {
+    bool decodable = rx.d <= params_.range_m;
+    if (decodable && drop_ && drop_(frame, sender_pos, state_.position(rx.idx, now))) {
         decodable = false;
         ++stats_.impaired;
         GEOANON_TRACE(sim_, .type = obs::EventType::kPhyDrop,
-                      .cause = obs::DropCause::kImpaired, .node = receiver->trace_node_,
+                      .cause = obs::DropCause::kImpaired, .node = radios_[rx.idx]->trace_node_,
                       .uid = frame_uid(frame), .bytes = frame.wire_bytes,
                       .detail = static_cast<std::uint64_t>(frame.type));
     }
-    tx.affected.push_back(receiver);
-    receiver->energy_start(tx_id, decodable, frame);
+    tx.affected.push_back(rx.idx);
+    // A quiet radio has no reception to corrupt and no edge hook to run, so
+    // a frame it cannot decode changes only its energy count.
+    if (!decodable && sense_[rx.idx].quiet) {
+        ++sense_[rx.idx].energy;
+    } else {
+        radios_[rx.idx]->energy_start(tx_id, decodable, frame);
+    }
 }
 
 // geoanon: hot
@@ -213,34 +222,52 @@ void Channel::release_tx_slot(std::uint32_t slot) {
 }
 
 // geoanon: hot
-void Channel::gather_candidates(Cell center) {
-    std::array<const std::vector<std::uint32_t>*, 9> runs{};
+std::span<const Channel::InRange> Channel::gather_in_range(EngineState::Index sender,
+                                                           const Vec2& sender_pos, SimTime now) {
+    const Cell center = cell_of(sender_pos);
+    std::array<const std::vector<std::uint32_t>*, 9> buckets{};
     std::size_t k = 0;
     std::size_t total = 0;
     for (std::int32_t dx = -1; dx <= 1; ++dx) {
         for (std::int32_t dy = -1; dy <= 1; ++dy) {
             const auto it = buckets_.find(cell_key({center.x + dx, center.y + dy}));
             if (it == buckets_.end() || it->second.empty()) continue;
-            runs[k++] = &it->second;
+            buckets[k++] = &it->second;
             total += it->second.size();
         }
     }
-    // Both scratch vectors keep their capacity across calls, so after
-    // warm-up this allocates nothing. Merging each bucket into the sorted
-    // prefix beats one sort of the whole set for few large buckets (dense
-    // fields) and matches it for many one-radio buckets (sparse fields).
-    candidates_.resize(total);
-    merge_buf_.resize(total);
-    if (k == 0) return;
-    std::copy(runs[0]->begin(), runs[0]->end(), candidates_.begin());
-    std::size_t merged = runs[0]->size();
-    for (std::size_t j = 1; j < k; ++j) {
-        const auto prefix_end = candidates_.begin() + static_cast<std::ptrdiff_t>(merged);
-        std::merge(candidates_.begin(), prefix_end, runs[j]->begin(), runs[j]->end(),
-                   merge_buf_.begin());
-        merged += runs[j]->size();
-        candidates_.swap(merge_buf_);
+    // Filter each bucket by the exact distance first, so the merge orders
+    // only the radios in range. Filtering keeps each run sorted. The scratch
+    // vectors keep their capacity across calls, so after warm-up this
+    // allocates nothing.
+    runs_.resize(total);
+    std::array<std::size_t, 10> run_end{};
+    std::size_t n_runs = 0;
+    std::size_t n = 0;
+    for (std::size_t j = 0; j < k; ++j) {
+        const std::size_t start = n;
+        for (const std::uint32_t idx : *buckets[j]) {
+            if (idx == sender) continue;
+            const double d = util::distance(sender_pos, state_.position(idx, now));
+            if (d <= params_.cs_range_m) runs_[n++] = InRange{idx, d};
+        }
+        if (n > start) run_end[++n_runs] = n;
     }
+    if (n_runs <= 1) return {runs_.data(), n};
+    // Merging each run into the sorted prefix beats one sort of the
+    // survivors for few large runs (dense fields) and matches it for many
+    // one-radio runs (sparse fields).
+    const auto by_index = [](const InRange& a, const InRange& b) { return a.idx < b.idx; };
+    merged_.resize(n);
+    merge_buf_.resize(n);
+    const InRange* const run = runs_.data();  // run j is [run_end[j], run_end[j + 1])
+    std::merge(run, run + run_end[1], run + run_end[1], run + run_end[2], merged_.data(), by_index);
+    for (std::size_t j = 2; j < n_runs; ++j) {
+        std::merge(merged_.data(), merged_.data() + run_end[j], run + run_end[j],
+                   run + run_end[j + 1], merge_buf_.data(), by_index);
+        merged_.swap(merge_buf_);
+    }
+    return {merged_.data(), n};
 }
 
 // geoanon: hot
@@ -268,20 +295,25 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
     TxSlot& tx = tx_slots_[slot];
     tx.frame = frame;
     rebucket_if_stale();
-    gather_candidates(cell_of(sender_pos));
-    tx.affected.reserve(candidates_.size());
-    for (const std::uint32_t idx : candidates_) {
-        Radio* r = radios_[idx];
-        if (r == sender) continue;
-        deliver_from(tx, sender_pos, tx_id, r, state_.position(idx, now));
-    }
+    const std::span<const InRange> in_range = gather_in_range(sender->index_, sender_pos, now);
+    tx.affected.reserve(in_range.size());
+    for (const InRange& rx : in_range) deliver_from(tx, sender_pos, tx_id, rx, now);
 
     sim_.after(airtime, [this, sender, tx_id, slot] {
         sender->end_own_tx();
         // energy_end (via on_rx or the MAC's on_idle hook) can start a new
         // transmission, which may grow the pool; the deque keeps this slot,
-        // its frame and its reception set where they are.
-        for (Radio* r : tx_slots_[slot].affected) r->energy_end(tx_id);
+        // its frame and its reception set where they are. That transmission
+        // may also change a later radio's quiet flag, so the flag is read at
+        // each radio's turn: quiet then means energy_end would only count
+        // down.
+        for (const std::uint32_t idx : tx_slots_[slot].affected) {
+            if (sense_[idx].quiet) {
+                --sense_[idx].energy;
+            } else {
+                radios_[idx]->energy_end(tx_id);
+            }
+        }
         release_tx_slot(slot);
     });
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -73,8 +74,14 @@ class Channel;
 /// The MAC drives it via start_tx() and receives busy/idle/rx callbacks.
 ///
 /// Hot per-radio state (position, up/down, grid cell) lives in the channel's
-/// EngineState row keyed by this radio's registration index; the Radio object
-/// itself holds only the MAC-facing callbacks and counters.
+/// EngineState row keyed by this radio's registration index, and its
+/// carrier-sense count and quiet flag in the channel's dense sense row of the
+/// same index; the Radio object itself holds the MAC-facing callbacks, the
+/// receptions in progress and the counters. A radio is quiet while it has no
+/// reception in progress and neither edge would run a hook (edges unwanted,
+/// or no on_busy/on_idle installed). A transmission that cannot be decoded
+/// at a quiet radio only counts up and down on its sense row and never
+/// touches the Radio object.
 class Radio {
   public:
     struct Stats {
@@ -102,7 +109,10 @@ class Radio {
     /// access event armed, so both edges would be no-ops there; it turns
     /// them off while its queue is empty and reads energy_busy() when it
     /// next enqueues. Energy counting, corruption and on_rx are unaffected.
-    void set_wants_edges(bool wants) { wants_edges_ = wants; }
+    void set_wants_edges(bool wants) {
+        wants_edges_ = wants;
+        refresh_quiet();
+    }
 
     /// Begin transmitting; the channel computes reception at all radios in
     /// range. Must not be called while already transmitting.
@@ -110,7 +120,7 @@ class Radio {
 
     bool transmitting() const { return transmitting_; }
     /// Physical carrier sense: any energy (including own transmission).
-    bool energy_busy() const { return energy_count_ > 0; }
+    bool energy_busy() const;
 
     /// Fault injection: a disabled radio decodes nothing (intact frames are
     /// counted as frames_missed_down instead of delivered). Energy
@@ -143,6 +153,11 @@ class Radio {
     void energy_end(std::uint64_t tx_id);
     void begin_own_tx();
     void end_own_tx();
+    /// Energy count on this radio's sense row in the channel.
+    std::int32_t& energy_count();
+    /// Recompute the channel's quiet flag for this radio. Called on every
+    /// change to the edge wish, the hooks or the reception set.
+    void refresh_quiet();
 
     /// A reception in progress. The frame is the channel's per-transmission
     /// copy (TxSlot::frame), shared by every receiver and alive until the
@@ -160,7 +175,6 @@ class Radio {
     std::function<void()> on_idle_;
     std::function<void(const Frame&)> on_rx_;
 
-    int energy_count_{0};
     bool transmitting_{false};
     bool wants_edges_{true};
     net::NodeId trace_node_{net::kInvalidNode};
@@ -187,13 +201,21 @@ class Radio {
 /// cs_range_m plus a mobility slack): a transmission only inspects radios
 /// bucketed in the 9 cells around the sender, and radios re-bucket lazily
 /// from their EngineState rows at transmission time. The grid is an index,
-/// not a model change: each bucket is kept in registration order, the 9
-/// buckets are merged, and candidates are filtered by the exact distance
-/// test, so the event stream does not depend on the cell size. With
-/// grid_max_speed_mps = +inf every radio shares one cell and each
-/// transmission visits all radios in registration order;
+/// not a model change: each bucket is kept in registration order, filtered
+/// by the exact cs_range_m distance test on the EngineState positions, and
+/// the filtered runs are merged, so the radios in range are visited in
+/// registration order and the event stream does not depend on the cell
+/// size. With grid_max_speed_mps = +inf every radio shares one cell and
+/// each transmission visits all radios in registration order;
 /// tests/reference/single_cell.hpp uses that as the reference the grid is
 /// checked against.
+///
+/// Carrier-sense counts live here in dense rows, one per radio, beside a
+/// quiet flag the Radio keeps current (see Radio). A frame a quiet radio
+/// cannot decode is counted on the row alone; every other radio in range
+/// gets Radio::energy_start/energy_end. The end of airtime reads the flag
+/// at each radio's turn, since an on_rx earlier in the same loop may have
+/// started a transmission that changed it.
 class Channel {
   public:
     struct Stats {
@@ -269,8 +291,21 @@ class Channel {
     /// reuse).
     struct TxSlot {
         Frame frame;
-        std::vector<Radio*> affected;
+        std::vector<std::uint32_t> affected;  ///< rows in range, registration order
         std::uint32_t next_free{kNilSlot};
+    };
+
+    /// One radio's carrier-sense row. `energy` counts the frames on the air
+    /// there, its own included; `quiet` mirrors Radio::refresh_quiet.
+    struct Sense {
+        std::int32_t energy{0};
+        bool quiet{true};
+    };
+
+    /// A radio within cs_range_m of the sender and its distance to it.
+    struct InRange {
+        std::uint32_t idx{0};
+        double d{0.0};
     };
 
     EngineState::Index register_radio(Radio* radio, mobility::MobilityModel* model);
@@ -284,11 +319,15 @@ class Channel {
     /// older than grid_rebucket_interval (no-op otherwise). Called at tx time
     /// only, so it schedules nothing and leaves the event stream untouched.
     void rebucket_if_stale();
-    void deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id,
-                      Radio* receiver, const Vec2& rx_pos);
-    /// Merge the sorted buckets of the 9 cells around `center` into
-    /// candidates_ (ascending registration index).
-    void gather_candidates(Cell center);
+    void deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id, InRange rx,
+                      SimTime now);
+    /// Every radio but `sender` within cs_range_m of `sender_pos`, in
+    /// ascending registration index: each bucket of the 9 cells around the
+    /// sender's cell is filtered into its own sorted run, then the runs are
+    /// merged. The span points into per-tx scratch, valid until the next
+    /// call.
+    std::span<const InRange> gather_in_range(EngineState::Index sender, const Vec2& sender_pos,
+                                             SimTime now);
     std::uint32_t acquire_tx_slot();
     std::uint32_t grow_tx_slots();
     void release_tx_slot(std::uint32_t slot);
@@ -297,6 +336,7 @@ class Channel {
     PhyParams params_;
     EngineState state_;
     std::vector<Radio*> radios_;
+    std::vector<Sense> sense_;  ///< carrier-sense rows, indexed like radios_
     Stats stats_;
     std::uint64_t next_tx_id_{1};
     std::vector<SnoopFn> taps_;
@@ -315,8 +355,18 @@ class Channel {
     /// a newly registered radio is bucketed by the next transmission.
     bool swept_once_{false};
     SimTime last_sweep_{};
-    std::vector<std::uint32_t> candidates_;   ///< per-tx scratch
-    std::vector<std::uint32_t> merge_buf_;    ///< per-tx merge scratch
+    std::vector<InRange> runs_;       ///< per-tx filtered runs, back to back
+    std::vector<InRange> merged_;     ///< per-tx merge scratch
+    std::vector<InRange> merge_buf_;  ///< per-tx merge scratch
 };
+
+inline std::int32_t& Radio::energy_count() { return channel_.sense_[index_].energy; }
+
+inline bool Radio::energy_busy() const { return channel_.sense_[index_].energy > 0; }
+
+inline void Radio::refresh_quiet() {
+    const bool edges_act = wants_edges_ && (on_busy_ || on_idle_);
+    channel_.sense_[index_].quiet = receptions_.empty() && !edges_act;
+}
 
 }  // namespace geoanon::phy

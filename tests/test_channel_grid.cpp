@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "experiment/json.hpp"
@@ -313,6 +317,100 @@ TEST(ChannelGrid, ReceiversInAllNineCellsHearInRegistrationOrder) {
     std::vector<std::uint32_t> expected = all_nine;
     expected.push_back(late);
     EXPECT_EQ(order, expected);
+}
+
+TEST(ChannelGrid, FilteredRunsKeepRegistrationOrder) {
+    // Each bucket is filtered by cs_range_m before the merge. Radios sit in
+    // all 9 cells around the sender, registered out of cell order with the
+    // sender in the middle, some beyond cs_range_m in the same cells as
+    // radios within it. Half of them have a busy hook (not quiet), half do
+    // not (quiet). In round 2 three receivers jump beyond cs_range_m inside
+    // their cells, which leaves buckets with no radio in range. Busy edges
+    // and on_rx must follow ascending registration index over exactly the
+    // radios the distance arithmetic puts in range, and every radio's
+    // carrier sense mid-frame must match it.
+    PhyParams p;
+    p.range_m = 400.0;
+    Rig rig(p);
+    const double cell = p.cs_range_m + p.grid_max_speed_mps * p.grid_rebucket_interval.to_seconds();
+    const Vec2 c{cell / 2, cell / 2};
+    struct Spot {
+        Vec2 round1;  // offset from the sender
+        Vec2 round2;
+        bool busy_hook;
+    };
+    const std::vector<Spot> spots{
+        {{+290, +290}, {+290, +290}, true},    // (1,1) sense
+        {{+600, 0}, {+600, 0}, false},         // (1,0) beyond
+        {{-290, 0}, {-290, 0}, false},         // (-1,0) decode
+        {{+290, -290}, {+700, -540}, true},    // (1,-1) sense, then beyond
+        {{-560, +560}, {-560, +560}, true},    // (-1,1) beyond
+        {{+100, +50}, {+100, +50}, true},      // (0,0) decode
+        {{}, {}, false},                       // the sender
+        {{0, +400}, {0, +400}, false},         // (0,1) decode
+        {{-500, -500}, {-500, -500}, false},   // (-1,-1) beyond
+        {{-290, +290}, {-540, +700}, false},   // (-1,1) sense, then beyond
+        {{0, -299}, {0, -299}, true},          // (0,-1) decode
+        {{+350, 0}, {+350, 0}, true},          // (1,0) decode
+        {{-300, -300}, {-520, -520}, true},    // (-1,-1) sense, then beyond
+        {{-100, +560}, {-100, +560}, true},    // (0,1) beyond
+        {{+700, -560}, {+700, -560}, false},   // (1,-1) beyond
+    };
+    constexpr std::uint32_t kSender = 6;
+    std::vector<std::uint32_t> busy_order, rx_order;
+    std::vector<test_support::TeleportMobility*> movers;
+    for (std::uint32_t i = 0; i < spots.size(); ++i) {
+        const Vec2 at{c.x + spots[i].round1.x, c.y + spots[i].round1.y};
+        movers.push_back(&rig.add_teleport(at));
+        if (i == kSender) continue;
+        std::function<void()> on_busy;
+        if (spots[i].busy_hook) on_busy = [&busy_order, i] { busy_order.push_back(i); };
+        rig.radios[i]->set_mac_hooks(std::move(on_busy), nullptr,
+                                     [&rx_order, i](const Frame&) { rx_order.push_back(i); });
+    }
+    const auto cell_of = [cell](Vec2 v) {
+        return std::pair{static_cast<int>(std::floor(v.x / cell)),
+                         static_cast<int>(std::floor(v.y / cell))};
+    };
+
+    for (int round = 1; round <= 2; ++round) {
+        std::vector<std::uint32_t> want_busy, want_rx;
+        std::vector<bool> want_sense(spots.size(), false);
+        std::set<std::pair<int, int>> cells, cells_in_range;
+        for (std::uint32_t i = 0; i < spots.size(); ++i) {
+            if (i == kSender) continue;
+            const Vec2 off = round == 1 ? spots[i].round1 : spots[i].round2;
+            const Vec2 at{c.x + off.x, c.y + off.y};
+            movers[i]->move_to(at);
+            const double d = util::distance(c, at);
+            cells.insert(cell_of(at));
+            if (d > p.cs_range_m) continue;
+            cells_in_range.insert(cell_of(at));
+            want_sense[i] = true;
+            if (spots[i].busy_hook) want_busy.push_back(i);
+            if (d <= p.range_m) want_rx.push_back(i);
+        }
+        ASSERT_EQ(cells.size(), 9u);
+        ASSERT_EQ(cells_in_range.size(), round == 1 ? 9u : 6u);
+
+        busy_order.clear();
+        rx_order.clear();
+        std::vector<bool> sense(spots.size(), false);
+        // Each round starts a rebucket interval after the last one began.
+        const SimTime t0 = p.grid_rebucket_interval * round;
+        const SimTime air = p.airtime(100);
+        rig.sim.at(t0, [&] { rig.radios[kSender]->start_tx(rig.frame()); });
+        rig.sim.at(t0 + SimTime::nanos(air.ns() / 2), [&] {
+            for (std::uint32_t i = 0; i < spots.size(); ++i)
+                if (i != kSender) sense[i] = rig.radios[i]->energy_busy();
+        });
+        rig.sim.run_until(t0 + air * 2);
+        EXPECT_EQ(busy_order, want_busy) << "round " << round;
+        EXPECT_EQ(rx_order, want_rx) << "round " << round;
+        EXPECT_EQ(sense, want_sense) << "round " << round;
+        for (std::uint32_t i = 0; i < spots.size(); ++i)
+            EXPECT_FALSE(rig.radios[i]->energy_busy()) << "radio " << i << " round " << round;
+    }
 }
 
 TEST(ChannelGrid, ReceiversMatchGeometricOracle) {

@@ -278,6 +278,122 @@ TEST(Phy, IdleMacSchedulesNothingWhileCarrierSenseFollowsTheMedium) {
     EXPECT_EQ(mac.queue_length(), 0u);
 }
 
+TEST(Phy, QuietRadioWakesForAnEnqueueMidFrame) {
+    // The radio sits 400 m from the sender: it senses the frame but cannot
+    // decode it, and with its edges off it is quiet when the frame starts,
+    // so the channel counts that energy on the radio's sense row alone.
+    // Turning edges on mid-frame must see the medium busy, then get exactly
+    // one on_idle, at the frame's end.
+    Rig rig;
+    Radio& tx = rig.add({0, 0});
+    Radio& rx = rig.add({400, 0});
+    int busy = 0;
+    std::vector<SimTime> idles;
+    rx.set_mac_hooks([&] { ++busy; }, [&] { idles.push_back(rig.sim.now()); }, nullptr);
+    rx.set_wants_edges(false);
+    const SimTime air = rig.channel.params().airtime(1000);
+    bool busy_mid = false;
+    rig.sim.at(SimTime::zero(), [&] { tx.start_tx(rig.frame(1000)); });
+    rig.sim.at(SimTime::nanos(air.ns() / 2), [&] {
+        rx.set_wants_edges(true);
+        busy_mid = rx.energy_busy();
+    });
+    rig.sim.run();
+    EXPECT_TRUE(busy_mid);
+    EXPECT_EQ(busy, 0);
+    EXPECT_EQ(idles, std::vector<SimTime>{air});
+    EXPECT_FALSE(rx.energy_busy());
+    EXPECT_TRUE(rig.received[1].empty());
+}
+
+TEST(Phy, QuietMacEnqueuingMidFrameSendsAfterEndPlusDifs) {
+    // As above with the real MAC: it is idle (edges off) and 400 m from the
+    // foreign sender when the frame starts, enqueues mid-frame, and must
+    // defer until the frame ends plus DIFS (50 us), then send once.
+    sim::Simulator sim;
+    Channel channel(sim, PhyParams{});
+    mobility::StationaryMobility at_tx({0, 0});
+    mobility::StationaryMobility at_mac({400, 0});
+    Radio tx(sim, channel, at_tx);
+    Radio radio(sim, channel, at_mac);
+    mac::Mac80211 mac(sim, radio, /*addr=*/2, mac::MacParams{}, util::Rng(11));
+    std::vector<SimTime> mac_tx_starts;
+    channel.add_snoop([&](const Frame&, const Vec2& pos) {
+        if (pos == at_mac.position_at(sim.now())) mac_tx_starts.push_back(sim.now());
+    });
+    Frame foreign;
+    foreign.src = 1;
+    foreign.dst = 9;
+    foreign.wire_bytes = 2000;
+    const SimTime air = channel.params().airtime(foreign.wire_bytes);
+    sim.at(SimTime::zero(), [&] { tx.start_tx(foreign); });
+    sim.at(SimTime::nanos(air.ns() / 2), [&] {
+        auto pkt = net::make_packet();
+        pkt->wire_bytes = 64;
+        EXPECT_TRUE(mac.send_broadcast(std::move(pkt)));
+    });
+    sim.run_until(1_s);
+    ASSERT_EQ(mac_tx_starts.size(), 1u);
+    EXPECT_GE(mac_tx_starts[0], air + 50_us);
+    EXPECT_EQ(mac.stats().data_sent, 1u);
+    EXPECT_EQ(mac.queue_length(), 0u);
+}
+
+TEST(Phy, CarrierSenseOutlastsTheLastReception) {
+    // A long undecodable frame (from 400 m) starts while the radio is
+    // quiet; a decodable one (from 100 m) then starts and ends inside it.
+    // When that reception ends the radio is quiet again, yet its energy
+    // count still holds the long frame: energy_busy() stays true until the
+    // long frame ends.
+    Rig rig;
+    Radio& rx = rig.add({0, 0});
+    Radio& far = rig.add({-400, 0});
+    Radio& near = rig.add({100, 0});
+    const SimTime long_air = rig.channel.params().airtime(2000);
+    const SimTime short_air = rig.channel.params().airtime(100);
+    const SimTime near_start = 100_us;
+    ASSERT_LT(near_start + short_air, long_air);
+    std::vector<bool> busy;
+    rig.sim.at(SimTime::zero(), [&] { far.start_tx(rig.frame(2000)); });
+    rig.sim.at(near_start, [&] { near.start_tx(rig.frame(100)); });
+    for (const SimTime t : {near_start + short_air + 1_us, long_air - 1_us, long_air + 1_us})
+        rig.sim.at(t, [&] { busy.push_back(rx.energy_busy()); });
+    rig.sim.run();
+    EXPECT_EQ(busy, (std::vector<bool>{true, true, false}));
+    EXPECT_TRUE(rig.received[0].empty());
+    EXPECT_EQ(rx.stats().frames_corrupted, 1u);
+}
+
+TEST(Phy, NullEdgeHooksStillTrackCarrierSense) {
+    // A radio with no busy/idle hooks (the scaling bench's beacon radios)
+    // is quiet whether or not it wants edges; its energy_busy() must still
+    // follow decodable, undecodable and its own frames.
+    Rig rig;
+    Radio& rx = rig.add({0, 0});
+    Radio& near = rig.add({100, 0});
+    Radio& far = rig.add({400, 0});
+    rx.set_mac_hooks(nullptr, nullptr, nullptr);
+    const SimTime air = rig.channel.params().airtime(100);
+    const SimTime half = SimTime::nanos(air.ns() / 2);
+    std::vector<bool> busy;
+    const auto probe = [&](SimTime t) { rig.sim.at(t, [&] { busy.push_back(rx.energy_busy()); }); };
+    rig.sim.at(SimTime::zero(), [&] { near.start_tx(rig.frame()); });
+    probe(half);
+    probe(air + 1_us);
+    rig.sim.at(air * 2, [&] { far.start_tx(rig.frame()); });
+    probe(air * 2 + half);
+    probe(air * 3 + 1_us);
+    rig.sim.at(air * 4, [&] {
+        rx.set_wants_edges(false);
+        rx.start_tx(rig.frame());
+    });
+    probe(air * 4 + half);
+    probe(air * 5 + 1_us);
+    rig.sim.run();
+    EXPECT_EQ(busy, (std::vector<bool>{true, false, true, false, true, false}));
+    EXPECT_EQ(rig.received[1].size(), 1u);  // near heard rx's own frame
+}
+
 TEST(Phy, TransmittingWhileReceivingCorrupts) {
     Rig rig;
     Radio& a = rig.add({0, 0});
