@@ -20,18 +20,16 @@ bool gate(const Tracklet& a, const Tracklet& b, const LinkerParams& p, double& c
     return true;
 }
 
-/// Candidate predecessor→successor pair, ordered by plausibility. The full
-/// tuple tie-break keeps the global matching independent of enumeration
-/// order (and therefore deterministic across platforms).
+/// Candidate predecessor→successor pair, ordered by plausibility:
+/// (cost, gap, from, to). The full tuple tie-break keeps the global matching
+/// independent of enumeration order (and therefore deterministic across
+/// platforms). The gap is recomputed from the tracklets on a cost tie rather
+/// than stored, which keeps a pair at 16 bytes: the strong attacker holds
+/// every gate-passing pair of the run.
 struct Pair {
     double cost;
-    double gap;
     std::uint32_t from;
     std::uint32_t to;
-
-    bool operator<(const Pair& o) const {
-        return std::tie(cost, gap, from, to) < std::tie(o.cost, o.gap, o.from, o.to);
-    }
 };
 
 }  // namespace
@@ -97,10 +95,19 @@ LinkResult link_pseudonyms(std::vector<HelloSighting> sightings,
         // Strong attacker: enumerate every gate-passing pair, then commit
         // links globally in cost order so a cheap link is never preempted by
         // an earlier greedy mistake elsewhere.
+        //
+        // Each successor's pairs form one contiguous segment, kept as a
+        // min-heap; a heap of segments keyed by their cheapest pair yields
+        // the pairs in global order. Committing a link retires its
+        // successor's whole segment, and those pairs are exactly the ones a
+        // cost-sorted scan would skip for `pred[to] != n`, so the links are
+        // those of the full sort without sorting every pair.
         std::vector<Pair> pairs;
+        std::vector<std::uint32_t> seg_begin, seg_end;
         for (std::uint32_t bi = 0; bi < n; ++bi) {
             const std::uint32_t b = by_begin[bi];
             const Tracklet& tb = r.tracklets[b];
+            const auto first = static_cast<std::uint32_t>(pairs.size());
             const auto lo = std::lower_bound(end_times.begin(), end_times.end(),
                                              tb.t_begin - params.max_gap_s);
             for (auto it = lo; it != end_times.end() && *it < tb.t_begin; ++it) {
@@ -110,12 +117,46 @@ LinkResult link_pseudonyms(std::vector<HelloSighting> sightings,
                 if (!gate(r.tracklets[a], tb, params, cost)) continue;
                 ++r.candidate_pairs;
                 ++pred_count[b];
-                pairs.push_back({cost, tb.t_begin - r.tracklets[a].t_end, a, b});
+                pairs.push_back({cost, a, b});
             }
+            if (pairs.size() == first) continue;
+            seg_begin.push_back(first);
+            seg_end.push_back(static_cast<std::uint32_t>(pairs.size()));
         }
-        std::sort(pairs.begin(), pairs.end());
-        for (const Pair& p : pairs) {
-            if (succ[p.from] != n || pred[p.to] != n) continue;
+        const auto pair_less = [&](const Pair& x, const Pair& y) {
+            if (x.cost != y.cost) return x.cost < y.cost;
+            const double gx = r.tracklets[x.to].t_begin - r.tracklets[x.from].t_end;
+            const double gy = r.tracklets[y.to].t_begin - r.tracklets[y.from].t_end;
+            return std::tie(gx, x.from, x.to) < std::tie(gy, y.from, y.to);
+        };
+        // Min-heaps through the std max-heap algorithms: invert the order.
+        const auto pair_after = [&](const Pair& x, const Pair& y) { return pair_less(y, x); };
+        const auto seg_after = [&](std::uint32_t x, std::uint32_t y) {
+            return pair_less(pairs[seg_begin[y]], pairs[seg_begin[x]]);
+        };
+        std::vector<std::uint32_t> heads(seg_begin.size());
+        for (std::uint32_t s = 0; s < heads.size(); ++s) {
+            heads[s] = s;
+            std::make_heap(pairs.begin() + seg_begin[s], pairs.begin() + seg_end[s],
+                           pair_after);
+        }
+        std::make_heap(heads.begin(), heads.end(), seg_after);
+        while (!heads.empty()) {
+            std::pop_heap(heads.begin(), heads.end(), seg_after);
+            const std::uint32_t s = heads.back();
+            const Pair p = pairs[seg_begin[s]];
+            if (succ[p.from] != n) {
+                // Predecessor taken by a cheaper link: try this successor's
+                // next-cheapest pair, if it has one.
+                std::pop_heap(pairs.begin() + seg_begin[s], pairs.begin() + seg_end[s],
+                              pair_after);
+                if (--seg_end[s] != seg_begin[s])
+                    std::push_heap(heads.begin(), heads.end(), seg_after);
+                else
+                    heads.pop_back();
+                continue;
+            }
+            heads.pop_back();  // successor matched: its segment retires
             succ[p.from] = p.to;
             pred[p.to] = p.from;
             r.links.push_back({p.from, p.to, r.tracklets[p.to].t_begin,

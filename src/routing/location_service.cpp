@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,9 +18,10 @@ using util::ByteWriter;
 
 namespace {
 
-// FNV-1a over store keys for anti-entropy digests. Anonymous keys are hex of
-// the encrypted index E_{K_B}(A,B); plain keys are tagged subject ids (the
-// subject is already cleartext on DLM updates, so hashing leaks nothing new).
+// FNV-1a over store keys for anti-entropy digests. Anonymous rows hash the
+// lowercase hex of the encrypted index E_{K_B}(A,B); plain keys are tagged
+// subject ids (the subject is already cleartext on DLM updates, so hashing
+// leaks nothing new).
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -31,9 +33,15 @@ std::uint64_t fnv1a(std::uint64_t h, const std::uint8_t* p, std::size_t n) {
     return h;
 }
 
-std::uint64_t anon_key_hash(const std::string& hex_key) {
-    return fnv1a(kFnvOffset, reinterpret_cast<const std::uint8_t*>(hex_key.data()),
-                 hex_key.size());
+std::uint64_t anon_key_hash(std::span<const std::uint8_t> index) {
+    static constexpr char digits[] = "0123456789abcdef";
+    std::uint64_t h = kFnvOffset;
+    for (const std::uint8_t b : index) {
+        const std::uint8_t hex[2] = {static_cast<std::uint8_t>(digits[b >> 4]),
+                                     static_cast<std::uint8_t>(digits[b & 0xF])};
+        h = fnv1a(h, hex, 2);
+    }
+    return h;
 }
 
 std::uint64_t plain_key_hash(net::NodeId subject) {
@@ -393,10 +401,13 @@ void LocationService::store_row(const PacketPtr& pkt) {
             auto index = r.bytes();
             auto payload = r.bytes();
             if (!index || !payload) return;
-            const std::string key = util::to_hex(*index);
-            auto it = anon_store_.find(key);
-            if (it == anon_store_.end() || it->second.expires < expires) {
-                anon_store_[key] = AnonRow{std::move(*payload), pkt->grid, expires};
+            auto [it, inserted] = anon_store_.try_emplace(std::move(*index));
+            AnonRow& row = it->second;
+            if (inserted) row.digest_hash = anon_key_hash(it->first);
+            if (inserted || row.expires < expires) {
+                row.payload = std::move(*payload);
+                row.grid = pkt->grid;
+                row.expires = expires;
                 fresh = true;
             }
         }
@@ -438,7 +449,7 @@ void LocationService::answer_request(const PacketPtr& pkt) {
     // Read repair (anti-entropy): when a neighbor asked for help after its
     // own miss, re-replicate what we serve so the asking replica recovers
     // the row without waiting for the next digest round.
-    std::vector<std::string> repair_keys;
+    std::vector<Bytes> repair_keys;
     std::optional<NodeId> repair_subject;
 
     // Serve according to the REQUEST's format (heterogeneous §3.3).
@@ -457,8 +468,7 @@ void LocationService::answer_request(const PacketPtr& pkt) {
         reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
         repair_subject = pkt->ls_subject;
     } else if (!pkt->ls_index.empty()) {
-        const std::string key = util::to_hex(pkt->ls_index);
-        auto it = anon_store_.find(key);
+        auto it = anon_store_.find(pkt->ls_index);
         bool stale = false;
         if (it == anon_store_.end() || !servable(it->second.expires, stale)) {
             ++stats_.store_misses;
@@ -471,7 +481,7 @@ void LocationService::answer_request(const PacketPtr& pkt) {
         rows.bytes(it->second.payload);
         reply->ls_payload = rows.take();
         reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
-        repair_keys.push_back(key);
+        repair_keys.push_back(it->first);
     } else {  // index-free: return every servable row of this grid
         ByteWriter rows;
         std::uint32_t count = 0;
@@ -528,7 +538,7 @@ void LocationService::serve(const PacketPtr& pkt) {
     const bool indexed_req = !pkt->ls_index.empty();
     const bool have =
         (plain_req && plain_store_.contains(pkt->ls_subject)) ||
-        (indexed_req && anon_store_.contains(util::to_hex(pkt->ls_index))) ||
+        (indexed_req && anon_store_.contains(pkt->ls_index)) ||
         (!plain_req && !indexed_req && !anon_store_.empty());
     if (have) {
         answer_request(pkt);
@@ -603,8 +613,7 @@ void LocationService::on_reply(const PacketPtr& pkt) {
     });
 }
 
-void LocationService::push_anon_rows(std::uint32_t grid,
-                                     const std::vector<std::string>& keys) {
+void LocationService::push_anon_rows(std::uint32_t grid, const std::vector<Bytes>& keys) {
     auto pkt = net::make_packet();
     pkt->type = net::PacketType::kLocReplicate;
     pkt->grid = grid;
@@ -619,12 +628,10 @@ void LocationService::push_anon_rows(std::uint32_t grid,
     // most conservative remaining TTL of the batch — gossip must never
     // extend a row's life beyond what the updater authorized.
     SimTime min_expires = SimTime::max();
-    for (const std::string& key : keys) {
+    for (const Bytes& key : keys) {
         auto it = anon_store_.find(key);
         if (it == anon_store_.end()) continue;
-        auto index = util::from_hex(key);
-        if (!index) continue;
-        body.bytes(*index);
+        body.bytes(key);
         body.bytes(it->second.payload);
         min_expires = std::min(min_expires, it->second.expires);
         ++count;
@@ -673,7 +680,7 @@ void LocationService::send_digest(std::uint32_t grid) {
     for (const auto& [key, row] : anon_store_) {
         if (row.grid != grid) continue;
         pkt->ls_digest.push_back(
-            {anon_key_hash(key), static_cast<std::uint64_t>(row.expires.ns())});
+            {row.digest_hash, static_cast<std::uint64_t>(row.expires.ns())});
     }
     // geoanon-lint: allow(unordered-iter) -- digest rows are an unordered SET compared hash-by-hash at the receiver; wire order cannot reach any decision or output
     for (const auto& [subject, row] : plain_store_) {
@@ -693,7 +700,7 @@ void LocationService::handoff_grid(std::uint32_t grid) {
     // rows would otherwise be lost to the grid. Push them to whoever is
     // still inside before stepping down (the rows themselves stay until
     // they expire; we just stop serving/gossiping them).
-    std::vector<std::string> keys;
+    std::vector<Bytes> keys;
     for (const auto& [key, row] : anon_store_)
         if (row.grid == grid) keys.push_back(key);
     if (!keys.empty()) push_anon_rows(grid, keys);
@@ -743,30 +750,45 @@ void LocationService::on_digest(const PacketPtr& pkt) {
     // every round.
     const SimTime margin = SimTime::seconds(1.0);
 
-    std::unordered_map<std::uint64_t, std::uint64_t> peer;
-    peer.reserve(pkt->ls_digest.size());
-    for (const auto& row : pkt->ls_digest) peer.emplace(row.key_hash, row.expires_ns);
+    // The sender's rows sorted by hash; the first row of a repeated hash
+    // wins, and peer.size() counts distinct hashes.
+    using PeerRow = net::Packet::LsDigestRow;
+    std::vector<PeerRow> peer(pkt->ls_digest);
+    const auto by_hash = [](const PeerRow& x, const PeerRow& y) {
+        return x.key_hash < y.key_hash;
+    };
+    std::stable_sort(peer.begin(), peer.end(), by_hash);
+    peer.erase(std::unique(peer.begin(), peer.end(),
+                           [](const PeerRow& x, const PeerRow& y) {
+                               return x.key_hash == y.key_hash;
+                           }),
+               peer.end());
+    const auto find_peer = [&](std::uint64_t hash) -> const PeerRow* {
+        auto it = std::lower_bound(peer.begin(), peer.end(), PeerRow{hash, 0}, by_hash);
+        return it != peer.end() && it->key_hash == hash ? &*it : nullptr;
+    };
 
     // Push rows the sender lacks or holds staler than ours.
-    const auto peer_wants = [&](std::uint64_t hash, SimTime expires) {
+    const auto peer_wants = [&](const PeerRow* seen, SimTime expires) {
         if (expires < now) return false;  // nothing to gain from a dead row
-        auto it = peer.find(hash);
-        return it == peer.end() ||
-               SimTime::nanos(static_cast<std::int64_t>(it->second)) + margin < expires;
+        return !seen ||
+               SimTime::nanos(static_cast<std::int64_t>(seen->expires_ns)) + margin < expires;
     };
-    std::vector<std::string> keys;
+    std::vector<Bytes> keys;
     std::uint64_t known_hashes_here = 0;
     for (const auto& [key, row] : anon_store_) {
         if (row.grid != g) continue;
-        if (peer.contains(anon_key_hash(key))) ++known_hashes_here;
-        if (peer_wants(anon_key_hash(key), row.expires)) keys.push_back(key);
+        const PeerRow* seen = find_peer(row.digest_hash);
+        if (seen) ++known_hashes_here;
+        if (peer_wants(seen, row.expires)) keys.push_back(key);
     }
     std::vector<NodeId> subjects;
     // geoanon-lint: allow(unordered-iter) -- collection only; sorted below before anything is emitted
     for (const auto& [subject, row] : plain_store_) {
         if (grid_.home_grid(subject) != g) continue;
-        if (peer.contains(plain_key_hash(subject))) ++known_hashes_here;
-        if (peer_wants(plain_key_hash(subject), row.expires)) subjects.push_back(subject);
+        const PeerRow* seen = find_peer(plain_key_hash(subject));
+        if (seen) ++known_hashes_here;
+        if (peer_wants(seen, row.expires)) subjects.push_back(subject);
     }
     std::sort(subjects.begin(), subjects.end());
     if (!keys.empty()) {

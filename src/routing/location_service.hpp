@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -175,6 +174,9 @@ class LocationService {
         util::Bytes payload;
         std::uint32_t grid;
         SimTime expires;
+        /// Anti-entropy digest hash of the row's index, computed once when
+        /// the row is first stored.
+        std::uint64_t digest_hash{0};
     };
     /// On-air shape of one query round. The degradation ladder walks a
     /// mode-specific sequence of formats, each with its own retry budget:
@@ -217,7 +219,7 @@ class LocationService {
     void on_digest(const PacketPtr& pkt);
     void sweep_expired();
     /// Broadcast the named anonymous rows of `grid` as one kLocReplicate.
-    void push_anon_rows(std::uint32_t grid, const std::vector<std::string>& keys);
+    void push_anon_rows(std::uint32_t grid, const std::vector<util::Bytes>& keys);
     /// Broadcast one plain row as a kLocReplicate (preserves its timestamp).
     void push_plain_row(NodeId subject, const PlainRow& row);
 
@@ -231,7 +233,10 @@ class LocationService {
     sim::PeriodicTimer sweep_timer_;
 
     // Server-side row stores.
-    std::map<std::string, AnonRow> anon_store_;   ///< key: hex(index)
+    /// Keyed by the raw index bytes. Byte order equals the lowercase-hex
+    /// order of the index, so digests, index-free replies and repair pushes
+    /// list rows in hex order.
+    std::map<util::Bytes, AnonRow> anon_store_;
     std::unordered_map<NodeId, PlainRow> plain_store_;
 
     /// Grids this node currently serves (was inside server_radius_m at the

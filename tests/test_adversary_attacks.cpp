@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "adversary/linker.hpp"
 #include "adversary/trajectory.hpp"
 #include "experiment/json.hpp"
+#include "reference/sorted_greedy_linker.hpp"
+#include "util/rng.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -153,6 +156,113 @@ TEST(LinkingAttack, ReportIsDeterministic) {
     EXPECT_EQ(a.tracking_success_rate, b.tracking_success_rate);
     EXPECT_EQ(a.mean_path_error_m, b.mean_path_error_m);
     EXPECT_EQ(a.anonymity_over_time, b.anonymity_over_time);
+}
+
+// ---------------------------------------------------------------------------
+// Differential: the product linker against the sorted-greedy reference.
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult same_result(const adversary::LinkResult& got,
+                                       const adversary::LinkResult& want) {
+    auto fail = [](const char* what, std::size_t i) {
+        return ::testing::AssertionFailure() << what << " differs at " << i;
+    };
+    if (got.sightings.size() != want.sightings.size()) return fail("sightings size", 0);
+    for (std::size_t i = 0; i < got.sightings.size(); ++i) {
+        const auto& a = got.sightings[i];
+        const auto& b = want.sightings[i];
+        if (a.t_s != b.t_s || a.pos != b.pos || a.handle != b.handle)
+            return fail("sighting", i);
+    }
+    if (got.original_index != want.original_index) return fail("original_index", 0);
+    if (got.tracklets.size() != want.tracklets.size()) return fail("tracklets size", 0);
+    for (std::size_t i = 0; i < got.tracklets.size(); ++i) {
+        const auto& a = got.tracklets[i];
+        const auto& b = want.tracklets[i];
+        if (a.handle != b.handle || a.first != b.first || a.count != b.count ||
+            a.t_begin != b.t_begin || a.t_end != b.t_end || a.p_begin != b.p_begin ||
+            a.p_end != b.p_end)
+            return fail("tracklet", i);
+    }
+    if (got.links.size() != want.links.size())
+        return ::testing::AssertionFailure()
+               << "links: " << got.links.size() << " vs " << want.links.size();
+    for (std::size_t i = 0; i < got.links.size(); ++i) {
+        const auto& a = got.links[i];
+        const auto& b = want.links[i];
+        if (a.from != b.from || a.to != b.to || a.t_s != b.t_s ||
+            a.candidates != b.candidates)
+            return fail("link", i);
+    }
+    if (got.candidate_pairs != want.candidate_pairs) return fail("candidate_pairs", 0);
+    if (got.chains.size() != want.chains.size()) return fail("chains size", 0);
+    for (std::size_t i = 0; i < got.chains.size(); ++i)
+        if (got.chains[i].tracklets != want.chains[i].tracklets) return fail("chain", i);
+    if (got.chain_of != want.chain_of) return fail("chain_of", 0);
+    return ::testing::AssertionSuccess();
+}
+
+// Nodes walking straight lines, beaconing about once a second with a fresh
+// handle per beacon or per few beacons: many ambiguous crossings.
+std::vector<adversary::HelloSighting> random_walkers(util::Rng& rng) {
+    std::vector<adversary::HelloSighting> out;
+    const auto nodes = rng.uniform_int(2, 14);
+    std::uint64_t next_handle = 1;
+    for (std::int64_t n = 0; n < nodes; ++n) {
+        util::Vec2 p{rng.uniform(0.0, 300.0), rng.uniform(0.0, 300.0)};
+        const util::Vec2 v{rng.uniform(-15.0, 15.0), rng.uniform(-15.0, 15.0)};
+        const auto run = rng.uniform_int(1, 3);  // beacons per handle
+        double t = rng.uniform(0.0, 1.0);
+        for (std::int64_t k = 0; t < 40.0; ++k) {
+            if (k % run == 0) ++next_handle;
+            if (!rng.bernoulli(0.2))  // silent beacons open gaps
+                out.push_back({t, p, next_handle});
+            const double dt = rng.uniform(0.5, 1.5);
+            p = {p.x + v.x * dt, p.y + v.y * dt};
+            t += dt;
+        }
+    }
+    return out;
+}
+
+// Integer positions on a small grid at integer times with handles drawn from
+// a small pool: equal costs and equal gaps everywhere, so the (cost, gap,
+// from, to) tie-break decides most links.
+std::vector<adversary::HelloSighting> integer_grid(util::Rng& rng) {
+    std::vector<adversary::HelloSighting> out;
+    const auto count = rng.uniform_int(2, 120);
+    const auto handles = rng.uniform_int(2, 60);
+    for (std::int64_t i = 0; i < count; ++i) {
+        out.push_back({static_cast<double>(rng.uniform_int(0, 12)),
+                       {10.0 * static_cast<double>(rng.uniform_int(0, 4)),
+                        10.0 * static_cast<double>(rng.uniform_int(0, 4))},
+                       static_cast<std::uint64_t>(rng.uniform_int(1, handles))});
+    }
+    return out;
+}
+
+TEST(LinkingAttack, HeapMergeMatchesSortedGreedy) {
+    util::Rng rng(0x5EED1234);
+    std::uint64_t links_seen = 0;
+    for (int trial = 0; trial < 400; ++trial) {
+        const bool grid = trial % 2 == 1;
+        const auto sightings = grid ? integer_grid(rng) : random_walkers(rng);
+        adversary::LinkerParams p;
+        p.max_speed_mps = grid ? 10.0 : 20.0;
+        p.slack_m = grid ? 5.0 : 10.0;
+        p.max_gap_s = grid ? 4.0 : 6.0;
+        for (const bool global : {true, false}) {
+            p.global_matching = global;
+            const auto got = adversary::link_pseudonyms(sightings, p);
+            const auto want = reference::link_pseudonyms_sorted(sightings, p);
+            ASSERT_TRUE(same_result(got, want))
+                << "trial " << trial << (grid ? " grid" : " walkers")
+                << (global ? " global" : " greedy");
+            links_seen += got.links.size();
+        }
+    }
+    // The inputs must exercise the matching, not just the bookkeeping.
+    EXPECT_GT(links_seen, 10000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/agfw.hpp"
@@ -10,6 +13,7 @@
 #include "net/network.hpp"
 #include "routing/gpsr.hpp"
 #include "routing/location_service.hpp"
+#include "util/bytes.hpp"
 
 namespace {
 
@@ -540,6 +544,35 @@ struct LsHarness {
         return pkt;
     }
 
+    /// An anonymous update carrying (index, payload) rows for the home grid.
+    std::shared_ptr<Packet> anon_update(
+        const std::vector<std::pair<util::Bytes, util::Bytes>>& rows) {
+        auto pkt = std::make_shared<Packet>();
+        pkt->type = net::PacketType::kLocUpdate;
+        pkt->grid = home;
+        pkt->dst_loc = grid.center_of(home);
+        pkt->created_at = sim.now();
+        util::ByteWriter w;
+        w.u32(static_cast<std::uint32_t>(rows.size()));
+        for (const auto& [index, payload] : rows) {
+            w.bytes(index);
+            w.bytes(payload);
+        }
+        pkt->ls_payload = w.take();
+        pkt->uid = 3000 + broadcast.size();
+        return pkt;
+    }
+
+    /// A one-hop digest from a peer replica of the home grid.
+    std::shared_ptr<Packet> peer_digest(std::vector<Packet::LsDigestRow> rows) {
+        auto pkt = std::make_shared<Packet>();
+        pkt->type = net::PacketType::kLocDigest;
+        pkt->grid = home;
+        pkt->ls_assist = true;
+        pkt->ls_digest = std::move(rows);
+        return pkt;
+    }
+
     /// A plain reply to this node's query `qid`, placing the subject at `loc`.
     std::shared_ptr<Packet> plain_reply(std::uint64_t qid, Vec2 loc = {300, 150}) {
         auto pkt = std::make_shared<Packet>();
@@ -619,6 +652,106 @@ TEST(LsReplica, UnknownPeerRowsTriggerReactiveDigest) {
     EXPECT_EQ(h.ls->stats().digests_sent, 1u);
     ASSERT_EQ(h.count_broadcast(net::PacketType::kLocDigest), 1u);
     EXPECT_TRUE(h.broadcast.back()->ls_digest.empty());
+}
+
+/// FNV-1a over the characters of `s`, the digest hash of an anonymous row
+/// whose index has lowercase hex `s`.
+std::uint64_t fnv1a_of(const std::string& s) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(LsReplica, AnonDigestHashIsFnv1aOfLowercaseHexIndex) {
+    LsHarness h;
+    ASSERT_TRUE(h.ls->handle(h.anon_update({{{0xAB, 0x01, 0xF0}, {0x42}}})));
+    // An unknown advertised hash draws this replica's own digest at once.
+    ASSERT_TRUE(h.ls->handle(h.peer_digest({{0x1234, 1'000'000'000'000ULL}})));
+    ASSERT_EQ(h.count_broadcast(net::PacketType::kLocDigest), 1u);
+    const auto& digest = h.broadcast.back();
+    ASSERT_EQ(digest->type, net::PacketType::kLocDigest);
+    ASSERT_EQ(digest->ls_digest.size(), 1u);
+    EXPECT_EQ(digest->ls_digest[0].key_hash, fnv1a_of("ab01f0"));
+}
+
+TEST(LsStore, AnonRowsAreListedInHexOrderOfTheirIndex) {
+    // Indices straddling 0x9f/0xa0 (hex digits '9' < 'a') and of different
+    // lengths, stored out of order; payload i names index i.
+    const std::vector<util::Bytes> indices = {
+        {0xa0}, {0x9f, 0xff}, {0x0a}, {0x9f}, {0xa0, 0x00}, {0xff}, {0x10, 0x20, 0x30},
+        {0x9f, 0x00, 0x01}, {0x00}};
+    std::vector<std::pair<util::Bytes, util::Bytes>> rows;
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        rows.push_back({indices[i], {static_cast<std::uint8_t>(i)}});
+    LsHarness h;
+    ASSERT_TRUE(h.ls->handle(h.anon_update(rows)));
+    ASSERT_EQ(h.ls->store_size(), indices.size());
+
+    std::vector<std::size_t> hex_order(indices.size());
+    for (std::size_t i = 0; i < hex_order.size(); ++i) hex_order[i] = i;
+    std::sort(hex_order.begin(), hex_order.end(), [&](std::size_t x, std::size_t y) {
+        return util::to_hex(indices[x]) < util::to_hex(indices[y]);
+    });
+
+    // Index-free request: the reply lists every row of the grid.
+    auto req = std::make_shared<Packet>();
+    req->type = net::PacketType::kLocRequest;
+    req->grid = h.home;
+    req->dst_loc = h.grid.center_of(h.home);
+    req->requester_loc = Vec2{10, 10};
+    req->ls_query_id = 0x51;
+    ASSERT_TRUE(h.ls->handle(req));
+    ASSERT_FALSE(h.routed.empty());
+    const auto& reply = h.routed.back();
+    ASSERT_EQ(reply->type, net::PacketType::kLocReply);
+    util::ByteReader r(reply->ls_payload);
+    ASSERT_EQ(r.u32(), indices.size());
+    for (const std::size_t want : hex_order) {
+        const auto payload = r.bytes();
+        ASSERT_TRUE(payload.has_value());
+        EXPECT_EQ(*payload, util::Bytes{static_cast<std::uint8_t>(want)});
+    }
+
+    // The digest walks the store in the same order.
+    ASSERT_TRUE(h.ls->handle(h.peer_digest({{0x1234, 1'000'000'000'000ULL}})));
+    const auto& digest = h.broadcast.back();
+    ASSERT_EQ(digest->type, net::PacketType::kLocDigest);
+    ASSERT_EQ(digest->ls_digest.size(), indices.size());
+    for (std::size_t k = 0; k < hex_order.size(); ++k)
+        EXPECT_EQ(digest->ls_digest[k].key_hash,
+                  fnv1a_of(util::to_hex(indices[hex_order[k]])));
+}
+
+TEST(LsReplica, RepeatedDigestHashFirstRowWinsAndCountsOnce) {
+    const util::Bytes index = {0x9f, 0xa0};
+    const std::uint64_t hash = fnv1a_of("9fa0");
+    constexpr std::uint64_t kFar = 1'000'000'000'000ULL;  // 1000 s: fresher than ours
+    {
+        // First copy fresh: the peer is not behind, so no repair; the hash
+        // counts once, so nothing advertised is unknown here and no
+        // reactive digest goes out.
+        LsHarness h;
+        ASSERT_TRUE(h.ls->handle(h.anon_update({{index, {0x01}}})));
+        ASSERT_TRUE(h.ls->handle(h.peer_digest({{hash, kFar}, {hash, 0}})));
+        EXPECT_EQ(h.ls->stats().repairs_sent, 0u);
+        EXPECT_EQ(h.ls->stats().digests_sent, 0u);
+    }
+    {
+        // First copy stale: the peer is behind and gets the row pushed.
+        LsHarness h;
+        ASSERT_TRUE(h.ls->handle(h.anon_update({{index, {0x01}}})));
+        ASSERT_TRUE(h.ls->handle(h.peer_digest({{hash, 0}, {hash, kFar}})));
+        EXPECT_EQ(h.ls->stats().repairs_sent, 1u);
+        EXPECT_EQ(h.ls->stats().digests_sent, 0u);
+        const auto& push = h.broadcast.back();
+        ASSERT_EQ(push->type, net::PacketType::kLocReplicate);
+        util::ByteReader r(push->ls_payload);
+        ASSERT_EQ(r.u32(), 1u);
+        EXPECT_EQ(r.bytes(), index);
+    }
 }
 
 TEST(LsReplica, HandoffPushesRowsWhenLeavingServerRadius) {
