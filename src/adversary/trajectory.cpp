@@ -55,12 +55,7 @@ struct TrueTrack {
 }  // namespace
 
 void AttackReport::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("adv.hello_observations", hello_observations);
-    reg.add("adv.tracklets", tracklets);
-    reg.add("adv.chains", chains);
-    reg.add("adv.candidate_pairs", candidate_pairs);
-    reg.add("adv.links_made", links_made);
-    reg.add("adv.links_correct", links_correct);
+    reg.add_all(*this);
     reg.set_gauge("adv.link_precision", link_precision);
     reg.set_gauge("adv.link_recall", link_recall);
     reg.set_gauge("adv.tracking_success_rate", tracking_success_rate);

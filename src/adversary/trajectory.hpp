@@ -5,6 +5,7 @@
 
 #include "adversary/linker.hpp"
 #include "adversary/observation.hpp"
+#include "obs/counters.hpp"
 
 namespace geoanon::obs {
 class MetricsRegistry;
@@ -17,16 +18,18 @@ struct AttackParams {
     LinkerParams linker{};
 };
 
+#define GEOANON_ADV_COUNTERS(X)                     \
+    X(hello_observations, "adv.hello_observations") \
+    X(tracklets, "adv.tracklets")                   \
+    X(chains, "adv.chains")                         \
+    X(candidate_pairs, "adv.candidate_pairs")       \
+    X(links_made, "adv.links_made")                 \
+    X(links_correct, "adv.links_correct")
 /// The offline attack's output, scored against ground truth. Every field is
 /// a pure function of the observation log, so identical runs produce
 /// byte-identical reports (and JSON) regardless of --jobs or host.
 struct AttackReport {
-    std::uint64_t hello_observations{0};
-    std::uint64_t tracklets{0};
-    std::uint64_t chains{0};
-    std::uint64_t candidate_pairs{0};
-    std::uint64_t links_made{0};
-    std::uint64_t links_correct{0};
+    GEOANON_COUNTERS(GEOANON_ADV_COUNTERS)
 
     /// Fraction of committed links that join two tracklets of one node.
     double link_precision{0.0};

@@ -2,7 +2,6 @@
 
 #include "core/agfw.hpp"
 #include "net/codec.hpp"
-#include "obs/metrics.hpp"
 
 namespace geoanon::analysis {
 
@@ -217,27 +216,6 @@ void InvariantChecker::sweep() {
         }
     }
     network_.sim().after(kSweepPeriod, [this] { sweep(); });
-}
-
-void InvariantChecker::publish_metrics(obs::MetricsRegistry& reg) const {
-    const Counters& c = counters_;
-    reg.add("inv.frames_checked", c.frames_checked);
-    reg.add("inv.packets_checked", c.packets_checked);
-    reg.add("inv.ant_entries_checked", c.ant_entries_checked);
-    reg.add("inv.sweeps", c.sweeps);
-    reg.add("inv.cleartext_identity", c.cleartext_identity);
-    reg.add("inv.mac_address_exposed", c.mac_address_exposed);
-    reg.add("inv.missing_trapdoor", c.missing_trapdoor);
-    reg.add("inv.unknown_pseudonym", c.unknown_pseudonym);
-    reg.add("inv.stale_pseudonym_target", c.stale_pseudonym_target);
-    reg.add("inv.overlong_ant_ttl", c.overlong_ant_ttl);
-    reg.add("inv.stale_ant_entry", c.stale_ant_entry);
-    reg.add("inv.ack_without_delivery", c.ack_without_delivery);
-    reg.add("inv.codec_reject", c.codec_reject);
-    reg.add("inv.wire_size_mismatch", c.wire_size_mismatch);
-    reg.add("inv.rotated_out_targets", c.rotated_out_targets);
-    reg.add("inv.last_attempt_frames", c.last_attempt_frames);
-    reg.add("inv.plain_ls_fallbacks", c.plain_ls_fallbacks);
 }
 
 }  // namespace geoanon::analysis

@@ -5,12 +5,9 @@
 #include <unordered_set>
 
 #include "net/network.hpp"
+#include "obs/counters.hpp"
 #include "phy/channel.hpp"
 #include "util/time.hpp"
-
-namespace geoanon::obs {
-class MetricsRegistry;
-}
 
 namespace geoanon::analysis {
 
@@ -57,55 +54,57 @@ class InvariantChecker {
         util::SimTime hello_interval{util::SimTime::seconds(1.5)};
     };
 
+    /// The checker's counters in field order, as three sub-lists: volume
+    /// (context for the violation rates), violations, and informational
+    /// counts that are not violations. Counters::violations() and
+    /// ScenarioResult::invariant_violations() both sum the violations list.
+#define GEOANON_INV_VOLUME(X)                         \
+    X(frames_checked, "inv.frames_checked")           \
+    X(packets_checked, "inv.packets_checked")         \
+    X(ant_entries_checked, "inv.ant_entries_checked") \
+    X(sweeps, "inv.sweeps")
+#define GEOANON_INV_VIOLATIONS(X)                                           \
+    /* Cleartext node identity on an anonymous frame (src, dst, or */       \
+    /* location-service subject outside the encrypted row). */              \
+    X(cleartext_identity, "inv.cleartext_identity")                         \
+    /* Real (non-broadcast) MAC address on a frame in anonymous mode. */    \
+    X(mac_address_exposed, "inv.mac_address_exposed")                       \
+    /* AGFW data frame with an empty trapdoor. */                           \
+    X(missing_trapdoor, "inv.missing_trapdoor")                             \
+    /* Committed next-hop pseudonym never announced in any hello. */        \
+    X(unknown_pseudonym, "inv.unknown_pseudonym")                           \
+    /* Committed next-hop pseudonym older than the ANT freshness window. */ \
+    X(stale_pseudonym_target, "inv.stale_pseudonym_target")                 \
+    /* ANT entry promising to outlive the freshness window. */              \
+    X(overlong_ant_ttl, "inv.overlong_ant_ttl")                             \
+    /* Expired ANT entry that survived past a purge cycle. */               \
+    X(stale_ant_entry, "inv.stale_ant_entry")                               \
+    /* ACK naming a uid that never travelled as data. */                    \
+    X(ack_without_delivery, "inv.ack_without_delivery")                     \
+    /* Observed packet the reference codec rejects. */                      \
+    X(codec_reject, "inv.codec_reject")                                     \
+    /* Canonical encoding larger than the accounted wire size. */           \
+    X(wire_size_mismatch, "inv.wire_size_mismatch")
+#define GEOANON_INV_INFO(X)                                                \
+    /* Target pseudonym announced in-window but no longer one of the */    \
+    /* owner's two latest (legitimate rotation race, §3.1.1). */           \
+    X(rotated_out_targets, "inv.rotated_out_targets")                      \
+    /* §3.2 "last forwarding attempt" frames (pseudonym 0). */             \
+    X(last_attempt_frames, "inv.last_attempt_frames")                      \
+    /* §3.3 heterogeneous-fallback requests/replies naming a (public) */   \
+    /* subject id in the clear — the designed privacy/robustness trade, */ \
+    /* not a leak. Updates are different: see cleartext_identity. */       \
+    X(plain_ls_fallbacks, "inv.plain_ls_fallbacks")
+#define GEOANON_INV_COUNTERS(X) \
+    GEOANON_INV_VOLUME(X) GEOANON_INV_VIOLATIONS(X) GEOANON_INV_INFO(X)
+#define GEOANON_INV_PLUS(field, name) +(field)
     struct Counters {
-        // --- volume (context for the violation rates) --------------------
-        std::uint64_t frames_checked{0};
-        std::uint64_t packets_checked{0};
-        std::uint64_t ant_entries_checked{0};
-        std::uint64_t sweeps{0};
-
-        // --- violations ---------------------------------------------------
-        /// Cleartext node identity on an anonymous frame (src, dst, or
-        /// location-service subject outside the encrypted row).
-        std::uint64_t cleartext_identity{0};
-        /// Real (non-broadcast) MAC address on a frame in anonymous mode.
-        std::uint64_t mac_address_exposed{0};
-        /// AGFW data frame with an empty trapdoor.
-        std::uint64_t missing_trapdoor{0};
-        /// Committed next-hop pseudonym never announced in any hello.
-        std::uint64_t unknown_pseudonym{0};
-        /// Committed next-hop pseudonym older than the ANT freshness window.
-        std::uint64_t stale_pseudonym_target{0};
-        /// ANT entry promising to outlive the freshness window.
-        std::uint64_t overlong_ant_ttl{0};
-        /// Expired ANT entry that survived past a purge cycle.
-        std::uint64_t stale_ant_entry{0};
-        /// ACK naming a uid that never travelled as data.
-        std::uint64_t ack_without_delivery{0};
-        /// Observed packet the reference codec rejects.
-        std::uint64_t codec_reject{0};
-        /// Canonical encoding larger than the accounted wire size.
-        std::uint64_t wire_size_mismatch{0};
-
-        // --- informational (not violations) ------------------------------
-        /// Target pseudonym announced in-window but no longer one of the
-        /// owner's two latest (legitimate rotation race, §3.1.1).
-        std::uint64_t rotated_out_targets{0};
-        /// §3.2 "last forwarding attempt" frames (pseudonym 0).
-        std::uint64_t last_attempt_frames{0};
-        /// §3.3 heterogeneous-fallback requests/replies naming a (public)
-        /// subject id in the clear — the designed privacy/robustness trade,
-        /// not a leak. Updates are different: see cleartext_identity.
-        std::uint64_t plain_ls_fallbacks{0};
+        GEOANON_COUNTERS(GEOANON_INV_COUNTERS)
 
         /// Sum of all violation counters.
-        std::uint64_t violations() const {
-            return cleartext_identity + mac_address_exposed + missing_trapdoor +
-                   unknown_pseudonym + stale_pseudonym_target + overlong_ant_ttl +
-                   stale_ant_entry + ack_without_delivery + codec_reject +
-                   wire_size_mismatch;
-        }
+        std::uint64_t violations() const { return 0 GEOANON_INV_VIOLATIONS(GEOANON_INV_PLUS); }
     };
+#undef GEOANON_INV_PLUS
 
     InvariantChecker(net::Network& network, Params params);
 
@@ -114,8 +113,6 @@ class InvariantChecker {
     void attach();
 
     const Counters& counters() const { return counters_; }
-    /// Publish every counter as inv.<field>.
-    void publish_metrics(obs::MetricsRegistry& reg) const;
 
   private:
     struct Announce {

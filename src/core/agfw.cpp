@@ -752,32 +752,7 @@ void AgfwAgent::on_mac_tx_done(const PacketPtr& /*pkt*/, MacAddr /*dst*/,
 }
 
 void AgfwAgent::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("agfw.app_sent", stats_.app_sent);
-    reg.add("agfw.delivered", stats_.delivered);
-    reg.add("agfw.forwarded", stats_.forwarded);
-    reg.add("agfw.retransmissions", stats_.retransmissions);
-    reg.add("agfw.drop_no_route", stats_.drop_no_route);
-    reg.add("agfw.drop_unreachable", stats_.drop_unreachable);
-    reg.add("agfw.drop_no_location", stats_.drop_no_location);
-    reg.add("agfw.stop_no_route", stats_.stop_no_route);
-    reg.add("agfw.last_attempts", stats_.last_attempts);
-    reg.add("agfw.trapdoor_attempts", stats_.trapdoor_attempts);
-    reg.add("agfw.trapdoor_opens", stats_.trapdoor_opens);
-    reg.add("agfw.acks_sent", stats_.acks_sent);
-    reg.add("agfw.implicit_acks", stats_.implicit_acks);
-    reg.add("agfw.explicit_acks_received", stats_.explicit_acks_received);
-    reg.add("agfw.hello_sent", stats_.hello_sent);
-    reg.add("agfw.hello_verified", stats_.hello_verified);
-    reg.add("agfw.hello_rejected", stats_.hello_rejected);
-    reg.add("agfw.hello_suppressed", stats_.hello_suppressed);
-    reg.add("agfw.pseudonym_rotations", stats_.pseudonym_rotations);
-    reg.add("agfw.cert_fetches", stats_.cert_fetches);
-    reg.add("agfw.control_bytes", stats_.control_bytes);
-    reg.add("agfw.data_bytes", stats_.data_bytes);
-    reg.add("agfw.perimeter_entries", stats_.perimeter_entries);
-    reg.add("agfw.perimeter_forwards", stats_.perimeter_forwards);
-    reg.add("agfw.perimeter_recoveries", stats_.perimeter_recoveries);
-    reg.add("agfw.perimeter_ttl_drops", stats_.perimeter_ttl_drops);
+    reg.add_all(stats_);
     if (ls_) ls_->publish_metrics(reg);
 }
 

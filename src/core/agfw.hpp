@@ -14,6 +14,7 @@
 #include "crypto/engine.hpp"
 #include "net/network.hpp"
 #include "net/node.hpp"
+#include "obs/counters.hpp"
 #include "routing/location_service.hpp"
 #include "sim/simulator.hpp"
 
@@ -93,35 +94,38 @@ class AgfwAgent final : public net::RoutingAgent {
         bool enable_perimeter{false};
     };
 
+#define GEOANON_AGFW_COUNTERS(X)                                                        \
+    X(app_sent, "agfw.app_sent")                                                        \
+    X(delivered, "agfw.delivered")                                                      \
+    X(forwarded, "agfw.forwarded") /* data broadcasts (first copies) */                 \
+    X(retransmissions, "agfw.retransmissions") /* NL-ACK driven rebroadcasts */         \
+    X(drop_no_route, "agfw.drop_no_route") /* greedy local maximum */                   \
+    X(drop_unreachable, "agfw.drop_unreachable") /* NL-ACK + reroutes exhausted */      \
+    X(drop_no_location, "agfw.drop_no_location")                                        \
+    X(stop_no_route, "agfw.stop_no_route") /* committed relay stuck (diag) */           \
+    X(last_attempts, "agfw.last_attempts")                                              \
+    X(trapdoor_attempts, "agfw.trapdoor_attempts")                                      \
+    X(trapdoor_opens, "agfw.trapdoor_opens")                                            \
+    X(acks_sent, "agfw.acks_sent")                                                      \
+    X(implicit_acks, "agfw.implicit_acks")                                              \
+    X(explicit_acks_received, "agfw.explicit_acks_received")                            \
+    X(hello_sent, "agfw.hello_sent")                                                    \
+    X(hello_verified, "agfw.hello_verified")                                            \
+    X(hello_rejected, "agfw.hello_rejected")                                            \
+    /* Hello slots skipped by the pseudonym policy (mix-zone / VPC */                   \
+    /* silence) — the visibility cost of the countermeasure. */                         \
+    X(hello_suppressed, "agfw.hello_suppressed")                                        \
+    X(pseudonym_rotations, "agfw.pseudonym_rotations")                                  \
+    X(cert_fetches, "agfw.cert_fetches") /* unknown ring certs fetched (§4) */          \
+    X(control_bytes, "agfw.control_bytes") /* hellos + ACKs + cert traffic */           \
+    X(data_bytes, "agfw.data_bytes")                                                    \
+    X(perimeter_entries, "agfw.perimeter_entries") /* greedy failures recovered into */ \
+    X(perimeter_forwards, "agfw.perimeter_forwards")                                    \
+    /* returned to greedy closer to D */                                                \
+    X(perimeter_recoveries, "agfw.perimeter_recoveries")                                \
+    X(perimeter_ttl_drops, "agfw.perimeter_ttl_drops")
     struct Stats {
-        std::uint64_t app_sent{0};
-        std::uint64_t delivered{0};
-        std::uint64_t forwarded{0};          ///< data broadcasts (first copies)
-        std::uint64_t retransmissions{0};    ///< NL-ACK driven rebroadcasts
-        std::uint64_t drop_no_route{0};      ///< greedy local maximum
-        std::uint64_t drop_unreachable{0};   ///< NL-ACK + reroutes exhausted
-        std::uint64_t drop_no_location{0};
-        std::uint64_t stop_no_route{0};      ///< committed relay stuck (diag)
-        std::uint64_t last_attempts{0};
-        std::uint64_t trapdoor_attempts{0};
-        std::uint64_t trapdoor_opens{0};
-        std::uint64_t acks_sent{0};
-        std::uint64_t implicit_acks{0};
-        std::uint64_t explicit_acks_received{0};
-        std::uint64_t hello_sent{0};
-        std::uint64_t hello_verified{0};
-        std::uint64_t hello_rejected{0};
-        /// Hello slots skipped by the pseudonym policy (mix-zone / VPC
-        /// silence) — the visibility cost of the countermeasure.
-        std::uint64_t hello_suppressed{0};
-        std::uint64_t pseudonym_rotations{0};
-        std::uint64_t cert_fetches{0};       ///< unknown ring certs fetched (§4)
-        std::uint64_t control_bytes{0};      ///< hellos + ACKs + cert traffic
-        std::uint64_t data_bytes{0};
-        std::uint64_t perimeter_entries{0};  ///< greedy failures recovered into
-        std::uint64_t perimeter_forwards{0};
-        std::uint64_t perimeter_recoveries{0};  ///< returned to greedy closer to D
-        std::uint64_t perimeter_ttl_drops{0};
+        GEOANON_COUNTERS(GEOANON_AGFW_COUNTERS)
     };
 
     using DeliverFn = std::function<void(NodeId, const Packet&)>;

@@ -273,15 +273,7 @@ bool FaultInjector::should_drop(const Vec2& tx_pos, const Vec2& rx_pos) {
 }
 
 void FaultInjector::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("fault.faults_injected", stats_.faults_injected);
-    reg.add("fault.node_crashes", stats_.node_crashes);
-    reg.add("fault.node_recoveries", stats_.node_recoveries);
-    reg.add("fault.als_outages", stats_.als_outages);
-    reg.add("fault.churn_skipped", stats_.churn_skipped);
-    reg.add("fault.server_flap_cycles", stats_.server_flap_cycles);
-    reg.add("fault.frames_lost_loss_burst", stats_.frames_lost_loss_burst);
-    reg.add("fault.frames_lost_jam", stats_.frames_lost_jam);
-    reg.add("fault.frames_lost_partition", stats_.frames_lost_partition);
+    reg.add_all(stats_);
     reg.observe_all("fault.recovery_s", stats_.recovery_s);
     reg.observe_all("fault.recovery_crash_s", stats_.recovery_crash_s);
     reg.observe_all("fault.recovery_churn_s", stats_.recovery_churn_s);

@@ -6,9 +6,14 @@
 #include <vector>
 
 #include "net/network.hpp"
+#include "obs/counters.hpp"
 #include "util/stats.hpp"
 #include "util/time.hpp"
 #include "util/vec2.hpp"
+
+namespace geoanon::obs {
+class MetricsRegistry;
+}
 
 namespace geoanon::fault {
 
@@ -145,16 +150,18 @@ class FaultInjector {
     /// apart from ordinary churn recovery.
     enum class CrashCause : std::uint8_t { kScheduled, kChurn, kAlsOutage, kServerFlap };
 
+#define GEOANON_FAULT_COUNTERS(X)                                                           \
+    X(faults_injected, "fault.faults_injected") /* crash events + impairment windows */     \
+    X(node_crashes, "fault.node_crashes")                                                   \
+    X(node_recoveries, "fault.node_recoveries")                                             \
+    X(als_outages, "fault.als_outages") /* outage events (≥1 node crashed) */               \
+    X(churn_skipped, "fault.churn_skipped") /* arrivals over max_concurrent_down */         \
+    X(server_flap_cycles, "fault.server_flap_cycles") /* flap cycles that downed ≥1 node */ \
+    X(frames_lost_loss_burst, "fault.frames_lost_loss_burst")                               \
+    X(frames_lost_jam, "fault.frames_lost_jam")                                             \
+    X(frames_lost_partition, "fault.frames_lost_partition")
     struct Stats {
-        std::uint64_t faults_injected{0};   ///< crash events + impairment windows
-        std::uint64_t node_crashes{0};
-        std::uint64_t node_recoveries{0};
-        std::uint64_t als_outages{0};       ///< outage events (≥1 node crashed)
-        std::uint64_t churn_skipped{0};     ///< arrivals over max_concurrent_down
-        std::uint64_t server_flap_cycles{0};  ///< flap cycles that downed ≥1 node
-        std::uint64_t frames_lost_loss_burst{0};
-        std::uint64_t frames_lost_jam{0};
-        std::uint64_t frames_lost_partition{0};
+        GEOANON_COUNTERS(GEOANON_FAULT_COUNTERS)
         util::Sampler recovery_s;           ///< crash-end → probe-true latency
         // Per-class breakdown of recovery_s (same samples, keyed by cause).
         util::Sampler recovery_crash_s;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace geoanon::mac {
@@ -375,21 +374,6 @@ void Mac80211::on_frame(const Frame& f) {
             break;
         }
     }
-}
-
-void Mac80211::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("mac.unicast_accepted", stats_.unicast_accepted);
-    reg.add("mac.broadcast_accepted", stats_.broadcast_accepted);
-    reg.add("mac.unicast_delivered", stats_.unicast_delivered);
-    reg.add("mac.unicast_drop_retry", stats_.unicast_drop_retry);
-    reg.add("mac.drop_queue_full", stats_.drop_queue_full);
-    reg.add("mac.rts_sent", stats_.rts_sent);
-    reg.add("mac.cts_sent", stats_.cts_sent);
-    reg.add("mac.data_sent", stats_.data_sent);
-    reg.add("mac.ack_sent", stats_.ack_sent);
-    reg.add("mac.retries", stats_.retries);
-    reg.add("mac.rx_delivered", stats_.rx_delivered);
-    reg.add("mac.rx_duplicates", stats_.rx_duplicates);
 }
 
 }  // namespace geoanon::mac

@@ -7,6 +7,7 @@
 
 #include "net/packet.hpp"
 #include "net/types.hpp"
+#include "obs/counters.hpp"
 #include "phy/channel.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -32,19 +33,21 @@ struct MacParams {
     bool anonymous_source{false};
 };
 
+#define GEOANON_MAC_COUNTERS(X)                                                \
+    X(unicast_accepted, "mac.unicast_accepted")                                \
+    X(broadcast_accepted, "mac.broadcast_accepted")                            \
+    X(unicast_delivered, "mac.unicast_delivered") /* MAC ACK received */       \
+    X(unicast_drop_retry, "mac.unicast_drop_retry") /* exceeded retry limit */ \
+    X(drop_queue_full, "mac.drop_queue_full")                                  \
+    X(rts_sent, "mac.rts_sent")                                                \
+    X(cts_sent, "mac.cts_sent")                                                \
+    X(data_sent, "mac.data_sent") /* DATA frames on air (incl. retries) */     \
+    X(ack_sent, "mac.ack_sent")                                                \
+    X(retries, "mac.retries")                                                  \
+    X(rx_delivered, "mac.rx_delivered") /* DATA passed to the network layer */ \
+    X(rx_duplicates, "mac.rx_duplicates")
 struct MacStats {
-    std::uint64_t unicast_accepted{0};
-    std::uint64_t broadcast_accepted{0};
-    std::uint64_t unicast_delivered{0};    ///< MAC ACK received
-    std::uint64_t unicast_drop_retry{0};   ///< exceeded retry limit
-    std::uint64_t drop_queue_full{0};
-    std::uint64_t rts_sent{0};
-    std::uint64_t cts_sent{0};
-    std::uint64_t data_sent{0};            ///< DATA frames on air (incl. retries)
-    std::uint64_t ack_sent{0};
-    std::uint64_t retries{0};
-    std::uint64_t rx_delivered{0};         ///< DATA passed to the network layer
-    std::uint64_t rx_duplicates{0};
+    GEOANON_COUNTERS(GEOANON_MAC_COUNTERS)
 };
 
 /// Event-driven IEEE 802.11 DCF MAC entity.
@@ -82,9 +85,6 @@ class Mac80211 {
     /// Node id used for trace attribution only (the MAC address is the
     /// broadcast address in anonymous mode, so it can't serve as identity).
     void set_trace_node(net::NodeId id) { trace_node_ = id; }
-
-    /// Fold this interface's counters into the run metrics (mac.*).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
 
     /// Fault injection: disabling models a crashed interface — the queue is
     /// flushed without tx-done notifications (silent halt), any exchange in

@@ -1,7 +1,5 @@
 #include "net/network.hpp"
 
-#include "obs/metrics.hpp"
-
 namespace geoanon::net {
 
 Network::Network(phy::PhyParams phy_params, std::uint64_t seed)
@@ -23,14 +21,6 @@ util::Vec2 Network::true_position(NodeId id) const {
 void Network::start_agents() {
     for (auto& n : nodes_)
         if (n.has_agent()) n.agent().start();
-}
-
-void Network::publish_metrics(obs::MetricsRegistry& reg) const {
-    channel_.publish_metrics(reg);
-    for (const auto& n : nodes_) {
-        n.radio().publish_metrics(reg);
-        n.mac().publish_metrics(reg);
-    }
 }
 
 }  // namespace geoanon::net

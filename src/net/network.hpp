@@ -43,10 +43,6 @@ class Network {
     /// records into through the simulator hook.
     void set_trace(obs::TraceRecorder* recorder) { sim_.set_trace(recorder); }
 
-    /// Fold channel + all radio/MAC counters into the run metrics (phy.*,
-    /// mac.*). Agents publish their own layer prefixes separately.
-    void publish_metrics(obs::MetricsRegistry& reg) const;
-
   private:
     util::Rng rng_;
     sim::Simulator sim_;

@@ -49,17 +49,27 @@ struct MetricsSnapshot {
 };
 
 /// Name-keyed counters/gauges/histograms every layer publishes into at the
-/// end of a run (Channel, Mac80211, agents, LocationService, FaultInjector
-/// each expose publish_metrics(MetricsRegistry&)). Names are dotted
-/// layer-prefixed strings ("mac.retries", "agfw.drop_unreachable"); the
-/// std::map keeps snapshots sorted and therefore byte-stable in JSON.
+/// end of a run. Names are dotted layer-prefixed strings ("mac.retries",
+/// "agfw.drop_unreachable"); the std::map keeps snapshots sorted and
+/// therefore byte-stable in JSON. A struct of counters declared with
+/// GEOANON_COUNTERS (obs/counters.hpp) publishes through add_all(); add() is
+/// for values that are not struct fields (app.*, trace.*, eav.*,
+/// adv.frames_observed). ScenarioRunner::aggregate() builds one registry per
+/// scenario and publishes every layer into it on one thread.
 ///
-/// Thread-safe: all maps sit behind mu_ (clang -Wthread-safety checked), so
-/// concurrent SweepRunner workers can publish into one registry. Determinism is unaffected: counters commute,
-/// and snapshots are name-sorted regardless of publish order.
+/// The maps still sit behind mu_ (clang -Wthread-safety checked), so
+/// publishing from several threads would stay safe. Determinism would be
+/// unaffected: counters commute, and snapshots are name-sorted regardless of
+/// publish order.
 class MetricsRegistry {
   public:
     void add(const std::string& name, std::uint64_t delta);
+    /// add() each counter of a GEOANON_COUNTERS struct under its listed name,
+    /// in list order.
+    template <typename S>
+    void add_all(const S& counters) {
+        counters.for_each([this](const char* name, std::uint64_t v) { add(name, v); });
+    }
     void set_gauge(const std::string& name, double v);
     /// Append a layer-owned sampler's samples to the named histogram.
     void observe_all(const std::string& name, const util::Sampler& s);

@@ -5,52 +5,19 @@
 
 namespace geoanon::obs {
 
+#define GEOANON_EVENT_TYPE_CASE(e, name) case EventType::e: return name;
 const char* event_type_name(EventType t) {
-    switch (t) {
-        case EventType::kAppSend: return "app_send";
-        case EventType::kMacEnqueue: return "mac_enqueue";
-        case EventType::kMacDrop: return "mac_drop";
-        case EventType::kPhyTx: return "phy_tx";
-        case EventType::kPhyRx: return "phy_rx";
-        case EventType::kPhyDrop: return "phy_drop";
-        case EventType::kNetForward: return "net_forward";
-        case EventType::kNetRetransmit: return "net_retransmit";
-        case EventType::kLastAttempt: return "last_attempt";
-        case EventType::kNetStuck: return "net_stuck";
-        case EventType::kNetDrop: return "net_drop";
-        case EventType::kNetDeliver: return "net_deliver";
-        case EventType::kTrapdoorAttempt: return "trapdoor_attempt";
-        case EventType::kTrapdoorOpen: return "trapdoor_open";
-        case EventType::kAckSent: return "ack_sent";
-        case EventType::kAckReceived: return "ack_received";
-        case EventType::kHelloSent: return "hello_sent";
-        case EventType::kPseudonymRotated: return "pseudonym_rotated";
-        case EventType::kLsQuery: return "ls_query";
-        case EventType::kLsReply: return "ls_reply";
-        case EventType::kLsHandoff: return "ls_handoff";
-        case EventType::kLsReadRepair: return "ls_read_repair";
-        case EventType::kFaultFired: return "fault_fired";
-    }
+    switch (t) { GEOANON_EVENT_TYPES(GEOANON_EVENT_TYPE_CASE) }
     return "?";
 }
+#undef GEOANON_EVENT_TYPE_CASE
 
+#define GEOANON_DROP_CAUSE_CASE(e, name) case DropCause::e: return name;
 const char* drop_cause_name(DropCause c) {
-    switch (c) {
-        case DropCause::kNone: return "none";
-        case DropCause::kNoRoute: return "no_route";
-        case DropCause::kUnreachable: return "unreachable";
-        case DropCause::kNoLocation: return "no_location";
-        case DropCause::kMacRetry: return "mac_retry";
-        case DropCause::kQueueFull: return "queue_full";
-        case DropCause::kCollision: return "collision";
-        case DropCause::kImpaired: return "impaired";
-        case DropCause::kNodeDown: return "node_down";
-        case DropCause::kLastAttemptUnanswered: return "last_attempt_unanswered";
-        case DropCause::kNextHopSilent: return "next_hop_silent";
-        case DropCause::kRelayStuck: return "relay_stuck";
-    }
+    switch (c) { GEOANON_DROP_CAUSES(GEOANON_DROP_CAUSE_CASE) }
     return "?";
 }
+#undef GEOANON_DROP_CAUSE_CASE
 
 bool event_type_from_name(const char* name, EventType& out) {
     for (const EventType t : kAllEventTypes) {

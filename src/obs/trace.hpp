@@ -11,53 +11,62 @@ namespace geoanon::obs {
 
 using util::SimTime;
 
-/// Typed event taxonomy — one enumerator per observable protocol action.
-/// Layer prefixes: App (workload), Mac (interface queue), Phy (air), Net
-/// (routing custody), plus AGFW/ANT/ALS/fault specifics. See DESIGN.md §11.
-enum class EventType : std::uint8_t {
-    kAppSend,          ///< packet originated at the application layer
-    kMacEnqueue,       ///< accepted into the interface queue
-    kMacDrop,          ///< interface drop (queue full / retry limit / crash)
-    kPhyTx,            ///< frame on the air (detail = frame type)
-    kPhyRx,            ///< frame decoded intact at a radio
-    kPhyDrop,          ///< in-range reception lost (collision / impaired / down)
-    kNetForward,       ///< custody committed to a next hop (detail = pseudonym/MAC)
-    kNetRetransmit,    ///< NL-ACK timeout rebroadcast of the same copy
-    kLastAttempt,      ///< AGFW last forwarding attempt broadcast (n = 0)
-    kNetStuck,         ///< committed relay found no next hop (prev hop reroutes)
-    kNetDrop,          ///< packet abandoned (cause says why)
-    kNetDeliver,       ///< delivered to the application at this node
-    kTrapdoorAttempt,  ///< in the last-hop region: trying to open the trapdoor
-    kTrapdoorOpen,     ///< trapdoor opened — this node is the destination
-    kAckSent,          ///< NL-ACK transmitted covering this uid (detail = batch)
-    kAckReceived,      ///< pending entry resolved (detail 1 = implicit)
-    kHelloSent,        ///< ANT/GPSR hello beacon (detail = pseudonym or id)
-    kPseudonymRotated, ///< new current pseudonym (detail = n)
-    kLsQuery,          ///< location query sent (detail = query id)
-    kLsReply,          ///< location reply served (detail = query id)
-    kLsHandoff,        ///< replica left server radius, handed rows off (detail = grid)
-    kLsReadRepair,     ///< served row re-replicated to in-grid peers (detail = query id)
-    kFaultFired,       ///< fault injector action (detail = FaultKind)
-};
+/// Typed event taxonomy — one enumerator per observable protocol action,
+/// listed once as X(enumerator, "trace name"); the list generates the enum,
+/// kAllEventTypes and event_type_name(). Layer prefixes: App (workload), Mac
+/// (interface queue), Phy (air), Net (routing custody), plus AGFW/ANT/ALS/fault
+/// specifics. See DESIGN.md §11.
+#define GEOANON_EVENT_TYPES(X)                                                                   \
+    X(kAppSend, "app_send") /* packet originated at the application layer */                     \
+    X(kMacEnqueue, "mac_enqueue") /* accepted into the interface queue */                        \
+    X(kMacDrop, "mac_drop") /* interface drop (queue full / retry limit / crash) */              \
+    X(kPhyTx, "phy_tx") /* frame on the air (detail = frame type) */                             \
+    X(kPhyRx, "phy_rx") /* frame decoded intact at a radio */                                    \
+    X(kPhyDrop, "phy_drop") /* in-range reception lost (collision / impaired / down) */          \
+    X(kNetForward, "net_forward") /* custody committed to a next hop (detail = pseudonym/MAC) */ \
+    X(kNetRetransmit, "net_retransmit") /* NL-ACK timeout rebroadcast of the same copy */        \
+    X(kLastAttempt, "last_attempt") /* AGFW last forwarding attempt broadcast (n = 0) */         \
+    X(kNetStuck, "net_stuck") /* committed relay found no next hop (prev hop reroutes) */        \
+    X(kNetDrop, "net_drop") /* packet abandoned (cause says why) */                              \
+    X(kNetDeliver, "net_deliver") /* delivered to the application at this node */                \
+    /* in the last-hop region: trying to open the trapdoor */                                    \
+    X(kTrapdoorAttempt, "trapdoor_attempt")                                                      \
+    X(kTrapdoorOpen, "trapdoor_open") /* trapdoor opened — this node is the destination */       \
+    X(kAckSent, "ack_sent") /* NL-ACK transmitted covering this uid (detail = batch) */          \
+    X(kAckReceived, "ack_received") /* pending entry resolved (detail 1 = implicit) */           \
+    X(kHelloSent, "hello_sent") /* ANT/GPSR hello beacon (detail = pseudonym or id) */           \
+    X(kPseudonymRotated, "pseudonym_rotated") /* new current pseudonym (detail = n) */           \
+    X(kLsQuery, "ls_query") /* location query sent (detail = query id) */                        \
+    X(kLsReply, "ls_reply") /* location reply served (detail = query id) */                      \
+    /* replica left server radius, handed rows off (detail = grid) */                            \
+    X(kLsHandoff, "ls_handoff")                                                                  \
+    /* served row re-replicated to in-grid peers (detail = query id) */                          \
+    X(kLsReadRepair, "ls_read_repair")                                                           \
+    X(kFaultFired, "fault_fired") /* fault injector action (detail = FaultKind) */
 
-/// Why a packet (or reception) died. kNone for non-drop events. The three
-/// derived causes are assigned by the flight reconstructor, not recorded:
-/// they describe flights that end without an explicit drop event.
-enum class DropCause : std::uint8_t {
-    kNone,
-    kNoRoute,       ///< greedy local maximum, no perimeter exit
-    kUnreachable,   ///< NL-ACK retries + reroutes exhausted
-    kNoLocation,    ///< location service could not resolve the destination
-    kMacRetry,      ///< unicast MAC retry limit (GPSR reroutes exhausted)
-    kQueueFull,     ///< interface queue drop-tail
-    kCollision,     ///< reception corrupted by overlapping energy
-    kImpaired,      ///< drop model (loss burst / jamming) killed the decode
-    kNodeDown,      ///< frame reached a crashed radio / flushed dead queue
-    // Derived by FlightIndex for flights with no terminal event:
-    kLastAttemptUnanswered,  ///< final broadcast, no trapdoor opened it
-    kNextHopSilent,          ///< committed copy sent; nobody took custody
-    kRelayStuck,             ///< last custody holder reported kNetStuck
-};
+/// Why a packet (or reception) died, listed like GEOANON_EVENT_TYPES. kNone
+/// for non-drop events. The three derived causes are assigned by the flight
+/// reconstructor, not recorded: they describe flights that end without an
+/// explicit drop event.
+#define GEOANON_DROP_CAUSES(X)                                                                        \
+    X(kNone, "none")                                                                                  \
+    X(kNoRoute, "no_route") /* greedy local maximum, no perimeter exit */                             \
+    X(kUnreachable, "unreachable") /* NL-ACK retries + reroutes exhausted */                          \
+    X(kNoLocation, "no_location") /* location service could not resolve the destination */            \
+    X(kMacRetry, "mac_retry") /* unicast MAC retry limit (GPSR reroutes exhausted) */                 \
+    X(kQueueFull, "queue_full") /* interface queue drop-tail */                                       \
+    X(kCollision, "collision") /* reception corrupted by overlapping energy */                        \
+    X(kImpaired, "impaired") /* drop model (loss burst / jamming) killed the decode */                \
+    X(kNodeDown, "node_down") /* frame reached a crashed radio / flushed dead queue */                \
+    /* Derived by FlightIndex for flights with no terminal event: */                                  \
+    X(kLastAttemptUnanswered, "last_attempt_unanswered") /* final broadcast, no trapdoor opened it */ \
+    X(kNextHopSilent, "next_hop_silent") /* committed copy sent; nobody took custody */               \
+    X(kRelayStuck, "relay_stuck") /* last custody holder reported kNetStuck */
+
+#define GEOANON_ENUMERATOR(e, name) e,
+enum class EventType : std::uint8_t { GEOANON_EVENT_TYPES(GEOANON_ENUMERATOR) };
+enum class DropCause : std::uint8_t { GEOANON_DROP_CAUSES(GEOANON_ENUMERATOR) };
+#undef GEOANON_ENUMERATOR
 
 /// Detail codes carried by EventType::kFaultFired.
 enum class FaultKind : std::uint64_t {
@@ -73,28 +82,12 @@ enum class FaultKind : std::uint64_t {
 
 /// Every enumerator, for exhaustive iteration (name round-trips, schema
 /// validation, docs generation).
-inline constexpr EventType kAllEventTypes[] = {
-    EventType::kAppSend,         EventType::kMacEnqueue,
-    EventType::kMacDrop,         EventType::kPhyTx,
-    EventType::kPhyRx,           EventType::kPhyDrop,
-    EventType::kNetForward,      EventType::kNetRetransmit,
-    EventType::kLastAttempt,     EventType::kNetStuck,
-    EventType::kNetDrop,         EventType::kNetDeliver,
-    EventType::kTrapdoorAttempt, EventType::kTrapdoorOpen,
-    EventType::kAckSent,         EventType::kAckReceived,
-    EventType::kHelloSent,       EventType::kPseudonymRotated,
-    EventType::kLsQuery,         EventType::kLsReply,
-    EventType::kLsHandoff,       EventType::kLsReadRepair,
-    EventType::kFaultFired,
-};
-inline constexpr DropCause kAllDropCauses[] = {
-    DropCause::kNone,          DropCause::kNoRoute,
-    DropCause::kUnreachable,   DropCause::kNoLocation,
-    DropCause::kMacRetry,      DropCause::kQueueFull,
-    DropCause::kCollision,     DropCause::kImpaired,
-    DropCause::kNodeDown,      DropCause::kLastAttemptUnanswered,
-    DropCause::kNextHopSilent, DropCause::kRelayStuck,
-};
+#define GEOANON_EVENT_TYPE_ENTRY(e, name) EventType::e,
+inline constexpr EventType kAllEventTypes[] = {GEOANON_EVENT_TYPES(GEOANON_EVENT_TYPE_ENTRY)};
+#undef GEOANON_EVENT_TYPE_ENTRY
+#define GEOANON_DROP_CAUSE_ENTRY(e, name) DropCause::e,
+inline constexpr DropCause kAllDropCauses[] = {GEOANON_DROP_CAUSES(GEOANON_DROP_CAUSE_ENTRY)};
+#undef GEOANON_DROP_CAUSE_ENTRY
 
 const char* event_type_name(EventType t);
 const char* drop_cause_name(DropCause c);

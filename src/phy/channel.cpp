@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace geoanon::phy {
@@ -316,20 +315,6 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
         }
         release_tx_slot(slot);
     });
-}
-
-void Radio::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("phy.frames_sent", stats_.frames_sent);
-    reg.add("phy.frames_delivered", stats_.frames_delivered);
-    reg.add("phy.frames_corrupted", stats_.frames_corrupted);
-    reg.add("phy.frames_missed_down", stats_.frames_missed_down);
-}
-
-void Channel::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("phy.transmissions", stats_.transmissions);
-    reg.add("phy.deliveries", stats_.deliveries);
-    reg.add("phy.collisions", stats_.collisions);
-    reg.add("phy.impaired", stats_.impaired);
 }
 
 }  // namespace geoanon::phy

@@ -11,14 +11,11 @@
 #include "mobility/mobility.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
+#include "obs/counters.hpp"
 #include "phy/engine_state.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 #include "util/vec2.hpp"
-
-namespace geoanon::obs {
-class MetricsRegistry;
-}
 
 namespace geoanon::phy {
 
@@ -84,11 +81,13 @@ class Channel;
 /// touches the Radio object.
 class Radio {
   public:
+#define GEOANON_RADIO_COUNTERS(X)                                                       \
+    X(frames_sent, "phy.frames_sent")                                                   \
+    X(frames_delivered, "phy.frames_delivered") /* received intact */                   \
+    X(frames_corrupted, "phy.frames_corrupted") /* lost to collision at this radio */   \
+    X(frames_missed_down, "phy.frames_missed_down") /* intact but radio was disabled */
     struct Stats {
-        std::uint64_t frames_sent{0};
-        std::uint64_t frames_delivered{0};   ///< received intact
-        std::uint64_t frames_corrupted{0};   ///< lost to collision at this radio
-        std::uint64_t frames_missed_down{0}; ///< intact but radio was disabled
+        GEOANON_COUNTERS(GEOANON_RADIO_COUNTERS)
     };
 
     /// Positions are evaluated from the EngineState's cached motion legs of
@@ -142,9 +141,6 @@ class Radio {
     /// in anonymous mode, so the radio can't learn it from traffic).
     void set_trace_node(net::NodeId id) { trace_node_ = id; }
     net::NodeId trace_node() const { return trace_node_; }
-
-    /// Fold this radio's counters into the run metrics (phy.frames_*).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
 
   private:
     friend class Channel;
@@ -218,11 +214,13 @@ class Radio {
 /// started a transmission that changed it.
 class Channel {
   public:
+#define GEOANON_CHANNEL_COUNTERS(X)                                                \
+    X(transmissions, "phy.transmissions")                                          \
+    X(deliveries, "phy.deliveries")                                                \
+    X(collisions, "phy.collisions") /* corrupted receptions, all radios */         \
+    X(impaired, "phy.impaired") /* in-range receptions killed by the drop model */
     struct Stats {
-        std::uint64_t transmissions{0};
-        std::uint64_t deliveries{0};
-        std::uint64_t collisions{0};  ///< corrupted receptions, all radios
-        std::uint64_t impaired{0};    ///< in-range receptions killed by the drop model
+        GEOANON_COUNTERS(GEOANON_CHANNEL_COUNTERS)
     };
 
     Channel(sim::Simulator& sim, PhyParams params);
@@ -266,10 +264,6 @@ class Channel {
     /// collision physics are unaffected — only decoding fails.
     using DropFn = std::function<bool(const Frame&, const Vec2& tx_pos, const Vec2& rx_pos)>;
     void set_drop_model(DropFn drop) { drop_ = std::move(drop); }
-
-    /// Fold channel-wide counters into the run metrics (phy.transmissions,
-    /// phy.deliveries, phy.collisions, phy.impaired).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
 
   private:
     friend class Radio;

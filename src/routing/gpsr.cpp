@@ -247,15 +247,7 @@ void GpsrGreedyAgent::on_mac_tx_done(const PacketPtr& pkt, MacAddr dst, bool suc
 }
 
 void GpsrGreedyAgent::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("gpsr.app_sent", stats_.app_sent);
-    reg.add("gpsr.delivered", stats_.delivered);
-    reg.add("gpsr.forwarded", stats_.forwarded);
-    reg.add("gpsr.drop_no_route", stats_.drop_no_route);
-    reg.add("gpsr.drop_mac", stats_.drop_mac);
-    reg.add("gpsr.drop_no_location", stats_.drop_no_location);
-    reg.add("gpsr.hello_sent", stats_.hello_sent);
-    reg.add("gpsr.control_bytes", stats_.control_bytes);
-    reg.add("gpsr.data_bytes", stats_.data_bytes);
+    reg.add_all(stats_);
     if (ls_) ls_->publish_metrics(reg);
 }
 

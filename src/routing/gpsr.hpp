@@ -8,6 +8,7 @@
 
 #include "net/network.hpp"
 #include "net/node.hpp"
+#include "obs/counters.hpp"
 #include "routing/location_service.hpp"
 #include "sim/simulator.hpp"
 
@@ -32,16 +33,18 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
         int reroute_limit{3};
     };
 
+#define GEOANON_GPSR_COUNTERS(X)                                        \
+    X(app_sent, "gpsr.app_sent")                                        \
+    X(delivered, "gpsr.delivered") /* data accepted at this node */     \
+    X(forwarded, "gpsr.forwarded")                                      \
+    X(drop_no_route, "gpsr.drop_no_route") /* greedy local maximum */   \
+    X(drop_mac, "gpsr.drop_mac") /* exhausted MAC retries + reroutes */ \
+    X(drop_no_location, "gpsr.drop_no_location")                        \
+    X(hello_sent, "gpsr.hello_sent")                                    \
+    X(control_bytes, "gpsr.control_bytes")                              \
+    X(data_bytes, "gpsr.data_bytes")
     struct Stats {
-        std::uint64_t app_sent{0};
-        std::uint64_t delivered{0};       ///< data accepted at this node
-        std::uint64_t forwarded{0};
-        std::uint64_t drop_no_route{0};   ///< greedy local maximum
-        std::uint64_t drop_mac{0};        ///< exhausted MAC retries + reroutes
-        std::uint64_t drop_no_location{0};
-        std::uint64_t hello_sent{0};
-        std::uint64_t control_bytes{0};
-        std::uint64_t data_bytes{0};
+        GEOANON_COUNTERS(GEOANON_GPSR_COUNTERS)
     };
 
     /// Delivery callback (self id + the delivered packet).

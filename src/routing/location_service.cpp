@@ -825,30 +825,7 @@ void LocationService::sweep_expired() {
 }
 
 void LocationService::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add("ls.updates_sent", stats_.updates_sent);
-    reg.add("ls.update_bytes", stats_.update_bytes);
-    reg.add("ls.queries_sent", stats_.queries_sent);
-    reg.add("ls.query_bytes", stats_.query_bytes);
-    reg.add("ls.replies_sent", stats_.replies_sent);
-    reg.add("ls.reply_bytes", stats_.reply_bytes);
-    reg.add("ls.replications", stats_.replications);
-    reg.add("ls.store_hits", stats_.store_hits);
-    reg.add("ls.store_misses", stats_.store_misses);
-    reg.add("ls.resolved_ok", stats_.resolved_ok);
-    reg.add("ls.resolved_fail", stats_.resolved_fail);
-    reg.add("ls.decrypt_attempts", stats_.decrypt_attempts);
-    reg.add("ls.query_reissues", stats_.query_reissues);
-    reg.add("ls.query_fallbacks", stats_.query_fallbacks);
-    reg.add("ls.late_replies", stats_.late_replies);
-    reg.add("ls.pending_wiped", stats_.pending_wiped);
-    reg.add("ls.store.expired", stats_.store_expired);
-    reg.add("ls.replica.digests_sent", stats_.digests_sent);
-    reg.add("ls.replica.digest_bytes", stats_.digest_bytes);
-    reg.add("ls.replica.repairs_sent", stats_.repairs_sent);
-    reg.add("ls.replica.handoffs", stats_.handoffs);
-    reg.add("ls.replica.read_repairs", stats_.read_repairs);
-    reg.add("ls.replica.duplicates_suppressed", stats_.duplicates_suppressed);
-    reg.add("ls.failover.stale_reads", stats_.stale_reads);
+    reg.add_all(stats_);
     reg.observe_all("ls.failover.latency_ms", stats_.failover_latency_ms);
 }
 

@@ -12,6 +12,7 @@
 #include "crypto/engine.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
+#include "obs/counters.hpp"
 #include "routing/grid.hpp"
 #include "sim/simulator.hpp"
 #include "util/retry.hpp"
@@ -93,35 +94,39 @@ class LocationService {
         std::function<bool()> is_up;
     };
 
+#define GEOANON_LS_COUNTERS(X)                                                       \
+    X(updates_sent, "ls.updates_sent")                                               \
+    X(update_bytes, "ls.update_bytes")                                               \
+    X(queries_sent, "ls.queries_sent")                                               \
+    X(query_bytes, "ls.query_bytes")                                                 \
+    X(replies_sent, "ls.replies_sent")                                               \
+    X(reply_bytes, "ls.reply_bytes")                                                 \
+    X(replications, "ls.replications")                                               \
+    X(store_hits, "ls.store_hits")                                                   \
+    X(store_misses, "ls.store_misses")                                               \
+    X(resolved_ok, "ls.resolved_ok")                                                 \
+    X(resolved_fail, "ls.resolved_fail")                                             \
+    X(decrypt_attempts, "ls.decrypt_attempts") /* index-free trial decryptions */    \
+    /* Timeout-path diagnostics: these separate "the reply got lost in */            \
+    /* the network" (reissues with replies_sent > 0 somewhere) from "the */          \
+    /* server grid is dark" (reissues with no reply traffic at all). */              \
+    X(query_reissues, "ls.query_reissues") /* timeout-driven re-sends */             \
+    X(query_fallbacks, "ls.query_fallbacks") /* degradation-ladder stage advances */ \
+    X(late_replies, "ls.late_replies") /* reply for a query that already failed */   \
+    X(pending_wiped, "ls.pending_wiped") /* queries dropped by reset() */            \
+    /* Replica-set health (ls.replica.* / ls.failover.* metrics). */                 \
+    X(store_expired, "ls.store.expired") /* rows dropped by the periodic sweep */    \
+    X(digests_sent, "ls.replica.digests_sent") /* anti-entropy digests broadcast */  \
+    X(digest_bytes, "ls.replica.digest_bytes")                                       \
+    X(repairs_sent, "ls.replica.repairs_sent") /* rows pushed to repair a peer */    \
+    X(handoffs, "ls.replica.handoffs") /* grids handed off on radius exit */         \
+    /* rows re-replicated on assisted serve */                                       \
+    X(read_repairs, "ls.replica.read_repairs")                                       \
+    /* quorum replies after the first */                                             \
+    X(duplicates_suppressed, "ls.replica.duplicates_suppressed")                     \
+    X(stale_reads, "ls.failover.stale_reads") /* expired rows served within grace */
     struct Stats {
-        std::uint64_t updates_sent{0};
-        std::uint64_t update_bytes{0};
-        std::uint64_t queries_sent{0};
-        std::uint64_t query_bytes{0};
-        std::uint64_t replies_sent{0};
-        std::uint64_t reply_bytes{0};
-        std::uint64_t replications{0};
-        std::uint64_t store_hits{0};
-        std::uint64_t store_misses{0};
-        std::uint64_t resolved_ok{0};
-        std::uint64_t resolved_fail{0};
-        std::uint64_t decrypt_attempts{0};  ///< index-free trial decryptions
-        /// Timeout-path diagnostics: these separate "the reply got lost in
-        /// the network" (reissues with replies_sent > 0 somewhere) from "the
-        /// server grid is dark" (reissues with no reply traffic at all).
-        std::uint64_t query_reissues{0};   ///< timeout-driven re-sends
-        std::uint64_t query_fallbacks{0};  ///< degradation-ladder stage advances
-        std::uint64_t late_replies{0};     ///< reply for a query that already failed
-        std::uint64_t pending_wiped{0};    ///< queries dropped by reset()
-        // Replica-set health (ls.replica.* / ls.failover.* metrics).
-        std::uint64_t store_expired{0};    ///< rows dropped by the periodic sweep
-        std::uint64_t digests_sent{0};     ///< anti-entropy digests broadcast
-        std::uint64_t digest_bytes{0};
-        std::uint64_t repairs_sent{0};     ///< rows pushed to repair a peer
-        std::uint64_t handoffs{0};         ///< grids handed off on radius exit
-        std::uint64_t read_repairs{0};     ///< rows re-replicated on assisted serve
-        std::uint64_t duplicates_suppressed{0};  ///< quorum replies after the first
-        std::uint64_t stale_reads{0};      ///< expired rows served within grace
+        GEOANON_COUNTERS(GEOANON_LS_COUNTERS)
         /// Resolve latency (ms) of queries that needed at least one reissue
         /// or ladder stage — i.e. the cost of failing over to a replica.
         util::Sampler failover_latency_ms;

@@ -24,14 +24,9 @@ std::string scheme_name(Scheme s) {
 }
 
 std::uint64_t ScenarioResult::invariant_violations() const {
-    std::uint64_t n = 0;
-    for (const char* name :
-         {"inv.cleartext_identity", "inv.mac_address_exposed", "inv.missing_trapdoor",
-          "inv.unknown_pseudonym", "inv.stale_pseudonym_target", "inv.overlong_ant_ttl",
-          "inv.stale_ant_entry", "inv.ack_without_delivery", "inv.codec_reject",
-          "inv.wire_size_mismatch"})
-        n += metrics.counter(name);
-    return n;
+#define GEOANON_INV_READ(field, name) +metrics.counter(name)
+    return 0 GEOANON_INV_VIOLATIONS(GEOANON_INV_READ);
+#undef GEOANON_INV_READ
 }
 
 ScenarioRunner::ScenarioRunner(ScenarioConfig config) : config_(std::move(config)) {}
@@ -278,7 +273,11 @@ ScenarioResult ScenarioRunner::aggregate() {
     reg.observe_all("app.latency_ms", latency_ms_);
     reg.observe_all("app.hops", hops_);
 
-    network_->publish_metrics(reg);  // phy.* + mac.* across all nodes
+    reg.add_all(network_->channel().stats());  // phy.*
+    for (const auto& n : network_->nodes()) {  // phy.frames_* + mac.*
+        reg.add_all(n.radio().stats());
+        reg.add_all(n.mac().stats());
+    }
     for (auto* a : agfw_agents_) a->publish_metrics(reg);   // agfw.* + ls.*
     for (auto* g : gpsr_agents_) g->publish_metrics(reg);   // gpsr.* + ls.*
     if (injector_) injector_->publish_metrics(reg);         // fault.*
@@ -300,7 +299,7 @@ ScenarioResult ScenarioRunner::aggregate() {
     }
     if (checker_) {
         r.invariants = checker_->counters();
-        checker_->publish_metrics(reg);  // inv.*
+        reg.add_all(checker_->counters());  // inv.*
     }
     r.events_processed = network_->sim().events_processed();
     r.perf.peak_queue_depth = network_->sim().peak_pending();

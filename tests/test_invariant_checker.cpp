@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+
 #include "analysis/invariant_checker.hpp"
+#include "obs/metrics.hpp"
 #include "published_metrics.hpp"
 #include "workload/scenario.hpp"
 
@@ -175,6 +179,41 @@ TEST(InvariantChecker, SyntheticViolationsAreCounted) {
     EXPECT_EQ(c.missing_trapdoor, 1u);
     EXPECT_EQ(c.cleartext_identity, 1u);
     EXPECT_EQ(c.violations(), 4u);
+}
+
+TEST(InvariantChecker, ViolationSumIsExactlyTheTenViolationCounters) {
+    // One bit per counter, in field order: a sum that misses a violation or
+    // takes in a volume or informational counter shows up as a wrong bit.
+    InvariantChecker::Counters c;
+    std::uint64_t* const fields[] = {
+        &c.frames_checked,      &c.packets_checked,        &c.ant_entries_checked,
+        &c.sweeps,              &c.cleartext_identity,     &c.mac_address_exposed,
+        &c.missing_trapdoor,    &c.unknown_pseudonym,      &c.stale_pseudonym_target,
+        &c.overlong_ant_ttl,    &c.stale_ant_entry,        &c.ack_without_delivery,
+        &c.codec_reject,        &c.wire_size_mismatch,     &c.rotated_out_targets,
+        &c.last_attempt_frames, &c.plain_ls_fallbacks,
+    };
+    constexpr std::size_t kFields = std::size(fields);
+    static_assert(sizeof(InvariantChecker::Counters) == kFields * sizeof(std::uint64_t));
+    for (std::size_t i = 0; i < kFields; ++i) *fields[i] = std::uint64_t{1} << i;
+
+    std::uint64_t visited = 0;
+    c.for_each([&](const char*, std::uint64_t v) { visited |= v; });
+    EXPECT_EQ(visited, (std::uint64_t{1} << kFields) - 1) << "every field is a listed counter";
+
+    const std::uint64_t expected = c.cleartext_identity | c.mac_address_exposed |
+                                   c.missing_trapdoor | c.unknown_pseudonym |
+                                   c.stale_pseudonym_target | c.overlong_ant_ttl |
+                                   c.stale_ant_entry | c.ack_without_delivery |
+                                   c.codec_reject | c.wire_size_mismatch;
+    EXPECT_EQ(c.violations(), expected);
+
+    // The result-side sum reads the same ten names from the published metrics.
+    obs::MetricsRegistry reg;
+    reg.add_all(c);
+    ScenarioResult r;
+    r.metrics = reg.snapshot();
+    EXPECT_EQ(r.invariant_violations(), expected);
 }
 
 TEST(InvariantChecker, LastAttemptAndFreshTargetsAreNotViolations) {

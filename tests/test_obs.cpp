@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -8,13 +9,21 @@
 #include <string>
 #include <vector>
 
+#include "adversary/trajectory.hpp"
+#include "analysis/invariant_checker.hpp"
+#include "core/agfw.hpp"
 #include "experiment/json.hpp"
+#include "fault/fault.hpp"
+#include "mac/mac80211.hpp"
 #include "experiment/sweep.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_read.hpp"
+#include "phy/channel.hpp"
+#include "routing/gpsr.hpp"
+#include "routing/location_service.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -110,6 +119,52 @@ TEST(MetricsRegistry, SnapshotIsNameSorted) {
     ASSERT_EQ(snap.counters.size(), 3u);
     EXPECT_EQ(snap.counters[0].first, "alpha");
     EXPECT_EQ(snap.counters[2].first, "zeta");
+}
+
+TEST(Metrics, EveryCounterNameIsDistinctAndCarriesItsLayerPrefix) {
+    // Two counters published under one name would silently merge.
+    std::set<std::string> names;
+    std::size_t listed = 0;
+    const auto walk = [&](const auto& stats, const std::string& prefix) {
+        stats.for_each([&](const char* name, std::uint64_t value) {
+            ++listed;
+            EXPECT_EQ(value, 0u) << name;
+            EXPECT_EQ(std::string(name).rfind(prefix, 0), 0u) << name << " lacks " << prefix;
+            EXPECT_TRUE(names.insert(name).second) << "duplicate counter name " << name;
+        });
+    };
+    walk(core::AgfwAgent::Stats{}, "agfw.");
+    walk(routing::LocationService::Stats{}, "ls.");
+    walk(routing::GpsrGreedyAgent::Stats{}, "gpsr.");
+    walk(mac::MacStats{}, "mac.");
+    walk(phy::Radio::Stats{}, "phy.");
+    walk(phy::Channel::Stats{}, "phy.");
+    walk(fault::FaultInjector::Stats{}, "fault.");
+    walk(analysis::InvariantChecker::Counters{}, "inv.");
+    walk(adversary::AttackReport{}, "adv.");
+    EXPECT_EQ(listed, 111u);
+
+    // Counters published one by one, because they are not struct fields.
+    for (const char* name :
+         {"app.sent", "app.delivered", "trace.recorded", "trace.evicted",
+          "eav.identity_sightings", "eav.pseudonym_sightings", "eav.mac_pseudonym_links",
+          "eav.nodes_ever_localized", "eav.index_linkages", "eav.relationship_pairs_learned",
+          "adv.frames_observed"})
+        EXPECT_TRUE(names.insert(name).second) << "duplicate counter name " << name;
+}
+
+TEST(Metrics, AddAllPublishesEachFieldUnderItsListedName) {
+    mac::MacStats stats;
+    stats.retries = 7;
+    stats.rx_duplicates = 2;
+    obs::MetricsRegistry reg;
+    reg.add_all(stats);
+    reg.add_all(stats);
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.counters.size(), 12u);
+    EXPECT_EQ(snap.counter("mac.retries"), 14u);
+    EXPECT_EQ(snap.counter("mac.rx_duplicates"), 4u);
+    EXPECT_EQ(snap.counter("mac.rts_sent"), 0u);
 }
 
 // ---------------------------------------------------------------- flights
