@@ -120,6 +120,13 @@ void valid_seeds() {
     plain_up.created_at = SimTime::seconds(4.0);
     emit("valid_dlm_update", encode(plain_up));
 
+    Packet perim_up = up;
+    perim_up.perimeter_mode = true;
+    perim_up.perimeter_entry = Vec2{700.0, 140.0};
+    perim_up.prev_hop_loc = Vec2{690.0, 120.0};
+    perim_up.perimeter_hops = 3;
+    emit("valid_als_update_perimeter", encode(perim_up));
+
     Packet req;
     req.type = PacketType::kLocRequest;
     req.next_hop_pseudonym = 0x00000A0B0C0D0EULL;
@@ -134,6 +141,12 @@ void valid_seeds() {
     reqf.ls_index.clear();  // index-free variant sends length 0
     emit("valid_als_request_indexfree", encode(reqf));
 
+    Packet plain_req = req;
+    plain_req.ls_index.clear();
+    plain_req.ls_subject = 17;
+    plain_req.src_id = 5;
+    emit("valid_dlm_request", encode(plain_req));
+
     Packet rep;
     rep.type = PacketType::kLocReply;
     rep.next_hop_pseudonym = 0x00005566778899ULL;
@@ -142,6 +155,13 @@ void valid_seeds() {
     rep.ls_query_id = 42;
     rep.ls_payload = Bytes(24, 0x9F);
     emit("valid_als_reply", encode(rep));
+
+    Packet plain_rep = rep;
+    plain_rep.ls_payload.clear();
+    plain_rep.dst_id = 5;
+    plain_rep.ls_subject = 17;
+    plain_rep.ls_subject_loc = Vec2{333.0, 111.0};
+    emit("valid_dlm_reply", encode(plain_rep));
 
     Packet repl = up;
     repl.type = PacketType::kLocReplicate;
@@ -235,6 +255,23 @@ void malformed_seeds() {
         Bytes wire = encode(last);
         wire.resize(1 + 1 + 16 + 6 + 1);  // cut inside td_len
         emit("reject_last_attempt_truncated_len", wire);
+    }
+
+    // Plain (DLM) update whose subject field holds kInvalidNode, the packet
+    // model's "no subject": accepting it would turn the frame anonymous.
+    {
+        Packet plain;
+        plain.type = PacketType::kLocUpdate;
+        plain.next_hop_pseudonym = 0x42;
+        plain.grid = 1;
+        plain.dst_loc = Vec2{100.0, 100.0};
+        plain.ls_subject = 17;
+        plain.ls_subject_loc = Vec2{1.0, 2.0};
+        plain.created_at = SimTime::seconds(1.0);
+        Bytes wire = encode(plain);
+        const std::size_t subject_at = 1 + 1 + 6 + 4 + 16;  // type..dst_loc
+        for (std::size_t i = 0; i < 4; ++i) wire[subject_at + i] = 0xFF;
+        emit("reject_plain_subject_sentinel", wire);
     }
 
     // Fixed-layout packet with trailing garbage.

@@ -20,10 +20,15 @@ namespace geoanon::net {
 ///  - locations are two f64 coordinates (16 bytes); timestamps are u64 ns;
 ///  - pseudonyms travel as 48-bit values (6 bytes), the size of a MAC
 ///    address (§5 of the paper);
-///  - a 1-byte flags field on AGFW data/hello carries the velocity-hint and
-///    perimeter-mode bits;
-///  - trapdoor and ring-signature blobs carry u16 length prefixes; the app
-///    body is the frame remainder.
+///  - a 1-byte flags field on AGFW data/hello and on every location-service
+///    packet carries the velocity-hint, ring-signed, perimeter-mode, assist
+///    and anonymous-row bits;
+///  - trapdoor, ring-signature and ALS index blobs carry u16 length
+///    prefixes; the app body and ALS row payloads are the frame remainder.
+///
+/// One walk over each packet type's fields, in on-air order, drives
+/// encode(), encoded_size() and decode_ex() (codec.cpp), so the format is
+/// stated once.
 namespace codec {
 
 /// Serialize to the canonical on-air representation. Supports every
@@ -33,7 +38,7 @@ namespace codec {
 // geoanon: sink(air)
 util::Bytes encode(const Packet& pkt);
 
-/// Size of encode(pkt) without materializing it.
+/// Size of encode(pkt), counted without a buffer (allocates nothing).
 std::size_t encoded_size(const Packet& pkt);
 
 /// Why a decode rejected its input. Every malformed frame maps to exactly
@@ -45,6 +50,8 @@ enum class DecodeError : std::uint8_t {
     kTruncated,      ///< ran out of bytes mid-field
     kBadLength,      ///< a length/count field exceeds the bytes that remain
     kTrailingBytes,  ///< fixed-layout packet followed by extra bytes
+    kBadValue,       ///< a field holds a value its format forbids (a plain
+                     ///< LS frame naming kInvalidNode as its subject)
 };
 
 /// Human-readable name for a DecodeError (stable; used in fuzz output).

@@ -94,27 +94,4 @@ std::string to_chrome_trace_json(const std::vector<Event>& events, const TraceMe
     return w.str();
 }
 
-std::string to_frame_log(const std::vector<Event>& events) {
-    std::string out;
-    out.reserve(events.size() / 4 * 64);
-    char line[128];
-    for (const Event& e : events) {
-        const char* dir = nullptr;
-        switch (e.type) {
-            case EventType::kPhyTx: dir = "TX  "; break;
-            case EventType::kPhyRx: dir = "RX  "; break;
-            case EventType::kPhyDrop: dir = "DROP"; break;
-            default: continue;
-        }
-        std::snprintf(line, sizeof(line),
-                      "%14.9f %s node=%-4d uid=%020" PRIu64 " bytes=%-4u %s\n",
-                      e.t.to_seconds(), dir,
-                      e.node == net::kInvalidNode ? -1 : static_cast<int>(e.node),
-                      e.uid, e.bytes,
-                      e.cause == DropCause::kNone ? "" : drop_cause_name(e.cause));
-        out += line;
-    }
-    return out;
-}
-
 }  // namespace geoanon::obs

@@ -25,9 +25,4 @@ struct TraceMeta {
 // geoanon: sink(trace)
 std::string to_chrome_trace_json(const std::vector<Event>& events, const TraceMeta& meta);
 
-/// Render phy-layer events (kPhyTx/kPhyRx/kPhyDrop) as a pcap-style text
-/// frame log, one line per frame event: time, direction, node, uid, bytes.
-// geoanon: sink(trace)
-std::string to_frame_log(const std::vector<Event>& events);
-
 }  // namespace geoanon::obs

@@ -54,6 +54,12 @@ std::uint64_t plain_key_hash(net::NodeId subject) {
     return fnv1a(fnv1a(kFnvOffset, &tag, 1), b, 4);
 }
 
+// Digest rows travel sorted by key hash (send_digest), so a receiver
+// binary-searches them in place (on_digest).
+bool digest_by_hash(const net::Packet::LsDigestRow& x, const net::Packet::LsDigestRow& y) {
+    return x.key_hash < y.key_hash;
+}
+
 // First update 3 s after start() (neighbor tables warm up), plus up to 2 s.
 constexpr SimTime kFirstUpdateDelay = SimTime::seconds(3.0);
 constexpr SimTime kUpdateJitter = SimTime::seconds(2.0);
@@ -682,12 +688,13 @@ void LocationService::send_digest(std::uint32_t grid) {
         pkt->ls_digest.push_back(
             {row.digest_hash, static_cast<std::uint64_t>(row.expires.ns())});
     }
-    // geoanon-lint: allow(unordered-iter) -- digest rows are an unordered SET compared hash-by-hash at the receiver; wire order cannot reach any decision or output
+    // geoanon-lint: allow(unordered-iter) -- rows are sorted by hash below; only rows with colliding hashes keep this order, and it picks which of them a receiver compares
     for (const auto& [subject, row] : plain_store_) {
         if (grid_.home_grid(subject) != grid) continue;
         pkt->ls_digest.push_back(
             {plain_key_hash(subject), static_cast<std::uint64_t>(row.expires.ns())});
     }
+    std::stable_sort(pkt->ls_digest.begin(), pkt->ls_digest.end(), digest_by_hash);
     pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
     ++stats_.digests_sent;
     stats_.digest_bytes += pkt->wire_bytes;
@@ -750,21 +757,16 @@ void LocationService::on_digest(const PacketPtr& pkt) {
     // every round.
     const SimTime margin = SimTime::seconds(1.0);
 
-    // The sender's rows sorted by hash; the first row of a repeated hash
-    // wins, and peer.size() counts distinct hashes.
+    // send_digest emits the rows sorted by hash; the first row of a
+    // repeated hash wins.
     using PeerRow = net::Packet::LsDigestRow;
-    std::vector<PeerRow> peer(pkt->ls_digest);
-    const auto by_hash = [](const PeerRow& x, const PeerRow& y) {
-        return x.key_hash < y.key_hash;
-    };
-    std::stable_sort(peer.begin(), peer.end(), by_hash);
-    peer.erase(std::unique(peer.begin(), peer.end(),
-                           [](const PeerRow& x, const PeerRow& y) {
-                               return x.key_hash == y.key_hash;
-                           }),
-               peer.end());
+    const std::vector<PeerRow>& peer = pkt->ls_digest;
+    assert(std::is_sorted(peer.begin(), peer.end(), digest_by_hash));
+    std::size_t distinct_hashes = 0;
+    for (std::size_t i = 0; i < peer.size(); ++i)
+        if (i == 0 || peer[i].key_hash != peer[i - 1].key_hash) ++distinct_hashes;
     const auto find_peer = [&](std::uint64_t hash) -> const PeerRow* {
-        auto it = std::lower_bound(peer.begin(), peer.end(), PeerRow{hash, 0}, by_hash);
+        auto it = std::lower_bound(peer.begin(), peer.end(), PeerRow{hash, 0}, digest_by_hash);
         return it != peer.end() && it->key_hash == hash ? &*it : nullptr;
     };
 
@@ -801,7 +803,7 @@ void LocationService::on_digest(const PacketPtr& pkt) {
     // The sender advertises rows we have never seen: answer with our own
     // digest (possibly empty — e.g. right after a restart) so the sender
     // pushes them our way. Rate-limited per grid to half a digest interval.
-    if (known_hashes_here < peer.size()) {
+    if (known_hashes_here < distinct_hashes) {
         auto last = last_digest_.find(g);
         const SimTime gap = SimTime::nanos(kDigestInterval.ns() / 2);
         if (last == last_digest_.end() || last->second + gap <= now) send_digest(g);

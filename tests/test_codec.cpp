@@ -362,6 +362,7 @@ TEST(Codec, RoundTripIsIdempotentAcrossAllTypes) {
     }
     for (const Packet& p : packets) {
         const Bytes once = codec::encode(p);
+        EXPECT_EQ(codec::encoded_size(p), once.size());
         const auto back = codec::decode(once);
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(codec::encode(*back), once);

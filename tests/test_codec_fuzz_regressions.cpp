@@ -9,6 +9,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,25 @@ TEST(CodecFuzzRegressions, CorpusDirectoryIsPresentAndNonTrivial) {
     EXPECT_GE(n, 20u) << "corpus unexpectedly small; regenerate with make_corpus";
 }
 
+/// The DecodeError each reject seed is named for (make_corpus.cpp).
+const std::map<std::string, DecodeError>& reject_seed_errors() {
+    static const std::map<std::string, DecodeError> errors = {
+        {"reject_empty", DecodeError::kEmpty},
+        {"reject_bad_type", DecodeError::kBadType},
+        {"reject_truncated_type_only", DecodeError::kTruncated},
+        {"reject_truncated_mid_loc", DecodeError::kTruncated},
+        {"reject_truncated_mid_pseudonym", DecodeError::kTruncated},
+        {"reject_last_attempt_truncated_len", DecodeError::kTruncated},
+        {"reject_oversized_trapdoor_len", DecodeError::kBadLength},
+        {"reject_oversized_auth_len", DecodeError::kBadLength},
+        {"reject_oversized_ack_count", DecodeError::kBadLength},
+        {"reject_oversized_digest_count", DecodeError::kBadLength},
+        {"reject_trailing_bytes", DecodeError::kTrailingBytes},
+        {"reject_plain_subject_sentinel", DecodeError::kBadValue},
+    };
+    return errors;
+}
+
 TEST(CodecFuzzRegressions, ReplayWholeCorpus) {
     std::size_t accepted = 0;
     std::size_t rejected = 0;
@@ -86,17 +106,25 @@ TEST(CodecFuzzRegressions, ReplayWholeCorpus) {
         SCOPED_TRACE(entry.path().filename().string());
         const Bytes wire = load_hex_file(entry.path());
         const DecodeError err = check_properties(wire);
-        const std::string name = entry.path().filename().string();
+        const std::string name = entry.path().stem().string();
         if (name.rfind("valid_", 0) == 0 && name.find("traced") == std::string::npos) {
             EXPECT_EQ(err, DecodeError::kOk);
+            // A canonical encoding re-encodes to itself, and encoded_size
+            // counts exactly its bytes.
+            const auto packet = decode_ex(wire).packet;
+            ASSERT_TRUE(packet.has_value());
+            EXPECT_EQ(encode(*packet), wire);
+            EXPECT_EQ(net::codec::encoded_size(*packet), wire.size());
             ++accepted;
         } else if (name.rfind("reject_", 0) == 0) {
-            EXPECT_NE(err, DecodeError::kOk);
+            const auto it = reject_seed_errors().find(name);
+            ASSERT_NE(it, reject_seed_errors().end()) << "reject seed without a named error";
+            EXPECT_EQ(err, it->second) << "decoded as " << net::codec::decode_error_name(err);
             ++rejected;
         }
     }
-    EXPECT_GE(accepted, 10u);
-    EXPECT_GE(rejected, 8u);
+    EXPECT_GE(accepted, 19u);
+    EXPECT_EQ(rejected, reject_seed_errors().size());
 }
 
 TEST(CodecFuzzRegressions, EveryTruncationOfEveryValidSeedRejectsCleanly) {

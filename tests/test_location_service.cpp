@@ -715,14 +715,17 @@ TEST(LsStore, AnonRowsAreListedInHexOrderOfTheirIndex) {
         EXPECT_EQ(*payload, util::Bytes{static_cast<std::uint8_t>(want)});
     }
 
-    // The digest walks the store in the same order.
+    // The digest lists the same rows, sorted by hash so receivers can
+    // binary-search it in place.
     ASSERT_TRUE(h.ls->handle(h.peer_digest({{0x1234, 1'000'000'000'000ULL}})));
     const auto& digest = h.broadcast.back();
     ASSERT_EQ(digest->type, net::PacketType::kLocDigest);
-    ASSERT_EQ(digest->ls_digest.size(), indices.size());
-    for (std::size_t k = 0; k < hex_order.size(); ++k)
-        EXPECT_EQ(digest->ls_digest[k].key_hash,
-                  fnv1a_of(util::to_hex(indices[hex_order[k]])));
+    std::vector<std::uint64_t> hashes;
+    for (const auto& index : indices) hashes.push_back(fnv1a_of(util::to_hex(index)));
+    std::sort(hashes.begin(), hashes.end());
+    ASSERT_EQ(digest->ls_digest.size(), hashes.size());
+    for (std::size_t k = 0; k < hashes.size(); ++k)
+        EXPECT_EQ(digest->ls_digest[k].key_hash, hashes[k]);
 }
 
 TEST(LsReplica, RepeatedDigestHashFirstRowWinsAndCountsOnce) {

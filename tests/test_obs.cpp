@@ -355,18 +355,6 @@ TEST(TraceExport, EveryEventTypeHasALayerCategory) {
     }
 }
 
-TEST(TraceExport, FrameLogListsPhyEvents) {
-    obs::TraceRecorder rec;
-    rec.record(SimTime::millis(5), Event{.type = EventType::kPhyTx, .node = 1, .bytes = 64});
-    rec.record(SimTime::millis(6), Event{.type = EventType::kPhyRx, .node = 2, .bytes = 64});
-    rec.record(SimTime::millis(7), Event{.type = EventType::kAppSend, .node = 1});
-    const std::string log = obs::to_frame_log(rec.events());
-    EXPECT_NE(log.find("TX"), std::string::npos);
-    EXPECT_NE(log.find("RX"), std::string::npos);
-    // Non-phy events are not frames and stay out of the pcap-like log.
-    EXPECT_EQ(log.find("app_send"), std::string::npos);
-}
-
 TEST(TraceRead, RejectsMalformedInput) {
     obs::LoadedTrace out;
     std::string error;
