@@ -5,7 +5,8 @@
 # and link) so every target — src/, tests/, bench/, examples/, fuzz/ — runs
 # under the same instrumentation. address+undefined compose; thread excludes
 # address/leak (the runtimes conflict), which is diagnosed here rather than at
-# link time.
+# link time. Sanitizer builds also compile the asserts in (-UNDEBUG) and
+# libstdc++'s precondition checks (-D_GLIBCXX_ASSERTIONS).
 #
 #   cmake -B build-asan -S . -DGEOANON_SANITIZE="address;undefined"
 #   cmake -B build-tsan -S . -DGEOANON_SANITIZE=thread
@@ -48,6 +49,11 @@ if(GEOANON_SANITIZE)
     list(APPEND _geoanon_san_flags -fno-omit-frame-pointer -g)
     add_compile_options(${_geoanon_san_flags})
     add_link_options(${_geoanon_san_flags})
+    # Sanitizer builds also run the asserts: compile options follow
+    # CMAKE_CXX_FLAGS_<CONFIG> on the command line, so -UNDEBUG here undoes
+    # RelWithDebInfo's -DNDEBUG (in CMAKE_CXX_FLAGS it would come first and
+    # do nothing). _GLIBCXX_ASSERTIONS adds the standard library's checks.
+    add_compile_options(-UNDEBUG -D_GLIBCXX_ASSERTIONS)
     # UBSan: any report is a bug; die loudly instead of logging and moving on.
     if("-fsanitize=undefined" IN_LIST _geoanon_san_flags)
       add_compile_options(-fno-sanitize-recover=undefined)

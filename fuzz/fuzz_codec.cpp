@@ -16,8 +16,10 @@
 //  P1  decode_ex never crashes or over-reads (sanitizers catch violations);
 //  P2  error and packet agree: packet engaged iff error == kOk;
 //  P3  a decoded packet re-encodes, and the re-encoding decodes cleanly;
-//  P4  re-encoding is a fixed point: encode(decode(encode(p))) == encode(p).
+//  P4  re-encoding is a fixed point: encode(decode(encode(p))) == encode(p);
+//  P5  decoding is canonical: an ok decode re-encodes to the input bytes.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -45,6 +47,8 @@ const char* check_one(std::span<const std::uint8_t> wire) {
     if (!again.packet) return "P3: re-encoded packet fails to decode";
     const auto twice = encode(*again.packet);
     if (twice != once) return "P4: re-encoding is not a fixed point";
+    if (!std::equal(once.begin(), once.end(), wire.begin(), wire.end()))
+        return "P5: an ok decode does not re-encode to its input";
     return nullptr;
 }
 
@@ -60,7 +64,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
 
 #ifndef GEOANON_LIBFUZZER
 
-#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>

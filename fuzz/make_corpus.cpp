@@ -5,12 +5,13 @@
 //    the codec itself (seeds for mutation-based fuzzing, and regression
 //    anchors for the replayer);
 //  - deliberately malformed frames — truncated headers, oversized length
-//    fields, bad type bytes, trailing garbage — each named after the
-//    DecodeError it must map to, which tests/test_codec_fuzz_regressions.cpp
-//    asserts.
+//    fields, bad type bytes, trailing garbage, non-canonical values — each
+//    named for the DecodeError it must map to, which
+//    tests/test_codec_fuzz_regressions.cpp asserts.
 //
 // Usage: make_corpus <output-dir>   (idempotent; overwrites existing files)
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -272,6 +273,60 @@ void malformed_seeds() {
         const std::size_t subject_at = 1 + 1 + 6 + 4 + 16;  // type..dst_loc
         for (std::size_t i = 0; i < 4; ++i) wire[subject_at + i] = 0xFF;
         emit("reject_plain_subject_sentinel", wire);
+    }
+
+    // Non-canonical frames: each breaks one rule the encoder never breaks,
+    // so decoding it would give two byte strings for one packet.
+    {
+        Packet hello;
+        hello.type = PacketType::kAgfwHello;
+        hello.hello_pseudonym = 0x42;
+        hello.hello_loc = Vec2{1.0, 2.0};
+        hello.hello_ts = SimTime::seconds(1.0);
+        Bytes wire = encode(hello);
+        wire[1] |= 0x40;  // flags: a bit no packet type defines
+        emit("reject_unknown_flag_bit", wire);
+
+        // Velocity hint after flags, pseudonym (6), loc (16), ts (8).
+        hello.hello_velocity = Vec2{1.0, 1.0};
+        const std::size_t velocity_at = 1 + 1 + 6 + 16 + 8;
+        Bytes zero = encode(hello);
+        for (std::size_t i = 0; i < 8; ++i) zero[velocity_at + i] = 0;
+        emit("reject_velocity_zero", zero);
+        Bytes nan = encode(hello);
+        const Bytes quiet_nan = {0x7F, 0xC0, 0x00, 0x00};
+        std::copy(quiet_nan.begin(), quiet_nan.end(), nan.begin() + velocity_at);
+        emit("reject_velocity_nan", nan);
+
+        // Ring-signed flag whose signature is empty: cut the 8 signature
+        // bytes and zero their u16 length.
+        hello.hello_velocity = Vec2{};
+        hello.auth = Bytes(8, 0xAA);
+        hello.ring_members = {1, 2};
+        Bytes unsigned_ring = encode(hello);
+        const std::size_t auth_len_at = 1 + 1 + 6 + 16 + 8;
+        unsigned_ring[auth_len_at + 1] = 0;
+        unsigned_ring.erase(unsigned_ring.begin() + auth_len_at + 2,
+                            unsigned_ring.begin() + auth_len_at + 2 + 8);
+        emit("reject_ring_signed_empty_signature", unsigned_ring);
+    }
+    {
+        Packet digest;
+        digest.type = PacketType::kLocDigest;
+        digest.next_hop_pseudonym = 0x42;
+        digest.grid = 1;
+        digest.dst_loc = Vec2{100.0, 100.0};
+        digest.ls_assist = true;
+        digest.ls_digest = {{0xBBULL, 1'000'000'000ULL}, {0xAAULL, 2'000'000'000ULL}};
+        emit("reject_digest_unsorted", encode(digest));  // hashes decrease
+
+        std::swap(digest.ls_digest[0], digest.ls_digest[1]);
+        Bytes perimeter = encode(digest);
+        perimeter[1] |= 0x04;  // flags: perimeter mode
+        emit("reject_digest_perimeter_bit", perimeter);
+        Bytes plain = encode(digest);
+        plain[1] &= static_cast<std::uint8_t>(~0x10);  // flags: plain row format
+        emit("reject_digest_plain_format", plain);
     }
 
     // Fixed-layout packet with trailing garbage.

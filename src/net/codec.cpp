@@ -1,7 +1,9 @@
 #include "net/codec.hpp"
 
 #include <bit>
+#include <cmath>
 #include <type_traits>
+#include <utility>
 
 #include "util/bytes.hpp"
 
@@ -18,11 +20,18 @@ constexpr std::uint8_t kFlagAuth = 0x02;       // hello is ring-signed
 constexpr std::uint8_t kFlagPerimeter = 0x04;  // packet is in perimeter mode
 constexpr std::uint8_t kFlagAssist = 0x08;     // one-hop LS assist copy
 constexpr std::uint8_t kFlagAnonymous = 0x10;  // ALS (vs plain DLM) row format
+// The bits each packet family may set; any other bit is non-canonical.
+constexpr std::uint8_t kHelloFlags = kFlagVelocity | kFlagAuth;
+constexpr std::uint8_t kLsFlags = kFlagPerimeter | kFlagAssist | kFlagAnonymous;
 
 /// Velocity hints travel quantized to two f32 (8 bytes).
 // geoanon-lint: begin-allow(float-accum) -- deliberate IEEE-754 binary32 wire quantization; the value is widened back to double immediately on decode and never accumulated as float
 std::uint32_t to_f32_bits(double v) { return std::bit_cast<std::uint32_t>(static_cast<float>(v)); }
 double from_f32_bits(std::uint32_t b) { return static_cast<double>(std::bit_cast<float>(b)); }
+/// Whether `v` is still non-zero once quantized to two f32 (the velocity flag).
+bool f32_nonzero(util::Vec2 v) {
+    return from_f32_bits(to_f32_bits(v.x)) != 0.0 || from_f32_bits(to_f32_bits(v.y)) != 0.0;
+}
 // geoanon-lint: end-allow(float-accum)
 
 /// Encode side of the field walk. Appends to `out` when given one and
@@ -60,9 +69,12 @@ struct Encoder {
         for (const auto& item : items) each(item);
         return true;
     }
-    /// A packet the encoder can build always passes the decoder's checks,
-    /// except one whose type is outside PacketType: only its type byte goes out.
+    /// A packet whose type is outside PacketType encodes to its type byte.
     bool expect(bool ok, DecodeError /*error*/) { return ok; }
+    /// Canonical-form rules bind the decoder only: a packet that breaks one
+    /// (say, an unsorted digest) still encodes in full, to the bytes the
+    /// decoder then rejects as kBadValue.
+    bool rule(bool /*ok*/) { return true; }
 };
 
 /// Decode side of the field walk: reads the same fields into a Packet and
@@ -77,6 +89,7 @@ struct Decoder {
         if (!ok) error = e;
         return ok;
     }
+    bool rule(bool ok) { return expect(ok, DecodeError::kBadValue); }
     template <class T>
     bool uint(int n, T& v) {
         if (!expect(r.remaining() >= static_cast<std::size_t>(n), DecodeError::kTruncated))
@@ -148,13 +161,14 @@ bool perimeter(IO& io, P& p, std::uint8_t flags) {
 /// "no subject", i.e. the anonymous format, so a plain frame may not name it.
 template <class IO, class P>
 bool subject(IO& io, P& p) {
-    return io.uint(4, p.ls_subject) &&
-           io.expect(p.ls_subject != kInvalidNode, DecodeError::kBadValue);
+    return io.uint(4, p.ls_subject) && io.rule(p.ls_subject != kInvalidNode);
 }
 
 /// The wire format, stated once: every field of `p` in on-air order. `P` is
 /// `const Packet` when encoding, where flag bits are computed from the
-/// packet, and `Packet` when decoding, where they are read into it.
+/// packet, and `Packet` when decoding, where they are read into it. The
+/// decoder accepts only what the encoder writes (every `rule`), so an `ok`
+/// decode re-encodes to its input bytes.
 template <class IO, class P>
 bool fields(IO& io, P& p) {
     constexpr bool kEncoding = std::is_const_v<P>;
@@ -173,26 +187,30 @@ bool fields(IO& io, P& p) {
 
         case PacketType::kAgfwHello:
             if constexpr (kEncoding) {
-                if (p.hello_velocity.x != 0.0 || p.hello_velocity.y != 0.0)
-                    flags |= kFlagVelocity;
+                if (f32_nonzero(p.hello_velocity)) flags |= kFlagVelocity;
                 if (!p.auth.empty()) flags |= kFlagAuth;
             }
-            if (!(io.uint(1, flags) && io.uint(6, p.hello_pseudonym) &&
-                  vec(io, p.hello_loc) && io.time(p.hello_ts)))
+            if (!(io.uint(1, flags) && io.rule((flags & ~kHelloFlags) == 0) &&
+                  io.uint(6, p.hello_pseudonym) && vec(io, p.hello_loc) && io.time(p.hello_ts)))
                 return false;
+            // A velocity hint is a non-zero vector of numbers (a NaN would not
+            // survive the f32 round trip bit for bit).
             if ((flags & kFlagVelocity) &&
-                !(io.f32(p.hello_velocity.x) && io.f32(p.hello_velocity.y)))
+                !(io.f32(p.hello_velocity.x) && io.f32(p.hello_velocity.y) &&
+                  io.rule(f32_nonzero(p.hello_velocity) && !std::isnan(p.hello_velocity.x) &&
+                          !std::isnan(p.hello_velocity.y))))
                 return false;
             // Ring signature, then certificate references (§4): 4-byte serials.
             return !(flags & kFlagAuth) ||
-                   (io.blob(p.auth) &&
+                   (io.blob(p.auth) && io.rule(!p.auth.empty()) &&
                     io.list(p.ring_members, 4, [&](auto& id) { return io.uint(4, id); }));
 
         case PacketType::kAgfwData:
             if constexpr (kEncoding) {
                 if (p.perimeter_mode) flags |= kFlagPerimeter;
             }
-            return io.uint(1, flags) && vec(io, p.dst_loc) &&
+            return io.uint(1, flags) && io.rule((flags & ~kFlagPerimeter) == 0) &&
+                   vec(io, p.dst_loc) &&
                    io.uint(6, p.next_hop_pseudonym) && perimeter(io, p, flags) &&
                    io.blob(p.trapdoor) && io.rest(p.body);
 
@@ -208,16 +226,18 @@ bool fields(IO& io, P& p) {
     }
 
     // Location-service header, shared by all five LS types. A digest travels
-    // one hop in the anonymous row format, so it never sets the perimeter
-    // bit; the decoder still reads a perimeter block on any LS type.
+    // one hop in the anonymous row format, so it always sets the anonymous
+    // bit and never the perimeter bit.
     const bool digest = p.type == PacketType::kLocDigest;
     if constexpr (kEncoding) {
         if (digest || p.ls_subject == kInvalidNode) flags |= kFlagAnonymous;
         if (p.ls_assist) flags |= kFlagAssist;
         if (p.perimeter_mode && !digest) flags |= kFlagPerimeter;
     }
-    if (!(io.uint(1, flags) && io.uint(6, p.next_hop_pseudonym) && io.uint(4, p.grid) &&
-          vec(io, p.dst_loc) && perimeter(io, p, flags)))
+    if (!(io.uint(1, flags) && io.rule((flags & ~kLsFlags) == 0) &&
+          io.rule(!digest || (flags & (kFlagAnonymous | kFlagPerimeter)) == kFlagAnonymous) &&
+          io.uint(6, p.next_hop_pseudonym) && io.uint(4, p.grid) && vec(io, p.dst_loc) &&
+          perimeter(io, p, flags)))
         return false;
     if constexpr (!kEncoding) p.ls_assist = (flags & kFlagAssist) != 0;
     const bool plain = !(flags & kFlagAnonymous);
@@ -241,9 +261,12 @@ bool fields(IO& io, P& p) {
 
         default:
             // Anti-entropy digest: (key hash, expiry) summaries only — never
-            // a location, payload, or cleartext identity.
+            // a location, payload, or cleartext identity. Rows are sorted by
+            // hash (ties allowed) so receivers can binary-search them.
+            std::uint64_t last_hash = 0;
             return io.list(p.ls_digest, 16, [&](auto& row) {
-                return io.uint(8, row.key_hash) && io.uint(8, row.expires_ns);
+                return io.uint(8, row.key_hash) && io.uint(8, row.expires_ns) &&
+                       io.rule(std::exchange(last_hash, row.key_hash) <= row.key_hash);
             });
     }
 }

@@ -50,8 +50,13 @@ enum class DecodeError : std::uint8_t {
     kTruncated,      ///< ran out of bytes mid-field
     kBadLength,      ///< a length/count field exceeds the bytes that remain
     kTrailingBytes,  ///< fixed-layout packet followed by extra bytes
-    kBadValue,       ///< a field holds a value its format forbids (a plain
-                     ///< LS frame naming kInvalidNode as its subject)
+    kBadValue,       ///< a non-canonical value the encoder never writes: a
+                     ///< plain LS frame naming kInvalidNode, a flag bit its
+                     ///< packet type does not define, a digest without the
+                     ///< anonymous bit or with the perimeter bit, a velocity
+                     ///< flag carrying (0, 0) or a NaN, a ring-signed flag
+                     ///< with an empty signature, digest rows whose key
+                     ///< hashes decrease
 };
 
 /// Human-readable name for a DecodeError (stable; used in fuzz output).
@@ -66,6 +71,7 @@ struct DecodeResult {
 /// Parse a canonical byte string, reporting why malformed input was
 /// rejected. Never reads out of bounds and never throws: any structural
 /// error (truncation, bad type, inconsistent lengths) yields a diagnostic.
+/// Accepts only canonical encodings: an `ok` decode re-encodes to `wire`.
 DecodeResult decode_ex(std::span<const std::uint8_t> wire);
 
 /// Parse a canonical byte string. Returns nullopt on any structural error

@@ -115,8 +115,7 @@ void LocationService::start() {
 }
 
 void LocationService::reset() {
-    plain_store_.clear();
-    anon_store_.clear();
+    store_.clear();
     serving_.clear();
     last_digest_.clear();
     resolved_qids_.clear();
@@ -394,11 +393,20 @@ void LocationService::store_row(const PacketPtr& pkt) {
     // Dispatch on the ROW's format, not this server's own mode: the paper's
     // heterogeneous update scheme (§3.3) lets privacy-indifferent nodes use
     // plain rows while others stay anonymous, and any server stores both.
+    // Plain rows: the newer update timestamp wins. Anonymous rows: the later
+    // expiry wins.
     if (pkt->ls_subject != net::kInvalidNode) {
-        auto& row = plain_store_[pkt->ls_subject];
-        const SimTime ts = pkt->created_at;
-        fresh = row.expires == SimTime{} || row.ts < ts;
-        if (fresh) row = PlainRow{pkt->ls_subject_loc, ts, expires};
+        auto [it, inserted] = store_.try_emplace(pkt->ls_subject);
+        Row& row = it->second;
+        if (inserted) {
+            row.grid = grid_.home_grid(pkt->ls_subject);
+            row.digest_hash = plain_key_hash(pkt->ls_subject);
+        }
+        fresh = inserted || std::get<Fix>(row.payload).ts < pkt->created_at;
+        if (fresh) {
+            row.payload = Fix{pkt->ls_subject_loc, pkt->created_at};
+            row.expires = expires;
+        }
     } else {
         ByteReader r(pkt->ls_payload);
         auto count = r.u32();
@@ -407,9 +415,9 @@ void LocationService::store_row(const PacketPtr& pkt) {
             auto index = r.bytes();
             auto payload = r.bytes();
             if (!index || !payload) return;
-            auto [it, inserted] = anon_store_.try_emplace(std::move(*index));
-            AnonRow& row = it->second;
-            if (inserted) row.digest_hash = anon_key_hash(it->first);
+            auto [it, inserted] = store_.try_emplace(std::move(*index));
+            Row& row = it->second;
+            if (inserted) row.digest_hash = anon_key_hash(std::get<Bytes>(it->first));
             if (inserted || row.expires < expires) {
                 row.payload = std::move(*payload);
                 row.grid = pkt->grid;
@@ -432,18 +440,14 @@ void LocationService::store_row(const PacketPtr& pkt) {
     }
 }
 
+std::optional<LocationService::RowKey> LocationService::requested_key(const Packet& req) {
+    if (req.ls_subject != net::kInvalidNode) return req.ls_subject;
+    if (!req.ls_index.empty()) return req.ls_index;
+    return std::nullopt;  // index-free
+}
+
 void LocationService::answer_request(const PacketPtr& pkt) {
     const SimTime now = hooks_.sim->now();
-    // A row is servable while live, or — last rung of the degradation
-    // ladder — while expired by no more than stale_grace (a possibly stale
-    // location beats a failed resolve during an outage).
-    const auto servable = [&](SimTime expires, bool& stale) {
-        if (expires >= now) return true;
-        stale = params_.stale_grace > SimTime::zero() &&
-                expires + params_.stale_grace >= now;
-        return stale;
-    };
-
     auto reply = net::make_packet();
     reply->type = net::PacketType::kLocReply;
     reply->grid = pkt->grid;
@@ -452,68 +456,47 @@ void LocationService::answer_request(const PacketPtr& pkt) {
     reply->ls_query_id = pkt->ls_query_id;
     reply->uid = hooks_.rng->next_u64();
 
-    // Read repair (anti-entropy): when a neighbor asked for help after its
-    // own miss, re-replicate what we serve so the asking replica recovers
-    // the row without waiting for the next digest round.
-    std::vector<Bytes> repair_keys;
-    std::optional<NodeId> repair_subject;
-
-    // Serve according to the REQUEST's format (heterogeneous §3.3).
-    if (pkt->ls_subject != net::kInvalidNode) {
-        auto it = plain_store_.find(pkt->ls_subject);
-        bool stale = false;
-        if (it == plain_store_.end() || !servable(it->second.expires, stale)) {
-            ++stats_.store_misses;
-            return;
+    // Serve according to the REQUEST's format (heterogeneous §3.3): the row
+    // its plain subject or index names, or, index-free, every anonymous row
+    // of this grid. A row is servable while live, or (last rung of the
+    // degradation ladder) while expired by no more than stale_grace: a
+    // possibly stale location beats a failed resolve during an outage.
+    std::vector<Store::const_iterator> rows;
+    std::uint64_t stale_rows = 0;
+    const auto offer = [&](Store::const_iterator it) {
+        const SimTime expires = it->second.expires;
+        if (expires >= now) {
+            rows.push_back(it);
+        } else if (params_.stale_grace > SimTime::zero() &&
+                   expires + params_.stale_grace >= now) {
+            ++stale_rows;
+            rows.push_back(it);
         }
-        ++stats_.store_hits;
-        if (stale) ++stats_.stale_reads;
+    };
+    if (const auto key = requested_key(*pkt)) {
+        if (auto it = store_.find(*key); it != store_.end()) offer(it);
+    } else {
+        for (auto it = store_.cbegin(); it != store_.cend() && !is_plain(it); ++it)
+            if (it->second.grid == pkt->grid) offer(it);
+    }
+    if (rows.empty()) {
+        ++stats_.store_misses;
+        return;
+    }
+    ++stats_.store_hits;
+    stats_.stale_reads += stale_rows;
+
+    if (pkt->ls_subject != net::kInvalidNode) {
         reply->dst_id = pkt->src_id;
         reply->ls_subject = pkt->ls_subject;
-        reply->ls_subject_loc = it->second.loc;
-        reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
-        repair_subject = pkt->ls_subject;
-    } else if (!pkt->ls_index.empty()) {
-        auto it = anon_store_.find(pkt->ls_index);
-        bool stale = false;
-        if (it == anon_store_.end() || !servable(it->second.expires, stale)) {
-            ++stats_.store_misses;
-            return;
-        }
-        ++stats_.store_hits;
-        if (stale) ++stats_.stale_reads;
-        ByteWriter rows;
-        rows.u32(1);
-        rows.bytes(it->second.payload);
-        reply->ls_payload = rows.take();
-        reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
-        repair_keys.push_back(it->first);
-    } else {  // index-free: return every servable row of this grid
-        ByteWriter rows;
-        std::uint32_t count = 0;
-        ByteWriter body;
-        std::uint64_t stale_rows = 0;
-        for (const auto& [key, row] : anon_store_) {
-            if (row.grid != pkt->grid) continue;
-            bool stale = false;
-            if (!servable(row.expires, stale)) continue;
-            if (stale) ++stale_rows;
-            body.bytes(row.payload);
-            repair_keys.push_back(key);
-            ++count;
-        }
-        if (count == 0) {
-            ++stats_.store_misses;
-            return;
-        }
-        ++stats_.store_hits;
-        stats_.stale_reads += stale_rows;
-        rows.u32(count);
-        rows.raw(body.data());
-        reply->ls_payload = rows.take();
-        reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
+        reply->ls_subject_loc = std::get<Fix>(rows.front()->second.payload).loc;
+    } else {
+        ByteWriter w;
+        w.u32(static_cast<std::uint32_t>(rows.size()));
+        for (const auto it : rows) w.bytes(std::get<Bytes>(it->second.payload));
+        reply->ls_payload = w.take();
     }
-
+    reply->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*reply));
     ++stats_.replies_sent;
     stats_.reply_bytes += reply->wire_bytes;
     GEOANON_TRACE(*hooks_.sim, .type = obs::EventType::kLsReply, .node = hooks_.my_id,
@@ -521,31 +504,25 @@ void LocationService::answer_request(const PacketPtr& pkt) {
                   .detail = reply->ls_query_id);
     hooks_.route(reply);
 
+    // Read repair (anti-entropy): when a neighbor asked for help after its
+    // own miss, re-replicate what we serve so the asking replica recovers
+    // the row without waiting for the next digest round.
     if (pkt->ls_assist && params_.replicate && params_.anti_entropy) {
-        if (repair_subject) {
-            push_plain_row(*repair_subject, plain_store_.at(*repair_subject));
-            ++stats_.read_repairs;
-        } else if (!repair_keys.empty()) {
-            push_anon_rows(pkt->grid, repair_keys);
-            stats_.read_repairs += repair_keys.size();
-        }
-        if (repair_subject || !repair_keys.empty()) {
-            GEOANON_TRACE(*hooks_.sim, .type = obs::EventType::kLsReadRepair,
-                          .node = hooks_.my_id, .uid = reply->uid,
-                          .detail = reply->ls_query_id);
-        }
+        push_rows(pkt->grid, rows);
+        stats_.read_repairs += rows.size();
+        GEOANON_TRACE(*hooks_.sim, .type = obs::EventType::kLsReadRepair,
+                      .node = hooks_.my_id, .uid = reply->uid,
+                      .detail = reply->ls_query_id);
     }
 }
 
 void LocationService::serve(const PacketPtr& pkt) {
-    // Indexed/plain lookup, with a one-hop neighbor assist on miss: another
-    // nearby in-grid node may hold the row (mobility moves servers around).
-    const bool plain_req = pkt->ls_subject != net::kInvalidNode;
-    const bool indexed_req = !pkt->ls_index.empty();
-    const bool have =
-        (plain_req && plain_store_.contains(pkt->ls_subject)) ||
-        (indexed_req && anon_store_.contains(pkt->ls_index)) ||
-        (!plain_req && !indexed_req && !anon_store_.empty());
+    // Keyed lookup, with a one-hop neighbor assist on miss: another nearby
+    // in-grid node may hold the row (mobility moves servers around). An
+    // index-free request is answered while any anonymous row, of any grid,
+    // is stored.
+    const auto key = requested_key(*pkt);
+    const bool have = key ? store_.contains(*key) : !store_.empty() && !is_plain(store_.cbegin());
     if (have) {
         answer_request(pkt);
         return;
@@ -619,54 +596,53 @@ void LocationService::on_reply(const PacketPtr& pkt) {
     });
 }
 
-void LocationService::push_anon_rows(std::uint32_t grid, const std::vector<Bytes>& keys) {
-    auto pkt = net::make_packet();
-    pkt->type = net::PacketType::kLocReplicate;
-    pkt->grid = grid;
-    pkt->dst_loc = grid_.center_of(grid);
-    pkt->ls_assist = true;
-    pkt->uid = hooks_.rng->next_u64();
-
-    ByteWriter rows;
-    std::uint32_t count = 0;
-    ByteWriter body;
-    // Receivers adopt created_at + entry_ttl as the row expiry, so carry the
-    // most conservative remaining TTL of the batch — gossip must never
-    // extend a row's life beyond what the updater authorized.
-    SimTime min_expires = SimTime::max();
-    for (const Bytes& key : keys) {
-        auto it = anon_store_.find(key);
-        if (it == anon_store_.end()) continue;
-        body.bytes(key);
-        body.bytes(it->second.payload);
-        min_expires = std::min(min_expires, it->second.expires);
-        ++count;
+void LocationService::push_rows(std::uint32_t grid,
+                                const std::vector<Store::const_iterator>& rows) {
+    // Anonymous rows sort before plain ones, so they are a prefix.
+    const auto plain = std::find_if(rows.begin(), rows.end(), is_plain);
+    if (plain != rows.begin()) {
+        auto pkt = net::make_packet();
+        pkt->type = net::PacketType::kLocReplicate;
+        pkt->grid = grid;
+        pkt->dst_loc = grid_.center_of(grid);
+        pkt->ls_assist = true;
+        pkt->uid = hooks_.rng->next_u64();
+        ByteWriter w;
+        w.u32(static_cast<std::uint32_t>(plain - rows.begin()));
+        // Receivers adopt created_at + entry_ttl as the row expiry, so carry
+        // the most conservative remaining TTL of the batch: gossip must never
+        // extend a row's life beyond what the updater authorized.
+        SimTime min_expires = SimTime::max();
+        for (auto it = rows.begin(); it != plain; ++it) {
+            w.bytes(std::get<Bytes>((*it)->first));
+            w.bytes(std::get<Bytes>((*it)->second.payload));
+            min_expires = std::min(min_expires, (*it)->second.expires);
+        }
+        pkt->created_at = min_expires - params_.entry_ttl;
+        pkt->ls_payload = w.take();
+        pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
+        hooks_.local_broadcast(std::move(pkt));
     }
-    if (count == 0) return;
-    pkt->created_at = min_expires - params_.entry_ttl;
-    rows.u32(count);
-    rows.raw(body.data());
-    pkt->ls_payload = rows.take();
-    pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
-    hooks_.local_broadcast(std::move(pkt));
-}
-
-void LocationService::push_plain_row(NodeId subject, const PlainRow& row) {
-    auto pkt = net::make_packet();
-    pkt->type = net::PacketType::kLocReplicate;
-    pkt->grid = grid_.home_grid(subject);
-    pkt->dst_loc = grid_.center_of(pkt->grid);
-    // The original update timestamp rides along so receivers keep the DLM
-    // freshness ordering (a repair push must never beat a newer update).
-    pkt->created_at = row.ts;
-    pkt->ls_assist = true;
-    // geoanon-lint: allow(privacy-taint) -- plain DLM baseline: the subject is already cleartext on the row being re-replicated
-    pkt->ls_subject = subject;
-    // geoanon-lint: allow(privacy-taint) -- plain DLM baseline, see ls_subject above
-    pkt->ls_subject_loc = row.loc;
-    pkt->uid = hooks_.rng->next_u64();
-    pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
-    hooks_.local_broadcast(std::move(pkt));
+    for (auto it = plain; it != rows.end(); ++it) {
+        const Row& row = (*it)->second;
+        const Fix& fix = std::get<Fix>(row.payload);
+        auto pkt = net::make_packet();
+        pkt->type = net::PacketType::kLocReplicate;
+        pkt->grid = row.grid;
+        pkt->dst_loc = grid_.center_of(row.grid);
+        // The original update timestamp rides along so receivers keep the
+        // DLM freshness ordering (a repair push must never beat a newer
+        // update).
+        pkt->created_at = fix.ts;
+        pkt->ls_assist = true;
+        // geoanon-lint: allow(privacy-taint) -- plain DLM baseline: the subject is already cleartext on the row being re-replicated
+        pkt->ls_subject = std::get<NodeId>((*it)->first);
+        // geoanon-lint: allow(privacy-taint) -- plain DLM baseline, see ls_subject above
+        pkt->ls_subject_loc = fix.loc;
+        pkt->uid = hooks_.rng->next_u64();
+        pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
+        hooks_.local_broadcast(std::move(pkt));
+    }
 }
 
 // Builds and broadcasts this node's anti-entropy digest for `grid`: one
@@ -682,17 +658,11 @@ void LocationService::send_digest(std::uint32_t grid) {
     pkt->created_at = hooks_.sim->now();
     pkt->ls_assist = true;
     pkt->uid = hooks_.rng->next_u64();
-    pkt->ls_digest.reserve(anon_store_.size() + plain_store_.size());
-    for (const auto& [key, row] : anon_store_) {
+    pkt->ls_digest.reserve(store_.size());
+    for (const auto& [key, row] : store_) {
         if (row.grid != grid) continue;
         pkt->ls_digest.push_back(
             {row.digest_hash, static_cast<std::uint64_t>(row.expires.ns())});
-    }
-    // geoanon-lint: allow(unordered-iter) -- rows are sorted by hash below; only rows with colliding hashes keep this order, and it picks which of them a receiver compares
-    for (const auto& [subject, row] : plain_store_) {
-        if (grid_.home_grid(subject) != grid) continue;
-        pkt->ls_digest.push_back(
-            {plain_key_hash(subject), static_cast<std::uint64_t>(row.expires.ns())});
     }
     std::stable_sort(pkt->ls_digest.begin(), pkt->ls_digest.end(), digest_by_hash);
     pkt->wire_bytes = static_cast<std::uint32_t>(net::codec::encoded_size(*pkt));
@@ -707,17 +677,11 @@ void LocationService::handoff_grid(std::uint32_t grid) {
     // rows would otherwise be lost to the grid. Push them to whoever is
     // still inside before stepping down (the rows themselves stay until
     // they expire; we just stop serving/gossiping them).
-    std::vector<Bytes> keys;
-    for (const auto& [key, row] : anon_store_)
-        if (row.grid == grid) keys.push_back(key);
-    if (!keys.empty()) push_anon_rows(grid, keys);
-    std::vector<NodeId> subjects;
-    // geoanon-lint: allow(unordered-iter) -- collection only; sorted below before anything is emitted
-    for (const auto& [subject, row] : plain_store_)
-        if (grid_.home_grid(subject) == grid) subjects.push_back(subject);
-    std::sort(subjects.begin(), subjects.end());
-    for (NodeId subject : subjects) push_plain_row(subject, plain_store_.at(subject));
-    if (keys.empty() && subjects.empty()) return;
+    std::vector<Store::const_iterator> rows;
+    for (auto it = store_.cbegin(); it != store_.cend(); ++it)
+        if (it->second.grid == grid) rows.push_back(it);
+    if (rows.empty()) return;
+    push_rows(grid, rows);
     ++stats_.handoffs;
     GEOANON_TRACE(*hooks_.sim, .type = obs::EventType::kLsHandoff,
                   .node = hooks_.my_id, .detail = grid);
@@ -727,13 +691,9 @@ void LocationService::digest_tick() {
     if (hooks_.is_up && !hooks_.is_up()) return;
     const util::Vec2 me = hooks_.my_position();
 
-    // Grids this node holds rows for (plain rows live in their subject's
-    // home grid).
+    // Grids this node holds rows for.
     std::set<std::uint32_t> grids;
-    for (const auto& [key, row] : anon_store_) grids.insert(row.grid);
-    // geoanon-lint: allow(unordered-iter) -- inserts into a std::set; iteration order cannot escape
-    for (const auto& [subject, row] : plain_store_)
-        grids.insert(grid_.home_grid(subject));
+    for (const auto& [key, row] : store_) grids.insert(row.grid);
 
     for (const std::uint32_t g : grids) {
         const bool in_radius =
@@ -776,29 +736,16 @@ void LocationService::on_digest(const PacketPtr& pkt) {
         return !seen ||
                SimTime::nanos(static_cast<std::int64_t>(seen->expires_ns)) + margin < expires;
     };
-    std::vector<Bytes> keys;
+    std::vector<Store::const_iterator> rows;
     std::uint64_t known_hashes_here = 0;
-    for (const auto& [key, row] : anon_store_) {
-        if (row.grid != g) continue;
-        const PeerRow* seen = find_peer(row.digest_hash);
+    for (auto it = store_.cbegin(); it != store_.cend(); ++it) {
+        if (it->second.grid != g) continue;
+        const PeerRow* seen = find_peer(it->second.digest_hash);
         if (seen) ++known_hashes_here;
-        if (peer_wants(seen, row.expires)) keys.push_back(key);
+        if (peer_wants(seen, it->second.expires)) rows.push_back(it);
     }
-    std::vector<NodeId> subjects;
-    // geoanon-lint: allow(unordered-iter) -- collection only; sorted below before anything is emitted
-    for (const auto& [subject, row] : plain_store_) {
-        if (grid_.home_grid(subject) != g) continue;
-        const PeerRow* seen = find_peer(plain_key_hash(subject));
-        if (seen) ++known_hashes_here;
-        if (peer_wants(seen, row.expires)) subjects.push_back(subject);
-    }
-    std::sort(subjects.begin(), subjects.end());
-    if (!keys.empty()) {
-        push_anon_rows(g, keys);
-        stats_.repairs_sent += keys.size();
-    }
-    for (NodeId subject : subjects) push_plain_row(subject, plain_store_.at(subject));
-    stats_.repairs_sent += subjects.size();
+    push_rows(g, rows);
+    stats_.repairs_sent += rows.size();
 
     // The sender advertises rows we have never seen: answer with our own
     // digest (possibly empty — e.g. right after a restart) so the sender
@@ -815,12 +762,9 @@ void LocationService::sweep_expired() {
     const SimTime now = hooks_.sim->now();
     // Keep stale-grace rows servable: only drop past expiry + grace.
     const SimTime horizon = now - params_.stale_grace;
-    const std::size_t before = plain_store_.size() + anon_store_.size();
-    std::erase_if(plain_store_,
-                  [&](const auto& kv) { return kv.second.expires < horizon; });
-    std::erase_if(anon_store_,
-                  [&](const auto& kv) { return kv.second.expires < horizon; });
-    stats_.store_expired += before - (plain_store_.size() + anon_store_.size());
+    const std::size_t before = store_.size();
+    std::erase_if(store_, [&](const auto& kv) { return kv.second.expires < horizon; });
+    stats_.store_expired += before - store_.size();
     // Closed-query records only need to outlive straggling quorum replies.
     std::erase_if(resolved_qids_,
                   [&](const auto& kv) { return kv.second + params_.entry_ttl < now; });

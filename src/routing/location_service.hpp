@@ -7,6 +7,7 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "crypto/engine.hpp"
@@ -167,22 +168,37 @@ class LocationService {
     void publish_metrics(obs::MetricsRegistry& reg) const;
     Mode mode() const { return mode_; }
     /// Number of rows currently stored at this node (server role).
-    std::size_t store_size() const { return plain_store_.size() + anon_store_.size(); }
+    std::size_t store_size() const { return store_.size(); }
 
   private:
-    struct PlainRow {
+    /// A row's key: the encrypted index E_{K_B}(A,B) of an anonymous row, or
+    /// the subject of a plain one. Anonymous rows sort first, in index byte
+    /// order (the lowercase-hex order of the index), then plain rows by
+    /// ascending subject: the order every digest, reply and push lists them.
+    using RowKey = std::variant<util::Bytes, NodeId>;
+    /// A plain row's payload: the subject's location and its update's
+    /// timestamp.
+    struct Fix {
         util::Vec2 loc;
         SimTime ts;
-        SimTime expires;
     };
-    struct AnonRow {
-        util::Bytes payload;
-        std::uint32_t grid;
+    struct Row {
+        /// Anonymous rows: the packet's grid. Plain rows: the subject's home
+        /// grid.
+        std::uint32_t grid{0};
         SimTime expires;
-        /// Anti-entropy digest hash of the row's index, computed once when
-        /// the row is first stored.
+        /// Anti-entropy digest hash of the key, computed once when the row
+        /// is first stored.
         std::uint64_t digest_hash{0};
+        /// Anonymous rows: E_{K_B}(A, loc_A, ts). Plain rows: a Fix.
+        std::variant<util::Bytes, Fix> payload;
     };
+    using Store = std::map<RowKey, Row>;
+    static bool is_plain(Store::const_iterator it) { return it->first.index() == 1; }
+    /// The key a request names: its plain subject, else its index; nullopt
+    /// for an index-free request.
+    static std::optional<RowKey> requested_key(const Packet& req);
+
     /// On-air shape of one query round. The degradation ladder walks a
     /// mode-specific sequence of formats, each with its own retry budget:
     /// §3.3's heterogeneous fallback (the target may run the other service
@@ -223,10 +239,10 @@ class LocationService {
     void handoff_grid(std::uint32_t grid);
     void on_digest(const PacketPtr& pkt);
     void sweep_expired();
-    /// Broadcast the named anonymous rows of `grid` as one kLocReplicate.
-    void push_anon_rows(std::uint32_t grid, const std::vector<util::Bytes>& keys);
-    /// Broadcast one plain row as a kLocReplicate (preserves its timestamp).
-    void push_plain_row(NodeId subject, const PlainRow& row);
+    /// Broadcast the given rows, in store order: the anonymous ones as one
+    /// kLocReplicate for `grid`, then one kLocReplicate per plain row (which
+    /// keeps its timestamp).
+    void push_rows(std::uint32_t grid, const std::vector<Store::const_iterator>& rows);
 
     Mode mode_;
     GridMap grid_;
@@ -237,12 +253,8 @@ class LocationService {
     sim::PeriodicTimer digest_timer_;
     sim::PeriodicTimer sweep_timer_;
 
-    // Server-side row stores.
-    /// Keyed by the raw index bytes. Byte order equals the lowercase-hex
-    /// order of the index, so digests, index-free replies and repair pushes
-    /// list rows in hex order.
-    std::map<util::Bytes, AnonRow> anon_store_;
-    std::unordered_map<NodeId, PlainRow> plain_store_;
+    /// Server-side rows of both formats (§3.3: any server stores both).
+    Store store_;
 
     /// Grids this node currently serves (was inside server_radius_m at the
     /// last digest tick while holding rows); leaving one triggers handoff.

@@ -2,7 +2,7 @@
 // plus directed malformed-input cases, so CI exercises the codec's
 // untrusted-input handling without libFuzzer. Mirrors the properties in
 // fuzz/fuzz_codec.cpp: decode never crashes, rejections are classified, and
-// accepted packets re-encode to a fixed point.
+// accepted packets re-encode to their input bytes.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +56,7 @@ DecodeError check_properties(const Bytes& wire) {
         if (again.packet) {
             EXPECT_EQ(encode(*again.packet), once);
         }
+        EXPECT_EQ(once, wire) << "P5: an ok decode must re-encode to its input";
     }
     return result.error;
 }
@@ -94,6 +95,13 @@ const std::map<std::string, DecodeError>& reject_seed_errors() {
         {"reject_oversized_digest_count", DecodeError::kBadLength},
         {"reject_trailing_bytes", DecodeError::kTrailingBytes},
         {"reject_plain_subject_sentinel", DecodeError::kBadValue},
+        {"reject_unknown_flag_bit", DecodeError::kBadValue},
+        {"reject_digest_perimeter_bit", DecodeError::kBadValue},
+        {"reject_digest_plain_format", DecodeError::kBadValue},
+        {"reject_velocity_zero", DecodeError::kBadValue},
+        {"reject_velocity_nan", DecodeError::kBadValue},
+        {"reject_ring_signed_empty_signature", DecodeError::kBadValue},
+        {"reject_digest_unsorted", DecodeError::kBadValue},
     };
     return errors;
 }
@@ -141,6 +149,35 @@ TEST(CodecFuzzRegressions, EveryTruncationOfEveryValidSeedRejectsCleanly) {
             EXPECT_EQ(result.packet.has_value(), result.error == DecodeError::kOk);
         }
     }
+}
+
+TEST(CodecFuzzRegressions, OneBitFlipCensusFindsNoNonCanonicalDecode) {
+    // Flip every bit of every valid seed once. A flip the decoder accepts
+    // must describe a packet that encodes to exactly the flipped bytes;
+    // otherwise two byte strings would stand for one packet.
+    std::size_t flips = 0;
+    std::size_t accepted = 0;
+    std::vector<std::string> non_canonical;
+    for (const auto& entry : std::filesystem::directory_iterator(corpus_dir())) {
+        const std::string name = entry.path().stem().string();
+        if (name.rfind("valid_", 0) != 0 || name.find("traced") != std::string::npos)
+            continue;
+        const Bytes wire = load_hex_file(entry.path());
+        for (std::size_t bit = 0; bit < 8 * wire.size(); ++bit) {
+            Bytes flipped = wire;
+            flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+            ++flips;
+            const auto result = decode_ex(flipped);
+            if (!result.packet) continue;
+            ++accepted;
+            if (encode(*result.packet) != flipped)
+                non_canonical.push_back(name + " bit " + std::to_string(bit));
+        }
+    }
+    EXPECT_GT(flips, 8'000u);  // every bit of ~1 KiB of seeds
+    EXPECT_GT(accepted, flips / 2);  // most flips land in values, not structure
+    EXPECT_TRUE(non_canonical.empty())
+        << non_canonical.size() << " non-canonical ok decodes, first: " << non_canonical.front();
 }
 
 TEST(CodecFuzzRegressions, TruncatedHeaderClassifiedTruncated) {
@@ -229,6 +266,9 @@ TEST(CodecFuzzRegressions, SeededMutationSweepIsTotal) {
         }
         const auto result = decode_ex(mut);
         ASSERT_EQ(result.packet.has_value(), result.error == DecodeError::kOk);
+        if (result.packet) {
+            ASSERT_EQ(encode(*result.packet), mut);  // P5
+        }
     }
 }
 

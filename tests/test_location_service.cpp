@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -504,8 +505,12 @@ struct LsHarness {
         home = grid.home_grid(subject);
         pos = grid.center_of(home);
         LocationService::Hooks h;
-        h.route = [this](std::shared_ptr<Packet> pkt) { routed.push_back(std::move(pkt)); };
+        h.route = [this](std::shared_ptr<Packet> pkt) {
+            emitted.push_back({'R', pkt});
+            routed.push_back(std::move(pkt));
+        };
         h.local_broadcast = [this](std::shared_ptr<Packet> pkt) {
+            emitted.push_back({'B', pkt});
             broadcast.push_back(std::move(pkt));
         };
         h.my_position = [this] { return pos; };
@@ -603,6 +608,8 @@ struct LsHarness {
     std::uint32_t home;
     Vec2 pos;
     std::vector<std::shared_ptr<Packet>> routed, broadcast;
+    /// Both hooks in call order: 'R' routed, 'B' one-hop broadcast.
+    std::vector<std::pair<char, std::shared_ptr<Packet>>> emitted;
     std::unique_ptr<LocationService> ls;
 };
 
@@ -784,6 +791,203 @@ TEST(LsStore, SweepDropsExpiredRowsAndCounts) {
     h.run_until(4.0);  // expired at 2 s, swept at the 3 s tick
     EXPECT_EQ(h.ls->store_size(), 0u);
     EXPECT_EQ(h.ls->stats().store_expired, 1u);
+}
+
+/// FNV-1a over the tag byte 0x01 and the little-endian subject id, the
+/// digest hash of a plain row.
+std::uint64_t plain_hash_of(NodeId subject) {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::uint8_t b :
+         {std::uint8_t{0x01}, static_cast<std::uint8_t>(subject),
+          static_cast<std::uint8_t>(subject >> 8), static_cast<std::uint8_t>(subject >> 16),
+          static_cast<std::uint8_t>(subject >> 24)}) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST(LsStore, MixedRowsKeepEmissionOrder) {
+    // One server holds plain and anonymous rows of its grid plus one row of
+    // each kind of a neighbouring grid. Every packet it emits is pinned as a
+    // line: hook ('R' routed, 'B' broadcast), type, grid, created_at in ms,
+    // uid as the index of its draw from the host RNG, then the rows.
+    LsHarness h;
+    const std::uint32_t other = h.home > 0 ? h.home - 1 : h.home + 1;
+    std::vector<NodeId> subjects;  // ascending; home grid
+    NodeId stranger = net::kInvalidNode;  // neighbouring grid
+    for (NodeId id = 2; subjects.size() < 3 || stranger == net::kInvalidNode; ++id) {
+        if (h.grid.home_grid(id) == h.home && subjects.size() < 3) subjects.push_back(id);
+        if (h.grid.home_grid(id) == other && stranger == net::kInvalidNode) stranger = id;
+    }
+
+    std::map<std::uint64_t, std::size_t> draw;  // uid -> index of its RNG draw
+    util::Rng replay{7};
+    for (std::size_t i = 0; i < 64; ++i) draw.emplace(replay.next_u64(), i);
+    std::map<std::uint64_t, std::string> row_name;  // digest hash -> row
+    for (const NodeId s : subjects) row_name[plain_hash_of(s)] = "s" + std::to_string(s);
+    row_name[plain_hash_of(stranger)] = "s" + std::to_string(stranger);
+    for (const char* hex : {"0a01", "55", "9f", "a0"}) row_name[fnv1a_of(hex)] = hex;
+
+    const auto describe = [&](char hook, const Packet& p) {
+        std::string out(1, hook);
+        switch (p.type) {
+            case net::PacketType::kLocUpdate: out += " update"; break;
+            case net::PacketType::kLocReplicate: out += " replicate"; break;
+            case net::PacketType::kLocReply: out += " reply"; break;
+            case net::PacketType::kLocDigest: out += " digest"; break;
+            case net::PacketType::kLocRequest: out += " request"; break;
+            default: out += " other"; break;
+        }
+        out += " g" + std::to_string(p.grid) + " t" + std::to_string(p.created_at.ns() / 1'000'000);
+        const auto d = draw.find(p.uid);
+        out += d == draw.end() ? " u?" : " u" + std::to_string(d->second);
+        if (p.ls_subject != net::kInvalidNode) out += " s" + std::to_string(p.ls_subject);
+        if (!p.ls_payload.empty()) {
+            util::ByteReader r(p.ls_payload);
+            const std::uint32_t n = r.u32().value_or(0);
+            for (std::uint32_t i = 0; i < n; ++i) {
+                if (p.type != net::PacketType::kLocReply)
+                    out += " " + util::to_hex(r.bytes().value_or(util::Bytes{})) + "=";
+                else
+                    out += " ";
+                out += util::to_hex(r.bytes().value_or(util::Bytes{}));
+            }
+        }
+        for (const auto& row : p.ls_digest)
+            out += " " + row_name[row.key_hash] + "@" + std::to_string(row.expires_ns / 1'000'000);
+        return out;
+    };
+
+    const auto plain_at = [&](NodeId s, double created, Vec2 loc) {
+        auto pkt = h.plain_update(loc);
+        pkt->ls_subject = s;
+        pkt->created_at = SimTime::seconds(created);
+        return pkt;
+    };
+    const auto request = [&](std::uint32_t grid, std::uint64_t qid, bool assist) {
+        auto pkt = std::make_shared<Packet>();
+        pkt->type = net::PacketType::kLocRequest;
+        pkt->grid = grid;
+        pkt->dst_loc = h.grid.center_of(grid);
+        pkt->requester_loc = Vec2{10, 10};
+        pkt->ls_query_id = qid;
+        pkt->ls_assist = assist;
+        return pkt;
+    };
+
+    // Plain rows of the home grid, stored out of subject order.
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[2], 0.0, {100, 100})));
+    h.run_until(0.25);
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[0], 0.25, {110, 100})));
+    h.run_until(0.5);
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[1], 0.5, {120, 100})));
+    h.run_until(0.75);
+    ASSERT_TRUE(h.ls->handle(h.anon_update({{{0xa0}, {0x01}}, {{0x0a, 0x01}, {0x02}},
+                                            {{0x9f}, {0x03}}})));
+    // A plain copy whose packet names the home grid: the row still belongs
+    // to its subject's home grid.
+    h.run_until(1.0);
+    auto copy = plain_at(stranger, 1.0, {130, 100});
+    copy->type = net::PacketType::kLocReplicate;
+    copy->ls_assist = true;
+    ASSERT_TRUE(h.ls->handle(copy));
+    h.run_until(1.25);
+    auto anon_copy = h.anon_update({{{0x55}, {0x04}}});
+    anon_copy->type = net::PacketType::kLocReplicate;
+    anon_copy->grid = other;
+    anon_copy->ls_assist = true;
+    ASSERT_TRUE(h.ls->handle(anon_copy));
+    // An older update loses to the stored row; a newer one replaces it.
+    h.run_until(1.5);
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[1], 0.1, {999, 999})));
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[2], 1.5, {140, 100})));
+    EXPECT_EQ(h.ls->store_size(), 8u);
+
+    // Digest repair plus a reactive digest: the peer holds subjects[0] fresh
+    // and advertises one row this server lacks.
+    h.run_until(2.0);
+    std::vector<Packet::LsDigestRow> peer = {{plain_hash_of(subjects[0]), 1'000'000'000'000ULL},
+                                             {0x1234, 1'000'000'000'000ULL}};
+    std::sort(peer.begin(), peer.end(),
+              [](const auto& x, const auto& y) { return x.key_hash < y.key_hash; });
+    ASSERT_TRUE(h.ls->handle(h.peer_digest(peer)));
+
+    // Index-free reply, then the same request as an assist (read repair).
+    h.run_until(2.25);
+    ASSERT_TRUE(h.ls->handle(request(h.home, 0x61, false)));
+    h.run_until(2.5);
+    ASSERT_TRUE(h.ls->handle(request(h.home, 0x62, true)));
+    // Plain and indexed assists: read repair of the single row served.
+    h.run_until(2.75);
+    auto plain_req = h.plain_request(2, 0x63, /*assist=*/true);
+    plain_req->ls_subject = subjects[0];
+    ASSERT_TRUE(h.ls->handle(plain_req));
+    h.run_until(3.0);
+    auto indexed = request(h.home, 0x64, true);
+    indexed->ls_index = {0x55};
+    ASSERT_TRUE(h.ls->handle(indexed));
+    // An indexed miss asks the one-hop neighbourhood for help.
+    auto miss = request(h.home, 0x65, false);
+    miss->ls_index = {0x77};
+    ASSERT_TRUE(h.ls->handle(miss));
+    ASSERT_TRUE(h.ls->handle(plain_at(subjects[0], 3.0, {150, 100})));
+
+    // Serve the home grid for one digest tick, then move to the neighbour's
+    // centre: the home grid is handed off and the neighbour's is gossiped.
+    h.ls->start();
+    h.run_until(9.5);
+    h.pos = h.grid.center_of(other);
+    h.run_until(14.5);
+    EXPECT_EQ(h.ls->store_size(), 8u);
+
+    std::vector<std::string> got;
+    for (const auto& [hook, p] : h.emitted) got.push_back(describe(hook, *p));
+    const std::vector<std::string> want = {
+        // Stores: fresh plain and anonymous updates replicate once; the
+        // neighbour's copies and the stale update do not.
+        "B replicate g3 t0 u0 s5",
+        "B replicate g3 t250 u1 s3",
+        "B replicate g3 t500 u2 s4",
+        "B replicate g3 t750 u3 a0=01 0a01=02 9f=03",
+        "B replicate g3 t1500 u4 s5",
+        // Digest repair: anonymous rows in one batch, then plain rows by
+        // subject; s3 is fresh at the peer. Then the reactive digest.
+        "B replicate g3 t750 u5 0a01=02 9f=03 a0=01",
+        "B replicate g3 t500 u6 s4",
+        "B replicate g3 t1500 u7 s5",
+        "B digest g3 t2000 u8 0a01@40750 s5@41500 9f@40750 a0@40750 s3@40250 s4@40500",
+        // Index-free replies list the grid's anonymous rows only.
+        "R reply g3 t2250 u9 02 03 01",
+        "R reply g3 t2500 u10 02 03 01",
+        "B replicate g3 t750 u11 0a01=02 9f=03 a0=01",
+        "R reply g3 t2750 u12 s3",
+        "B replicate g3 t250 u13 s3",
+        // The indexed read repair travels under the request's grid.
+        "R reply g3 t3000 u14 04",
+        "B replicate g3 t1250 u15 55=04",
+        "B request g3 t0 u16",
+        "B replicate g3 t3000 u17 s3",
+        // start() draws u18 and u19 for its timers.
+        "R update g0 t7100 u20 s1",
+        "B digest g3 t8043 u21 0a01@40750 s5@41500 9f@40750 a0@40750 s3@43000 s4@40500",
+        // Second tick, at the neighbour's centre: grids in ascending order.
+        "B digest g2 t13043 u22 55@41250 s6@41000",
+        "B replicate g3 t750 u23 0a01=02 9f=03 a0=01",
+        "B replicate g3 t3000 u24 s3",
+        "B replicate g3 t500 u25 s4",
+        "B replicate g3 t1500 u26 s5",
+    };
+    EXPECT_EQ(got, want);
+
+    EXPECT_EQ(h.ls->stats().repairs_sent, 5u);
+    EXPECT_EQ(h.ls->stats().read_repairs, 5u);
+    EXPECT_EQ(h.ls->stats().handoffs, 1u);
+
+    // Every row but the one refreshed at 3 s has expired by the 43 s sweep.
+    h.run_until(44.0);
+    EXPECT_EQ(h.ls->stats().store_expired, 7u);
+    EXPECT_EQ(h.ls->store_size(), 1u);
 }
 
 TEST(LsFailover, StaleReadServesWithinGraceOnly) {
