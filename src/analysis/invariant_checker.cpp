@@ -60,14 +60,16 @@ InvariantChecker::InvariantChecker(net::Network& network, Params params)
 void InvariantChecker::attach() {
     if (attached_) return;
     attached_ = true;
-    network_.channel().add_snoop(
-        [this](const phy::Frame& frame, const util::Vec2& /*tx_pos*/) {
-            on_frame(frame);
+    // An audit tap: the checker scores the run and is no attacker, so it may
+    // read who sent each frame.
+    network_.channel().add_audit_snoop(
+        [this](const phy::Frame& frame, const util::Vec2& /*tx_pos*/, net::NodeId true_sender) {
+            on_frame(frame, true_sender);
         });
     network_.sim().after(kSweepPeriod, [this] { sweep(); });
 }
 
-void InvariantChecker::on_frame(const phy::Frame& frame) {
+void InvariantChecker::on_frame(const phy::Frame& frame, net::NodeId true_sender) {
     ++counters_.frames_checked;
 
     if (params_.expect_anonymous && params_.expect_anonymous_mac) {
@@ -78,19 +80,18 @@ void InvariantChecker::on_frame(const phy::Frame& frame) {
     }
 
     if (frame.type != phy::Frame::Type::kData || !frame.payload) return;
-    check_packet(*frame.payload);
+    check_packet(*frame.payload, true_sender);
 }
 
-void InvariantChecker::check_packet(const Packet& pkt) {
+void InvariantChecker::check_packet(const Packet& pkt, net::NodeId true_sender) {
     ++counters_.packets_checked;
 
     // Wire discipline: whatever the agents put on the air must survive the
-    // reference codec, and the canonical encoding can never exceed the wire
-    // size the protocol accounted for (it may be smaller when full
-    // certificates are attached by value).
+    // reference codec, and its canonical encoding is exactly the wire size
+    // the protocol accounted for.
     const auto wire = net::codec::encode(pkt);
     if (!net::codec::decode_ex(wire).packet) ++counters_.codec_reject;
-    if (pkt.wire_bytes != 0 && wire.size() > pkt.wire_bytes) ++counters_.wire_size_mismatch;
+    if (wire.size() != pkt.wire_bytes) ++counters_.wire_size_mismatch;
 
     if (params_.expect_anonymous) {
         // §3.2/§4: the sender's identity travels only inside the trapdoor
@@ -123,7 +124,9 @@ void InvariantChecker::check_packet(const Packet& pkt) {
 
     switch (pkt.type) {
         case PacketType::kAgfwHello:
-            record_hello(pkt);
+            // Latest announce wins; the owner is whoever put the hello on
+            // the air, for the two-latest check.
+            announced_[pkt.hello_pseudonym] = Announce{true_sender, network_.sim().now()};
             break;
         case PacketType::kAgfwData:
             if (pkt.trapdoor.empty()) ++counters_.missing_trapdoor;
@@ -147,21 +150,6 @@ void InvariantChecker::check_packet(const Packet& pkt) {
         default:
             break;
     }
-}
-
-void InvariantChecker::record_hello(const Packet& pkt) {
-    // The announcer has just rotated, so the announced pseudonym is some
-    // node's current one; remember the owner for the two-latest check.
-    Announce a;
-    a.at = network_.sim().now();
-    for (auto& node : network_.nodes()) {
-        if (const auto* agent = as_agfw(node);
-            agent && agent->pseudonyms().current() == pkt.hello_pseudonym) {
-            a.owner = node.id();
-            break;
-        }
-    }
-    announced_[pkt.hello_pseudonym] = a;
 }
 
 void InvariantChecker::check_pseudonym_target(const Packet& pkt) {

@@ -12,7 +12,8 @@
 namespace geoanon::analysis {
 
 /// Runtime checker for the paper-level protocol invariants (§3–§4), hooked
-/// into the simulator as a passive channel tap plus a periodic state sweep.
+/// into the simulator as a passive audit tap (it reads each frame's true
+/// sender to attribute hellos) plus a periodic state sweep.
 /// It never mutates protocol state, so enabling it cannot change a run's
 /// outcome — only observe it.
 ///
@@ -27,7 +28,7 @@ namespace geoanon::analysis {
 ///  - reliability (§3.2): a network-layer ACK only acknowledges uids that
 ///    were previously transmitted as data;
 ///  - wire discipline: every packet re-encodes through the reference codec
-///    and the canonical encoding never exceeds the accounted wire size.
+///    and the canonical encoding is exactly the accounted wire size.
 ///
 /// Checked on every sweep: ANT entries expire within the freshness window
 /// and expired entries do not outlive a purge cycle.
@@ -83,7 +84,7 @@ class InvariantChecker {
     X(ack_without_delivery, "inv.ack_without_delivery")                     \
     /* Observed packet the reference codec rejects. */                      \
     X(codec_reject, "inv.codec_reject")                                     \
-    /* Canonical encoding larger than the accounted wire size. */           \
+    /* Canonical encoding size differs from the accounted wire size. */     \
     X(wire_size_mismatch, "inv.wire_size_mismatch")
 #define GEOANON_INV_INFO(X)                                                \
     /* Target pseudonym announced in-window but no longer one of the */    \
@@ -120,10 +121,9 @@ class InvariantChecker {
         util::SimTime at{};
     };
 
-    void on_frame(const phy::Frame& frame);
-    void check_packet(const net::Packet& pkt);
+    void on_frame(const phy::Frame& frame, net::NodeId true_sender);
+    void check_packet(const net::Packet& pkt, net::NodeId true_sender);
     void check_pseudonym_target(const net::Packet& pkt);
-    void record_hello(const net::Packet& pkt);
     void sweep();
 
     net::Network& network_;

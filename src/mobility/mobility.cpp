@@ -47,7 +47,7 @@ const RandomWaypoint::Segment& RandomWaypoint::segment_for(SimTime t) {
 }
 
 // position_at/velocity_at evaluate through the same sample_* helpers the
-// EngineState SoA tables use, so the cached fast path and the virtual-call
+// channel's cached legs use, so the cached fast path and the virtual-call
 // path are bit-identical by construction.
 Vec2 RandomWaypoint::position_at(SimTime t) {
     const Segment& s = segment_for(t);

@@ -31,11 +31,11 @@ struct Area {
 /// re-evaluation outside the model: the node pauses at `from` until
 /// `move_start`, then travels linearly to `to`, arriving at `end`. The
 /// sample answers queries for any t in [start, end); at or past `end` it is
-/// stale and the caller must fetch a fresh one.
+/// stale and the caller must fetch a fresh one (see current_leg).
 ///
-/// phy::EngineState keeps these in structure-of-arrays rows so the hello
-/// sweep and grid queries evaluate positions from contiguous memory instead
-/// of a virtual call + segment binary search per node per query.
+/// The channel caches one per radio in its row, so the grid filter and every
+/// per-frame position lookup evaluate a position without a virtual call +
+/// segment binary search per node per query.
 struct MotionSample {
     SimTime start{};       // sample valid from here
     SimTime move_start{};  // travel begins (== start when not pausing)
@@ -45,7 +45,7 @@ struct MotionSample {
 };
 
 /// Evaluate a sample exactly as RandomWaypoint::position_at always has.
-/// Shared by the model and the SoA fast path so the two are bit-identical by
+/// Shared by the model and the cached-leg path so the two are bit-identical by
 /// construction (same expressions, same operation order — floating point is
 /// not associative, so duplicating the formula would risk drift).
 inline Vec2 sample_position(const MotionSample& s, SimTime t) {
@@ -76,12 +76,22 @@ class MobilityModel {
     virtual Vec2 velocity_at(SimTime t) = 0;
     /// The motion leg containing `t`: sample_position(leg, u) ==
     /// position_at(u) and sample_velocity(leg, u) == velocity_at(u) for u ==
-    /// t and every u in [leg.start, leg.end). phy::EngineState evaluates
-    /// every radio position from these legs and asks again once a query
-    /// falls outside [start, end), so a leg with start == end == t is valid
-    /// for t alone.
+    /// t and every u in [leg.start, leg.end). The channel evaluates every
+    /// radio position from these legs through current_leg, which asks again
+    /// once a query falls outside [start, end), so a leg with start == end ==
+    /// t is valid for t alone.
     virtual MotionSample motion_at(SimTime t) = 0;
 };
+
+/// `leg`, refreshed from `model` first when `t` has left [leg.start,
+/// leg.end). A default-constructed leg (start == end == 0) is stale for
+/// every t, so the first query fetches. Refresh once, then evaluate
+/// unconditionally: a leg ending exactly at t (arrival instant) is handled
+/// inside sample_position, matching position_at's own boundary behaviour.
+inline const MotionSample& current_leg(MotionSample& leg, MobilityModel& model, SimTime t) {
+    if (t < leg.start || t >= leg.end) leg = model.motion_at(t);
+    return leg;
+}
 
 /// Node that never moves.
 class StationaryMobility final : public MobilityModel {

@@ -12,7 +12,7 @@ Node& Network::add_node(std::unique_ptr<mobility::MobilityModel> mobility,
 }
 
 util::Vec2 Network::true_position(NodeId id) const {
-    // Routed through the radio's EngineState row: same value as asking the
+    // Routed through the radio's channel row: same value as asking the
     // mobility model (bit-identical evaluation), but served from the cached
     // motion leg.
     return nodes_.at(id).true_position();

@@ -20,13 +20,17 @@ Radio::Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& mod
 
 const PhyParams& Radio::phy_params() const { return channel_.params(); }
 
-Vec2 Radio::position() const { return channel_.state_.position(index_, sim_.now()); }
+Vec2 Radio::position() const { return channel_.position(index_, sim_.now()); }
 
-Vec2 Radio::velocity() const { return channel_.state_.velocity(index_, sim_.now()); }
+Vec2 Radio::velocity() const {
+    Channel::Row& row = channel_.rows_[index_];
+    const SimTime now = sim_.now();
+    return mobility::sample_velocity(mobility::current_leg(row.leg, *row.model, now), now);
+}
 
-void Radio::set_enabled(bool enabled) { channel_.state_.set_up(index_, enabled); }
+void Radio::set_enabled(bool enabled) { channel_.rows_[index_].up = enabled; }
 
-bool Radio::enabled() const { return channel_.state_.up(index_); }
+bool Radio::enabled() const { return channel_.rows_[index_].up; }
 
 void Radio::set_mac_hooks(std::function<void()> on_busy, std::function<void()> on_idle,
                           std::function<void(const Frame&)> on_rx) {
@@ -134,16 +138,19 @@ std::uint64_t Channel::cell_key(Cell c) {
            static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.y));
 }
 
-EngineState::Index Channel::register_radio(Radio* radio, mobility::MobilityModel* model) {
-    const EngineState::Index idx = state_.add_row(model);
-    radios_.push_back(radio);
-    sense_.emplace_back();
-    assert(radios_.size() == state_.size() && "state rows mirror registration order");
+std::uint32_t Channel::register_radio(Radio* radio, mobility::MobilityModel* model) {
+    rows_.push_back(Row{.radio = radio, .model = model});
     // The next transmission sweeps and buckets the new row. Scenarios
     // register every radio before the first transmission, so this adds no
     // sweeps to a run.
     swept_once_ = false;
-    return idx;
+    return static_cast<std::uint32_t>(rows_.size() - 1);
+}
+
+// geoanon: hot
+Vec2 Channel::position(std::uint32_t idx, SimTime t) {
+    Row& row = rows_[idx];
+    return mobility::sample_position(mobility::current_leg(row.leg, *row.model, t), t);
 }
 
 void Channel::rebucket_if_stale() {
@@ -151,21 +158,20 @@ void Channel::rebucket_if_stale() {
     if (swept_once_ && now - last_sweep_ < params_.grid_rebucket_interval) return;
     swept_once_ = true;
     last_sweep_ = now;
-    // Cache-linear sweep over the SoA rows: position legs, cell coords and
-    // bucketed flags are all contiguous arrays in EngineState.
-    for (std::size_t i = 0; i < radios_.size(); ++i) {
-        const auto idx = static_cast<EngineState::Index>(i);
-        const Cell c = cell_of(state_.position(idx, now));
+    // One linear sweep over the rows: leg, cell and bucketed flag sit in
+    // the same row.
+    for (std::uint32_t idx = 0; idx < rows_.size(); ++idx) {
+        Row& row = rows_[idx];
+        const Cell c = cell_of(position(idx, now));
         // Buckets stay sorted, so a transmission merges them instead of
         // sorting its candidates.
-        if (state_.bucketed(idx)) {
-            const Cell prev{state_.cell_x(idx), state_.cell_y(idx)};
-            if (c == prev) continue;
-            auto& old_bucket = buckets_[cell_key(prev)];
+        if (row.bucketed) {
+            if (c == row.cell) continue;
+            auto& old_bucket = buckets_[cell_key(row.cell)];
             old_bucket.erase(std::lower_bound(old_bucket.begin(), old_bucket.end(), idx));
         }
-        state_.set_cell(idx, c.x, c.y);
-        state_.set_bucketed(idx, true);
+        row.cell = c;
+        row.bucketed = true;
         auto& bucket = buckets_[cell_key(c)];
         bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), idx), idx);
     }
@@ -175,22 +181,23 @@ void Channel::rebucket_if_stale() {
 void Channel::deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id, InRange rx,
                            SimTime now) {
     const Frame& frame = tx.frame;
+    Row& row = rows_[rx.idx];
     bool decodable = rx.d <= params_.range_m;
-    if (decodable && drop_ && drop_(frame, sender_pos, state_.position(rx.idx, now))) {
+    if (decodable && drop_ && drop_(frame, sender_pos, position(rx.idx, now))) {
         decodable = false;
         ++stats_.impaired;
         GEOANON_TRACE(sim_, .type = obs::EventType::kPhyDrop,
-                      .cause = obs::DropCause::kImpaired, .node = radios_[rx.idx]->trace_node_,
+                      .cause = obs::DropCause::kImpaired, .node = row.radio->trace_node_,
                       .uid = frame_uid(frame), .bytes = frame.wire_bytes,
                       .detail = static_cast<std::uint64_t>(frame.type));
     }
     tx.affected.push_back(rx.idx);
     // A quiet radio has no reception to corrupt and no edge hook to run, so
     // a frame it cannot decode changes only its energy count.
-    if (!decodable && sense_[rx.idx].quiet) {
-        ++sense_[rx.idx].energy;
+    if (!decodable && row.quiet) {
+        ++row.energy;
     } else {
-        radios_[rx.idx]->energy_start(tx_id, decodable, frame);
+        row.radio->energy_start(tx_id, decodable, frame);
     }
 }
 
@@ -221,7 +228,7 @@ void Channel::release_tx_slot(std::uint32_t slot) {
 }
 
 // geoanon: hot
-std::span<const Channel::InRange> Channel::gather_in_range(EngineState::Index sender,
+std::span<const Channel::InRange> Channel::gather_in_range(std::uint32_t sender,
                                                            const Vec2& sender_pos, SimTime now) {
     const Cell center = cell_of(sender_pos);
     std::array<const std::vector<std::uint32_t>*, 9> buckets{};
@@ -247,7 +254,7 @@ std::span<const Channel::InRange> Channel::gather_in_range(EngineState::Index se
         const std::size_t start = n;
         for (const std::uint32_t idx : *buckets[j]) {
             if (idx == sender) continue;
-            const double d = util::distance(sender_pos, state_.position(idx, now));
+            const double d = util::distance(sender_pos, position(idx, now));
             if (d <= params_.cs_range_m) runs_[n++] = InRange{idx, d};
         }
         if (n > start) run_end[++n_runs] = n;
@@ -274,7 +281,7 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
     ++stats_.transmissions;
     const std::uint64_t tx_id = next_tx_id_++;
     const SimTime now = sim_.now();
-    const Vec2 sender_pos = state_.position(sender->index_, now);
+    const Vec2 sender_pos = position(sender->index_, now);
     GEOANON_TRACE(sim_, .type = obs::EventType::kPhyTx, .node = sender->trace_node_,
                   .uid = frame_uid(frame), .bytes = frame.wire_bytes,
                   .detail = static_cast<std::uint64_t>(frame.type));
@@ -307,10 +314,11 @@ void Channel::start_tx(Radio* sender, const Frame& frame) {
         // each radio's turn: quiet then means energy_end would only count
         // down.
         for (const std::uint32_t idx : tx_slots_[slot].affected) {
-            if (sense_[idx].quiet) {
-                --sense_[idx].energy;
+            Row& row = rows_[idx];
+            if (row.quiet) {
+                --row.energy;
             } else {
-                radios_[idx]->energy_end(tx_id);
+                row.radio->energy_end(tx_id);
             }
         }
         release_tx_slot(slot);

@@ -12,7 +12,6 @@
 #include "net/packet.hpp"
 #include "net/types.hpp"
 #include "obs/counters.hpp"
-#include "phy/engine_state.hpp"
 #include "sim/simulator.hpp"
 #include "util/time.hpp"
 #include "util/vec2.hpp"
@@ -34,8 +33,8 @@ struct PhyParams {
     double range_m{250.0};
     double cs_range_m{550.0};
 
-    /// Spatial-index tuning. Radios are re-bucketed from their EngineState
-    /// position rows at transmission time, at most once per
+    /// Spatial-index tuning. Radios are re-bucketed from the positions in
+    /// their channel rows at transmission time, at most once per
     /// grid_rebucket_interval; the grid cell size is cs_range_m plus the
     /// farthest a radio can drift between sweeps (grid_max_speed_mps *
     /// interval), so the 9-cell neighborhood query stays exact for any
@@ -70,15 +69,14 @@ class Channel;
 /// One node's radio: half-duplex, unit-disk reception, with carrier sensing.
 /// The MAC drives it via start_tx() and receives busy/idle/rx callbacks.
 ///
-/// Hot per-radio state (position, up/down, grid cell) lives in the channel's
-/// EngineState row keyed by this radio's registration index, and its
-/// carrier-sense count and quiet flag in the channel's dense sense row of the
-/// same index; the Radio object itself holds the MAC-facing callbacks, the
+/// Hot per-radio state (motion leg, up/down, grid cell, carrier-sense count,
+/// quiet flag) lives in the channel's row keyed by this radio's registration
+/// index; the Radio object itself holds the MAC-facing callbacks, the
 /// receptions in progress and the counters. A radio is quiet while it has no
 /// reception in progress and neither edge would run a hook (edges unwanted,
 /// or no on_busy/on_idle installed). A transmission that cannot be decoded
-/// at a quiet radio only counts up and down on its sense row and never
-/// touches the Radio object.
+/// at a quiet radio only counts up and down on its row and never touches
+/// the Radio object.
 class Radio {
   public:
 #define GEOANON_RADIO_COUNTERS(X)                                                       \
@@ -90,9 +88,9 @@ class Radio {
         GEOANON_COUNTERS(GEOANON_RADIO_COUNTERS)
     };
 
-    /// Positions are evaluated from the EngineState's cached motion legs of
-    /// `model` — the values position_at() would give, with no virtual call
-    /// on the per-frame path. The model must outlive the radio.
+    /// Positions are evaluated from the motion leg of `model` cached in the
+    /// channel's row — the values position_at() would give, with no virtual
+    /// call on the per-frame path. The model must outlive the radio.
     Radio(sim::Simulator& sim, Channel& channel, mobility::MobilityModel& model);
     Radio(const Radio&) = delete;
     Radio& operator=(const Radio&) = delete;
@@ -125,14 +123,12 @@ class Radio {
     /// counted as frames_missed_down instead of delivered). Energy
     /// bookkeeping continues so channel end-events and carrier-sense state
     /// stay consistent across a crash/recover cycle. The flag lives in the
-    /// EngineState up/down row.
+    /// channel's row.
     void set_enabled(bool enabled);
     bool enabled() const;
 
     Vec2 position() const;
     Vec2 velocity() const;
-    /// This radio's EngineState row (== its registration order).
-    EngineState::Index index() const { return index_; }
     const Stats& stats() const { return stats_; }
     /// Channel parameters (airtimes, ranges) for the MAC above.
     const PhyParams& phy_params() const;
@@ -149,9 +145,9 @@ class Radio {
     void energy_end(std::uint64_t tx_id);
     void begin_own_tx();
     void end_own_tx();
-    /// Energy count on this radio's sense row in the channel.
+    /// Energy count on this radio's row in the channel.
     std::int32_t& energy_count();
-    /// Recompute the channel's quiet flag for this radio. Called on every
+    /// Recompute the quiet flag on this radio's row. Called on every
     /// change to the edge wish, the hooks or the reception set.
     void refresh_quiet();
 
@@ -166,7 +162,7 @@ class Radio {
 
     sim::Simulator& sim_;
     Channel& channel_;
-    EngineState::Index index_{0};
+    std::uint32_t index_{0};  ///< row in the channel (== registration order)
     std::function<void()> on_busy_;
     std::function<void()> on_idle_;
     std::function<void(const Frame&)> on_rx_;
@@ -196,18 +192,18 @@ class Radio {
 /// Reception membership is resolved through a spatial hash grid (cell size
 /// cs_range_m plus a mobility slack): a transmission only inspects radios
 /// bucketed in the 9 cells around the sender, and radios re-bucket lazily
-/// from their EngineState rows at transmission time. The grid is an index,
-/// not a model change: each bucket is kept in registration order, filtered
-/// by the exact cs_range_m distance test on the EngineState positions, and
-/// the filtered runs are merged, so the radios in range are visited in
-/// registration order and the event stream does not depend on the cell
-/// size. With grid_max_speed_mps = +inf every radio shares one cell and
-/// each transmission visits all radios in registration order;
+/// from their rows at transmission time. The grid is an index, not a model
+/// change: each bucket is kept in registration order, filtered by the exact
+/// cs_range_m distance test on the rows' positions, and the filtered runs
+/// are merged, so the radios in range are visited in registration order and
+/// the event stream does not depend on the cell size. With
+/// grid_max_speed_mps = +inf every radio shares one cell and each
+/// transmission visits all radios in registration order;
 /// tests/reference/single_cell.hpp uses that as the reference the grid is
 /// checked against.
 ///
-/// Carrier-sense counts live here in dense rows, one per radio, beside a
-/// quiet flag the Radio keeps current (see Radio). A frame a quiet radio
+/// Each radio's hot state is one Row here, with its carrier-sense count and
+/// the quiet flag the Radio keeps current (see Radio). A frame a quiet radio
 /// cannot decode is counted on the row alone; every other radio in range
 /// gets Radio::energy_start/energy_end. The end of airtime reads the flag
 /// at each radio's turn, since an on_rx earlier in the same loop may have
@@ -228,9 +224,6 @@ class Channel {
     const PhyParams& params() const { return params_; }
     const Stats& stats() const { return stats_; }
     sim::Simulator& simulator() { return sim_; }
-    /// The SoA hot-state tables (positions, up/down, grid cells) for every
-    /// radio registered on this channel, indexed by Radio::index().
-    EngineState& state() { return state_; }
 
     /// Passive global eavesdropper tap: observes every transmission with the
     /// transmitter's true position (a sniffer near the sender learns as
@@ -289,11 +282,19 @@ class Channel {
         std::uint32_t next_free{kNilSlot};
     };
 
-    /// One radio's carrier-sense row. `energy` counts the frames on the air
-    /// there, its own included; `quiet` mirrors Radio::refresh_quiet.
-    struct Sense {
-        std::int32_t energy{0};
-        bool quiet{true};
+    /// One radio's hot state. Rows are append-only and indexed by
+    /// registration order, the order of every bucket and of each
+    /// transmission's visits. The grid filter, the rebucket sweep, delivery
+    /// and the end of airtime all read the one row per radio.
+    struct Row {
+        Radio* radio{nullptr};
+        mobility::MobilityModel* model{nullptr};  ///< outlives the radio
+        mobility::MotionSample leg{};  ///< cached; the default is stale for every t
+        Cell cell{};                   ///< grid cell, valid while `bucketed`
+        std::int32_t energy{0};        ///< frames on the air here, its own included
+        bool up{true};                 ///< false while fault injection has it down
+        bool bucketed{false};
+        bool quiet{true};  ///< mirrors Radio::refresh_quiet
     };
 
     /// A radio within cs_range_m of the sender and its distance to it.
@@ -302,16 +303,19 @@ class Channel {
         double d{0.0};
     };
 
-    EngineState::Index register_radio(Radio* radio, mobility::MobilityModel* model);
+    std::uint32_t register_radio(Radio* radio, mobility::MobilityModel* model);
+    /// True position of row `idx` at `t`, from its cached leg: the value
+    /// the row's model gives at `t`, bit for bit.
+    Vec2 position(std::uint32_t idx, SimTime t);
     void start_tx(Radio* sender, const Frame& frame);
     void note_delivery() { ++stats_.deliveries; }
     void note_collision() { ++stats_.collisions; }
 
     Cell cell_of(const Vec2& p) const;
     static std::uint64_t cell_key(Cell c);
-    /// Re-bucket every radio from its EngineState row if the last sweep is
-    /// older than grid_rebucket_interval (no-op otherwise). Called at tx time
-    /// only, so it schedules nothing and leaves the event stream untouched.
+    /// Re-bucket every radio from its row if the last sweep is older than
+    /// grid_rebucket_interval (no-op otherwise). Called at tx time only, so
+    /// it schedules nothing and leaves the event stream untouched.
     void rebucket_if_stale();
     void deliver_from(TxSlot& tx, const Vec2& sender_pos, std::uint64_t tx_id, InRange rx,
                       SimTime now);
@@ -320,7 +324,7 @@ class Channel {
     /// sender's cell is filtered into its own sorted run, then the runs are
     /// merged. The span points into per-tx scratch, valid until the next
     /// call.
-    std::span<const InRange> gather_in_range(EngineState::Index sender, const Vec2& sender_pos,
+    std::span<const InRange> gather_in_range(std::uint32_t sender, const Vec2& sender_pos,
                                              SimTime now);
     std::uint32_t acquire_tx_slot();
     std::uint32_t grow_tx_slots();
@@ -328,9 +332,7 @@ class Channel {
 
     sim::Simulator& sim_;
     PhyParams params_;
-    EngineState state_;
-    std::vector<Radio*> radios_;
-    std::vector<Sense> sense_;  ///< carrier-sense rows, indexed like radios_
+    std::vector<Row> rows_;
     Stats stats_;
     std::uint64_t next_tx_id_{1};
     std::vector<SnoopFn> taps_;
@@ -354,13 +356,13 @@ class Channel {
     std::vector<InRange> merge_buf_;  ///< per-tx merge scratch
 };
 
-inline std::int32_t& Radio::energy_count() { return channel_.sense_[index_].energy; }
+inline std::int32_t& Radio::energy_count() { return channel_.rows_[index_].energy; }
 
-inline bool Radio::energy_busy() const { return channel_.sense_[index_].energy > 0; }
+inline bool Radio::energy_busy() const { return channel_.rows_[index_].energy > 0; }
 
 inline void Radio::refresh_quiet() {
     const bool edges_act = wants_edges_ && (on_busy_ || on_idle_);
-    channel_.sense_[index_].quiet = receptions_.empty() && !edges_act;
+    channel_.rows_[index_].quiet = receptions_.empty() && !edges_act;
 }
 
 }  // namespace geoanon::phy

@@ -2,7 +2,8 @@
 
 // Test-side mobility models whose position may change at any instant (a
 // teleport, a scripted jump). motion_at reports a zero-length leg at the
-// query time, so phy::EngineState asks the model again on every lookup.
+// query time, so mobility::current_leg, and with it the channel, asks the
+// model again on every lookup.
 
 #include "mobility/mobility.hpp"
 

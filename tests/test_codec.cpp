@@ -373,8 +373,7 @@ TEST(Codec, RoundTripIsIdempotentAcrossAllTypes) {
 
 TEST(Codec, LiveTrafficWireBytesMatchEncoding) {
     // Snoop a short mixed scenario and verify that every transmitted packet's
-    // accounted wire_bytes equals its canonical encoding (modulo the
-    // full-certificate hello variant, which is accounted on top).
+    // accounted wire_bytes equals its canonical encoding.
     for (workload::Scheme scheme : {workload::Scheme::kGpsrGreedy,
                                     workload::Scheme::kAgfwAck}) {
         workload::ScenarioConfig cfg;

@@ -8,6 +8,7 @@
 #include <iterator>
 
 #include "analysis/invariant_checker.hpp"
+#include "net/codec.hpp"
 #include "obs/metrics.hpp"
 #include "published_metrics.hpp"
 #include "workload/scenario.hpp"
@@ -32,11 +33,16 @@ ScenarioConfig small_config(Scheme scheme, std::uint64_t seed = 1) {
 }
 
 /// Broadcast one synthetic network packet from `node`'s radio so the
-/// checker's channel tap observes it (the snoop fires synchronously).
-void inject(net::Network& network, net::NodeId node, const net::Packet& pkt) {
+/// checker's channel tap observes it (the snoop fires synchronously). The
+/// packet is accounted at its canonical size plus `extra_wire_bytes`.
+void inject(net::Network& network, net::NodeId node, const net::Packet& pkt,
+            std::uint32_t extra_wire_bytes = 0) {
+    auto sized = std::make_shared<net::Packet>(pkt);
+    sized->wire_bytes =
+        static_cast<std::uint32_t>(net::codec::encoded_size(pkt)) + extra_wire_bytes;
     phy::Frame frame;
     frame.type = phy::Frame::Type::kData;
-    frame.payload = std::make_shared<net::Packet>(pkt);
+    frame.payload = std::move(sized);
     frame.wire_bytes = 64;
     network.node(node).radio().start_tx(frame);
 }
@@ -172,13 +178,17 @@ TEST(InvariantChecker, SyntheticViolationsAreCounted) {
     ok_ack.ack_uids = {1};
     inject(network, 3, ok_ack);
 
+    // The same ACK accounted one byte above its canonical encoding.
+    inject(network, 4, ok_ack, /*extra_wire_bytes=*/1);
+
     const auto& c = checker.counters();
-    EXPECT_EQ(c.packets_checked, 4u);
+    EXPECT_EQ(c.packets_checked, 5u);
     EXPECT_EQ(c.ack_without_delivery, 1u);
     EXPECT_EQ(c.unknown_pseudonym, 1u);
     EXPECT_EQ(c.missing_trapdoor, 1u);
     EXPECT_EQ(c.cleartext_identity, 1u);
-    EXPECT_EQ(c.violations(), 4u);
+    EXPECT_EQ(c.wire_size_mismatch, 1u);
+    EXPECT_EQ(c.violations(), 5u);
 }
 
 TEST(InvariantChecker, ViolationSumIsExactlyTheTenViolationCounters) {
@@ -235,6 +245,9 @@ TEST(InvariantChecker, LastAttemptAndFreshTargetsAreNotViolations) {
     inject(network, 0, last);
 
     // A hello announcing a pseudonym, then data addressed to it in-window.
+    // 0x42 is not node 1's current pseudonym, as when a hello airs after its
+    // sender rotated again: the hello is still node 1's, so the data is a
+    // rotation race, which is informational.
     net::Packet hello;
     hello.type = net::PacketType::kAgfwHello;
     hello.hello_pseudonym = 0x42;
@@ -249,6 +262,7 @@ TEST(InvariantChecker, LastAttemptAndFreshTargetsAreNotViolations) {
     const auto& c = checker.counters();
     EXPECT_EQ(c.last_attempt_frames, 1u);
     EXPECT_EQ(c.unknown_pseudonym, 0u);
+    EXPECT_EQ(c.rotated_out_targets, 1u);
     EXPECT_EQ(c.violations(), 0u);
 }
 

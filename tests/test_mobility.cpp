@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mobility/mobility.hpp"
-#include "phy/engine_state.hpp"
 
 namespace {
 
@@ -13,7 +12,6 @@ using namespace geoanon::mobility;
 using geoanon::util::Rng;
 using geoanon::util::SimTime;
 using geoanon::util::Vec2;
-using geoanon::phy::EngineState;
 
 TEST(Area, ContainsAndCenter) {
     const Area area{1500, 300};
@@ -134,56 +132,63 @@ TEST(UniformPlacement, CountAndBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// EngineState motion legs vs the models. Every radio position in the
-// simulator comes from EngineState rows evaluating cached motion_at legs;
-// they must equal the model's own position_at/velocity_at bit for bit.
+// Cached motion legs vs the models. Every radio position in the simulator
+// comes from a leg the channel caches per radio and refreshes through
+// current_leg; it must equal the model's own position_at/velocity_at bit
+// for bit.
 
-/// Assert row `row` of `state` matches `model` exactly at `t`.
-void expect_row_matches(EngineState& state, EngineState::Index row, MobilityModel& model,
-                        SimTime t) {
-    const Vec2 p = state.position(row, t);
-    const Vec2 v = state.velocity(row, t);
+/// A cached leg and the model it is refreshed from, as the channel keeps
+/// them per radio.
+struct CachedLeg {
+    MobilityModel* model{nullptr};
+    MotionSample leg{};
+};
+
+/// Assert `cached` evaluates exactly like `model` at `t`.
+void expect_leg_matches(CachedLeg& cached, MobilityModel& model, SimTime t) {
+    const Vec2 p = sample_position(current_leg(cached.leg, *cached.model, t), t);
+    const Vec2 v = sample_velocity(current_leg(cached.leg, *cached.model, t), t);
     const Vec2 mp = model.position_at(t);
     const Vec2 mv = model.velocity_at(t);
-    ASSERT_EQ(p.x, mp.x) << "row " << row << " t=" << t.ns();
-    ASSERT_EQ(p.y, mp.y) << "row " << row << " t=" << t.ns();
-    ASSERT_EQ(v.x, mv.x) << "row " << row << " t=" << t.ns();
-    ASSERT_EQ(v.y, mv.y) << "row " << row << " t=" << t.ns();
+    ASSERT_EQ(p.x, mp.x) << "t=" << t.ns();
+    ASSERT_EQ(p.y, mp.y) << "t=" << t.ns();
+    ASSERT_EQ(v.x, mv.x) << "t=" << t.ns();
+    ASSERT_EQ(v.y, mv.y) << "t=" << t.ns();
 }
 
-TEST(EngineStateLegs, RandomWaypointBitIdenticalAtRandomTimesInRandomOrder) {
-    // Rows with and without pauses; each row's model is a twin (same seed)
+TEST(CachedLegs, RandomWaypointBitIdenticalAtRandomTimesInRandomOrder) {
+    // Legs with and without pauses; each leg's model is a twin (same seed)
     // of the reference queried directly, so the two share no cache.
     const Area area{1500, 300};
     const SimTime horizon = SimTime::seconds(900);
-    std::vector<std::unique_ptr<RandomWaypoint>> rows, twins;
-    EngineState state;
+    std::vector<std::unique_ptr<RandomWaypoint>> models, twins;
+    std::vector<CachedLeg> legs;
     for (std::uint64_t i = 0; i < 6; ++i) {
         RandomWaypoint::Params params;
         params.pause = SimTime::seconds(i % 2 == 0 ? 0.0 : 7.5);
         params.min_speed_mps = 1.0 + static_cast<double>(i);
         const Vec2 start{100.0 * static_cast<double>(i), 50.0};
-        rows.push_back(std::make_unique<RandomWaypoint>(area, start, params, Rng(100 + i)));
+        models.push_back(std::make_unique<RandomWaypoint>(area, start, params, Rng(100 + i)));
         twins.push_back(std::make_unique<RandomWaypoint>(area, start, params, Rng(100 + i)));
-        EXPECT_EQ(state.add_row(rows.back().get()), i);
+        legs.push_back(CachedLeg{models.back().get()});
     }
     Rng rng(77);
     for (int q = 0; q < 20000; ++q) {
-        const auto row = static_cast<EngineState::Index>(rng.uniform_int(0, 5));
+        const auto i = static_cast<std::size_t>(rng.uniform_int(0, 5));
         const SimTime t = SimTime::nanos(rng.uniform_int(0, horizon.ns()));
-        expect_row_matches(state, row, *twins[row], t);
+        SCOPED_TRACE(i);
+        expect_leg_matches(legs[i], *twins[i], t);
     }
 }
 
-TEST(EngineStateLegs, RandomWaypointBitIdenticalAtEveryLegBoundary) {
+TEST(CachedLegs, RandomWaypointBitIdenticalAtEveryLegBoundary) {
     const Area area{1500, 300};
     RandomWaypoint::Params params;
     params.pause = SimTime::seconds(3.0);
-    RandomWaypoint row_model(area, {10, 10}, params, Rng(5));
+    RandomWaypoint cached_model(area, {10, 10}, params, Rng(5));
     RandomWaypoint twin(area, {10, 10}, params, Rng(5));
     RandomWaypoint walker(area, {10, 10}, params, Rng(5));
-    EngineState state;
-    const EngineState::Index row = state.add_row(&row_model);
+    CachedLeg cached{&cached_model};
 
     // Walk the legs in order, then query each boundary (and its
     // neighbours) out of order: backwards, which forces a refresh each time.
@@ -203,16 +208,15 @@ TEST(EngineStateLegs, RandomWaypointBitIdenticalAtEveryLegBoundary) {
         t = s.end;
     }
     std::reverse(times.begin(), times.end());
-    for (const SimTime q : times) expect_row_matches(state, row, twin, q);
+    for (const SimTime q : times) expect_leg_matches(cached, twin, q);
 }
 
-TEST(EngineStateLegs, StationaryBitIdentical) {
+TEST(CachedLegs, StationaryBitIdentical) {
     StationaryMobility model({-3.25, 1e6});
-    EngineState state;
-    const EngineState::Index row = state.add_row(&model);
+    CachedLeg cached{&model};
     for (const SimTime t : {SimTime::zero(), SimTime::nanos(1), SimTime::seconds(1e6),
                             SimTime::max() - SimTime::nanos(1), SimTime::max()}) {
-        expect_row_matches(state, row, model, t);
+        expect_leg_matches(cached, model, t);
     }
 }
 

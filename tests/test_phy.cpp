@@ -281,7 +281,7 @@ TEST(Phy, IdleMacSchedulesNothingWhileCarrierSenseFollowsTheMedium) {
 TEST(Phy, QuietRadioWakesForAnEnqueueMidFrame) {
     // The radio sits 400 m from the sender: it senses the frame but cannot
     // decode it, and with its edges off it is quiet when the frame starts,
-    // so the channel counts that energy on the radio's sense row alone.
+    // so the channel counts that energy on the radio's row alone.
     // Turning edges on mid-frame must see the medium busy, then get exactly
     // one on_idle, at the frame's end.
     Rig rig;
