@@ -39,19 +39,6 @@ bool is_anonymous_type(PacketType t) {
     }
 }
 
-bool is_ls_type(PacketType t) {
-    switch (t) {
-        case PacketType::kLocUpdate:
-        case PacketType::kLocRequest:
-        case PacketType::kLocReply:
-        case PacketType::kLocReplicate:
-        case PacketType::kLocDigest:
-            return true;
-        default:
-            return false;
-    }
-}
-
 }  // namespace
 
 InvariantChecker::InvariantChecker(net::Network& network, Params params)
@@ -102,7 +89,7 @@ void InvariantChecker::check_packet(const Packet& pkt, net::NodeId true_sender) 
         if (is_anonymous_type(pkt.type) &&
             (pkt.src_id != net::kInvalidNode || pkt.dst_id != net::kInvalidNode))
             ++counters_.cleartext_identity;
-        if (is_ls_type(pkt.type) && params_.expect_anonymous_ls) {
+        if (net::is_location_service(pkt.type) && params_.expect_anonymous_ls) {
             if (pkt.src_id != net::kInvalidNode || pkt.dst_id != net::kInvalidNode)
                 ++counters_.cleartext_identity;
             if (pkt.ls_subject != net::kInvalidNode) {
@@ -139,15 +126,11 @@ void InvariantChecker::check_packet(const Packet& pkt, net::NodeId true_sender) 
             for (const std::uint64_t uid : pkt.ack_uids)
                 if (!data_uids_.contains(uid)) ++counters_.ack_without_delivery;
             break;
-        case PacketType::kLocUpdate:
-        case PacketType::kLocRequest:
-        case PacketType::kLocReply:
-        case PacketType::kLocReplicate:
-        case PacketType::kLocDigest:
-            data_uids_.insert(pkt.uid);
-            if (params_.expect_anonymous) check_pseudonym_target(pkt);
-            break;
         default:
+            if (net::is_location_service(pkt.type)) {
+                data_uids_.insert(pkt.uid);
+                if (params_.expect_anonymous) check_pseudonym_target(pkt);
+            }
             break;
     }
 }

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
 #include "util/retry.hpp"
@@ -646,14 +645,10 @@ void AgfwAgent::on_packet(const PacketPtr& pkt, MacAddr /*src*/) {
                 resolve_ack(uid, /*implicit=*/false);
             return;
         case net::PacketType::kAgfwData:
-        case net::PacketType::kLocUpdate:
-        case net::PacketType::kLocRequest:
-        case net::PacketType::kLocReply:
-        case net::PacketType::kLocReplicate:
-        case net::PacketType::kLocDigest:
             break;
         default:
-            return;  // GPSR traffic in a mixed network: not ours
+            if (!net::is_location_service(pkt->type)) return;  // GPSR traffic: not ours
+            break;
     }
 
     // Implicit/piggybacked ACK (§3.2): overhearing the next hop relaying the
@@ -749,11 +744,6 @@ void AgfwAgent::on_mac_tx_done(const PacketPtr& /*pkt*/, MacAddr /*dst*/,
                                bool /*success*/) {
     // All AGFW transmissions are broadcasts; reliability lives at the
     // network layer (NL-ACK), so MAC completion carries no signal here.
-}
-
-void AgfwAgent::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add_all(stats_);
-    if (ls_) ls_->publish_metrics(reg);
 }
 
 }  // namespace geoanon::core

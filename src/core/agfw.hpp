@@ -154,9 +154,6 @@ class AgfwAgent final : public net::RoutingAgent {
     void route_packet(std::shared_ptr<Packet> pkt);
 
     const Stats& stats() const { return stats_; }
-    /// Fold this agent's counters (and its location service's, when one is
-    /// attached) into the run metrics (agfw.*, ls.*).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
     const AnonymousNeighborTable& ant() const { return ant_; }
     const PseudonymManager& pseudonyms() const { return pseudonyms_; }
     const Params& params() const { return params_; }

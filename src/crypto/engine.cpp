@@ -35,8 +35,8 @@ util::Bytes uid_prp_key(std::uint64_t seed) {
 }
 }  // namespace
 
-CryptoEngine::CryptoEngine(std::uint64_t seed)
-    : uid_prp_(uid_prp_key(seed), /*block_bytes=*/8) {}
+CryptoEngine::CryptoEngine(std::uint64_t seed, std::size_t modulus_bits)
+    : modulus_bits_(modulus_bits), uid_prp_(uid_prp_key(seed), /*block_bytes=*/8) {}
 
 // geoanon: hot
 std::uint64_t CryptoEngine::anonymize_uid(std::uint64_t uid) const {
@@ -56,12 +56,24 @@ Pseudonym CryptoEngine::make_pseudonym(NodeIdNum id, std::uint64_t pr) const {
     return n;
 }
 
+std::size_t CryptoEngine::ring_signature_bytes(std::size_t members) const {
+    // Mirrors RingSignature::serialize() with the common-domain block width.
+    const std::size_t block = ((modulus_bits_ + 64 + 15) / 16) * 2;
+    return 4 + (4 + block) + 4 + members * (4 + block);
+}
+
+std::size_t CryptoEngine::certificate_bytes() const {
+    // u64 id + length-prefixed key (n: 4+k bytes, e=65537: 4+3 bytes) + sig.
+    const std::size_t k = modulus_bits_ / 8;
+    return 8 + (4 + (4 + k + 4 + 3)) + (4 + k);
+}
+
 // ---------------------------------------------------------------------------
 // RealCryptoEngine
 // ---------------------------------------------------------------------------
 
 RealCryptoEngine::RealCryptoEngine(std::uint64_t seed, std::size_t modulus_bits)
-    : CryptoEngine(seed), rng_(seed), modulus_bits_(modulus_bits), ca_(rng_, modulus_bits) {}
+    : CryptoEngine(seed, modulus_bits), rng_(seed), ca_(rng_, modulus_bits) {}
 
 void RealCryptoEngine::register_node(NodeIdNum id) {
     if (nodes_.contains(id)) return;
@@ -190,24 +202,12 @@ bool RealCryptoEngine::ring_verify_msg(std::span<const NodeIdNum> ring,
     return ring_verify(msg, ring_keys(ring), *sig);
 }
 
-std::size_t RealCryptoEngine::ring_signature_bytes(std::size_t members) const {
-    // Mirrors RingSignature::serialize() with the common-domain block width.
-    const std::size_t block = ((modulus_bits_ + 64 + 15) / 16) * 2;
-    return 4 + (4 + block) + 4 + members * (4 + block);
-}
-
-std::size_t RealCryptoEngine::certificate_bytes() const {
-    // u64 id + length-prefixed key (n: 4+k bytes, e=65537: 4+3 bytes) + sig.
-    const std::size_t k = modulus_bits_ / 8;
-    return 8 + (4 + (4 + k + 4 + 3)) + (4 + k);
-}
-
 // ---------------------------------------------------------------------------
 // ModeledCryptoEngine
 // ---------------------------------------------------------------------------
 
 ModeledCryptoEngine::ModeledCryptoEngine(std::uint64_t seed, std::size_t modulus_bits)
-    : CryptoEngine(seed), seed_(seed), modulus_bits_(modulus_bits) {}
+    : CryptoEngine(seed, modulus_bits), seed_(seed) {}
 
 void ModeledCryptoEngine::register_node(NodeIdNum id) {
     if (nodes_.insert(id).second) valid_users_.push_back(id);
@@ -352,16 +352,6 @@ bool ModeledCryptoEngine::ring_verify_msg(std::span<const NodeIdNum> ring,
     const auto digest = h.finish();
     return util::bytes_equal({sig.data(), Sha256::kDigestSize},
                              {digest.data(), Sha256::kDigestSize});
-}
-
-std::size_t ModeledCryptoEngine::ring_signature_bytes(std::size_t members) const {
-    const std::size_t block = ((modulus_bits_ + 64 + 15) / 16) * 2;
-    return 4 + (4 + block) + 4 + members * (4 + block);
-}
-
-std::size_t ModeledCryptoEngine::certificate_bytes() const {
-    const std::size_t k = modulus_bits_ / 8;
-    return 8 + (4 + (4 + k + 4 + 3)) + (4 + k);
 }
 
 }  // namespace geoanon::crypto

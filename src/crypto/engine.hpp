@@ -95,7 +95,7 @@ class CryptoEngine {
     /// Attempt to open; payload iff `self` is the intended destination.
     virtual std::optional<util::Bytes> try_open_trapdoor(
         NodeIdNum self, std::span<const std::uint8_t> trapdoor) = 0;
-    virtual std::size_t trapdoor_bytes() const = 0;
+    std::size_t trapdoor_bytes() const { return modulus_bits_ / 8; }
 
     // --- Public-key encryption for ALS (§3.3) ------------------------------
     /// Multi-block public-key encryption of arbitrary-length plaintext.
@@ -124,19 +124,22 @@ class CryptoEngine {
     virtual bool ring_verify_msg(std::span<const NodeIdNum> ring,
                                  std::span<const std::uint8_t> msg,
                                  std::span<const std::uint8_t> sig) = 0;
-    /// Wire size of a ring signature for `members` ring members.
-    virtual std::size_t ring_signature_bytes(std::size_t members) const = 0;
+    /// Wire size of a ring signature for `members` ring members; both
+    /// engines' signatures serialize to it.
+    std::size_t ring_signature_bytes(std::size_t members) const;
     /// Wire size of one attached certificate.
-    virtual std::size_t certificate_bytes() const = 0;
+    std::size_t certificate_bytes() const;
 
     const CryptoCosts& costs() const { return costs_; }
     CryptoCosts& costs() { return costs_; }
 
   protected:
     /// The seed keys the uid permutation; both engines forward their own seed
-    /// so a whole simulation shares one uid keyspace.
-    explicit CryptoEngine(std::uint64_t seed);
+    /// so a whole simulation shares one uid keyspace. `modulus_bits` sizes
+    /// every key, and with it every wire size above.
+    CryptoEngine(std::uint64_t seed, std::size_t modulus_bits);
 
+    std::size_t modulus_bits_;
     CryptoCosts costs_;
     /// Appended by register_node on an id's first registration.
     std::vector<NodeIdNum> valid_users_;
@@ -158,7 +161,6 @@ class RealCryptoEngine final : public CryptoEngine {
                               util::Rng& rng) override;
     std::optional<util::Bytes> try_open_trapdoor(
         NodeIdNum self, std::span<const std::uint8_t> trapdoor) override;
-    std::size_t trapdoor_bytes() const override { return modulus_bits_ / 8; }
 
     util::Bytes encrypt_for(NodeIdNum dest, std::span<const std::uint8_t> plaintext,
                             util::Rng& rng) override;
@@ -171,8 +173,6 @@ class RealCryptoEngine final : public CryptoEngine {
                               std::span<const std::uint8_t> msg, util::Rng& rng) override;
     bool ring_verify_msg(std::span<const NodeIdNum> ring, std::span<const std::uint8_t> msg,
                          std::span<const std::uint8_t> sig) override;
-    std::size_t ring_signature_bytes(std::size_t members) const override;
-    std::size_t certificate_bytes() const override;
 
     /// Direct access for tests and the adversary-free examples.
     const CertificateAuthority& ca() const { return ca_; }
@@ -183,7 +183,6 @@ class RealCryptoEngine final : public CryptoEngine {
     std::vector<RsaPublicKey> ring_keys(std::span<const NodeIdNum> ring) const;
 
     util::Rng rng_;
-    std::size_t modulus_bits_;
     CertificateAuthority ca_;
     struct NodeMaterial {
         RsaKeyPair keys;
@@ -206,7 +205,6 @@ class ModeledCryptoEngine final : public CryptoEngine {
                               util::Rng& rng) override;
     std::optional<util::Bytes> try_open_trapdoor(
         NodeIdNum self, std::span<const std::uint8_t> trapdoor) override;
-    std::size_t trapdoor_bytes() const override { return modulus_bits_ / 8; }
 
     util::Bytes encrypt_for(NodeIdNum dest, std::span<const std::uint8_t> plaintext,
                             util::Rng& rng) override;
@@ -219,8 +217,6 @@ class ModeledCryptoEngine final : public CryptoEngine {
                               std::span<const std::uint8_t> msg, util::Rng& rng) override;
     bool ring_verify_msg(std::span<const NodeIdNum> ring, std::span<const std::uint8_t> msg,
                          std::span<const std::uint8_t> sig) override;
-    std::size_t ring_signature_bytes(std::size_t members) const override;
-    std::size_t certificate_bytes() const override;
 
   private:
     /// SHA-256(seed || id): the key a node's tokens are sealed under.
@@ -237,7 +233,6 @@ class ModeledCryptoEngine final : public CryptoEngine {
     std::optional<util::Bytes> unseal(NodeIdNum self, std::span<const std::uint8_t> sealed);
 
     std::uint64_t seed_;
-    std::size_t modulus_bits_;
     std::unordered_set<NodeIdNum> nodes_;
     std::unordered_map<NodeIdNum, Sha256::Digest> secrets_;
 };

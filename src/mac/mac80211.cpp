@@ -171,43 +171,34 @@ void Mac80211::on_access_won() {
 void Mac80211::transmit_head() {
     assert(!queue_.empty());
     const TxItem& item = queue_.front();
-    const auto& phy = radio_.phy_params();
-
-    if (item.dst == net::kBroadcastAddr) {
-        Frame f;
-        f.type = Frame::Type::kData;
-        f.src = params_.anonymous_source ? net::kBroadcastAddr : addr_;
-        f.dst = net::kBroadcastAddr;
-        f.seq = item.seq;
-        f.payload = item.pkt;
-        f.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
-        ++stats_.data_sent;
-        start_frame(std::move(f), Phase::kTxData);
+    if (item.dst == net::kBroadcastAddr || !params_.use_rtscts) {
+        transmit_data(item);
         return;
     }
+    Frame f;
+    f.type = Frame::Type::kRts;
+    f.src = addr_;
+    f.dst = item.dst;
+    f.nav = rts_nav(item.pkt);
+    f.wire_bytes = kRtsBytes;
+    ++stats_.rts_sent;
+    start_frame(std::move(f), Phase::kTxRts);
+}
 
-    if (params_.use_rtscts) {
-        Frame f;
-        f.type = Frame::Type::kRts;
-        f.src = addr_;
-        f.dst = item.dst;
-        f.nav = rts_nav(item.pkt);
-        f.wire_bytes = kRtsBytes;
-        ++stats_.rts_sent;
-        start_frame(std::move(f), Phase::kTxRts);
-    } else {
-        Frame f;
-        f.type = Frame::Type::kData;
-        f.src = addr_;
-        f.dst = item.dst;
-        f.nav = kSifs + phy.airtime(kAckBytes);
-        f.seq = item.seq;
-        f.retry = item.retries > 0;
-        f.payload = item.pkt;
-        f.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
-        ++stats_.data_sent;
-        start_frame(std::move(f), Phase::kTxData);
-    }
+void Mac80211::transmit_data(const TxItem& item) {
+    const bool broadcast = item.dst == net::kBroadcastAddr;
+    Frame f;
+    f.type = Frame::Type::kData;
+    // Only a broadcast may hide its source: a unicast's ACK is addressed to it.
+    f.src = broadcast && params_.anonymous_source ? net::kBroadcastAddr : addr_;
+    f.dst = item.dst;
+    if (!broadcast) f.nav = kSifs + radio_.phy_params().airtime(kAckBytes);
+    f.seq = item.seq;
+    f.retry = item.retries > 0;
+    f.payload = item.pkt;
+    f.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
+    ++stats_.data_sent;
+    start_frame(std::move(f), Phase::kTxData);
 }
 
 void Mac80211::start_frame(Frame frame, Phase phase) {
@@ -325,19 +316,7 @@ void Mac80211::on_frame(const Frame& f) {
             // SIFS, then the DATA frame of the pending head item.
             phase_ = Phase::kTxData;  // reserve state through the SIFS gap
             sim_.after(kSifs, [this] {
-                if (phase_ != Phase::kTxData || queue_.empty()) return;
-                const TxItem& item = queue_.front();
-                Frame data;
-                data.type = Frame::Type::kData;
-                data.src = addr_;
-                data.dst = item.dst;
-                data.nav = kSifs + radio_.phy_params().airtime(kAckBytes);
-                data.seq = item.seq;
-                data.retry = item.retries > 0;
-                data.payload = item.pkt;
-                data.wire_bytes = item.pkt->wire_bytes + kDataHeaderBytes;
-                ++stats_.data_sent;
-                start_frame(std::move(data), Phase::kTxData);
+                if (phase_ == Phase::kTxData && !queue_.empty()) transmit_data(queue_.front());
             });
             break;
         }

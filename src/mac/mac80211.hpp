@@ -120,6 +120,9 @@ class Mac80211 {
     void on_channel_idle();
     void on_access_won();
     void transmit_head();
+    /// Put `item`'s DATA frame on the air (broadcast, or unicast after the
+    /// CTS or without RTS/CTS).
+    void transmit_data(const TxItem& item);
     void start_frame(phy::Frame frame, Phase phase);
     void on_tx_end();
     void on_timeout();

@@ -44,8 +44,8 @@ struct MotionSample {
     Vec2 to{};
 };
 
-/// Evaluate a sample exactly as RandomWaypoint::position_at always has.
-/// Shared by the model and the cached-leg path so the two are bit-identical by
+/// Position on a leg at `t`. MobilityModel::position_at and the channel's
+/// cached legs both evaluate through this, so the two are bit-identical by
 /// construction (same expressions, same operation order — floating point is
 /// not associative, so duplicating the formula would risk drift).
 inline Vec2 sample_position(const MotionSample& s, SimTime t) {
@@ -64,23 +64,23 @@ inline Vec2 sample_velocity(const MotionSample& s, SimTime t) {
     return (s.to - s.from) / travel;
 }
 
-/// Position-over-time model for one node. Implementations must be
-/// deterministic functions of their seed; queries may come in any time order.
+/// Position-over-time model for one node, as a sequence of motion legs.
+/// Implementations must be deterministic functions of their seed; queries
+/// may come in any time order.
 class MobilityModel {
   public:
     virtual ~MobilityModel() = default;
-    /// Node position at simulation time `t` (t >= 0).
-    virtual Vec2 position_at(SimTime t) = 0;
+    /// The motion leg containing `t` (t >= 0), valid for t and every u in
+    /// [leg.start, leg.end). The channel evaluates every radio position from
+    /// these legs through current_leg, which asks again once a query falls
+    /// outside [start, end), so a leg with start == end == t is valid for t
+    /// alone.
+    virtual MotionSample motion_at(SimTime t) = 0;
+    /// Node position at simulation time `t`.
+    Vec2 position_at(SimTime t) { return sample_position(motion_at(t), t); }
     /// Velocity vector at `t` (zero when paused); lets forwarding strategies
     /// exploit predictable motion (§3.1.1).
-    virtual Vec2 velocity_at(SimTime t) = 0;
-    /// The motion leg containing `t`: sample_position(leg, u) ==
-    /// position_at(u) and sample_velocity(leg, u) == velocity_at(u) for u ==
-    /// t and every u in [leg.start, leg.end). The channel evaluates every
-    /// radio position from these legs through current_leg, which asks again
-    /// once a query falls outside [start, end), so a leg with start == end ==
-    /// t is valid for t alone.
-    virtual MotionSample motion_at(SimTime t) = 0;
+    Vec2 velocity_at(SimTime t) { return sample_velocity(motion_at(t), t); }
 };
 
 /// `leg`, refreshed from `model` first when `t` has left [leg.start,
@@ -97,8 +97,6 @@ inline const MotionSample& current_leg(MotionSample& leg, MobilityModel& model, 
 class StationaryMobility final : public MobilityModel {
   public:
     explicit StationaryMobility(Vec2 pos) : pos_(pos) {}
-    Vec2 position_at(SimTime) override { return pos_; }
-    Vec2 velocity_at(SimTime) override { return {}; }
     MotionSample motion_at(SimTime) override {
         // One degenerate leg covering all of time: from == to pins the
         // position and zeroes the velocity.
@@ -123,28 +121,17 @@ class RandomWaypoint final : public MobilityModel {
 
     RandomWaypoint(Area area, Vec2 start, Params params, Rng rng);
 
-    Vec2 position_at(SimTime t) override;
-    Vec2 velocity_at(SimTime t) override;
     MotionSample motion_at(SimTime t) override;
 
   private:
-    /// One leg: pause at `from` until move_start, then travel to `to`,
-    /// arriving at end_time.
-    struct Segment {
-        SimTime start;       // segment begins (pause begins)
-        SimTime move_start;  // travel begins
-        SimTime end;         // arrival at `to`
-        Vec2 from;
-        Vec2 to;
-    };
-
     void extend_to(SimTime t);
-    const Segment& segment_for(SimTime t);
 
     Area area_;
     Params params_;
     Rng rng_;
-    std::vector<Segment> segments_;
+    /// Legs generated so far; each pauses at `from` (start..move_start),
+    /// then travels to `to`. They tile [0, back().end).
+    std::vector<MotionSample> legs_;
 };
 
 /// Uniformly place `count` nodes in `area` (deterministic in rng).

@@ -23,13 +23,19 @@ enum class PacketType : std::uint8_t {
     kAgfwHello,  ///< §3.1 ANT hello: ⟨HELLO, n, loc, ts⟩ (+ optional ring sig)
     kAgfwData,   ///< §3.2 ⟨DATA, loc_d, n, trapdoor⟩
     kAgfwAck,    ///< §3.2 network-layer acknowledgment (local broadcast)
-    // Location service (plain DLM and anonymous ALS variants share types)
+    // Location service (plain DLM and anonymous ALS variants share types);
+    // kLocUpdate..kLocDigest stay contiguous for is_location_service().
     kLocUpdate,   ///< RLU: remote location update towards the home grid
     kLocRequest,  ///< LREQ
     kLocReply,    ///< LREP
     kLocReplicate,  ///< one-hop server-side replication inside the home grid
     kLocDigest,     ///< anti-entropy store digest among in-grid replicas
 };
+
+/// Location-service traffic (any of the kLoc* types).
+constexpr bool is_location_service(PacketType t) {
+    return t >= PacketType::kLocUpdate && t <= PacketType::kLocDigest;
+}
 
 /// One network-layer packet. Deliberately a kitchen-sink struct: the
 /// simulator keeps fields structured (instead of serializing) for speed and

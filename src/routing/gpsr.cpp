@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/codec.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace geoanon::routing {
@@ -135,17 +134,7 @@ void GpsrGreedyAgent::route_packet(std::shared_ptr<Packet> pkt) {
     PacketPtr p(std::move(pkt));
     // The originator may itself be the responsible server — or the requester
     // of a reply it is about to geo-route (it never hears its own frames).
-    switch (p->type) {
-        case net::PacketType::kLocUpdate:
-        case net::PacketType::kLocRequest:
-        case net::PacketType::kLocReply:
-        case net::PacketType::kLocReplicate:
-        case net::PacketType::kLocDigest:
-            if (ls_ && ls_->handle(p)) return;
-            break;
-        default:
-            break;
-    }
+    if (net::is_location_service(p->type) && ls_ && ls_->handle(p)) return;
     forward(p);
 }
 
@@ -208,16 +197,11 @@ void GpsrGreedyAgent::on_packet(const PacketPtr& pkt, MacAddr src) {
             else
                 forward(pkt);
             break;
-        case net::PacketType::kLocUpdate:
-        case net::PacketType::kLocRequest:
-        case net::PacketType::kLocReply:
-        case net::PacketType::kLocReplicate:
-        case net::PacketType::kLocDigest:
+        default:
+            if (!net::is_location_service(pkt->type)) break;  // AGFW traffic: not ours
             if (ls_ && ls_->handle(pkt)) return;
             if (!pkt->ls_assist) forward(pkt);
             break;
-        default:
-            break;  // AGFW traffic in a mixed network: not ours
     }
 }
 
@@ -244,11 +228,6 @@ void GpsrGreedyAgent::on_mac_tx_done(const PacketPtr& pkt, MacAddr dst, bool suc
                           .uid = pkt->uid, .flow = pkt->flow, .seq = pkt->seq);
         }
     }
-}
-
-void GpsrGreedyAgent::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add_all(stats_);
-    if (ls_) ls_->publish_metrics(reg);
 }
 
 }  // namespace geoanon::routing

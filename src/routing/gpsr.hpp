@@ -70,9 +70,6 @@ class GpsrGreedyAgent final : public net::RoutingAgent {
 
     std::size_t neighbor_count() const { return neighbors_.size(); }
     const Stats& stats() const { return stats_; }
-    /// Fold this agent's counters (and its location service's, when one is
-    /// attached) into the run metrics (gpsr.*, ls.*).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
 
   private:
     struct Neighbor {

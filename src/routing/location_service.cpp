@@ -6,7 +6,6 @@
 #include <cassert>
 #include <span>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
 
@@ -768,11 +767,6 @@ void LocationService::sweep_expired() {
     // Closed-query records only need to outlive straggling quorum replies.
     std::erase_if(resolved_qids_,
                   [&](const auto& kv) { return kv.second + params_.entry_ttl < now; });
-}
-
-void LocationService::publish_metrics(obs::MetricsRegistry& reg) const {
-    reg.add_all(stats_);
-    reg.observe_all("ls.failover.latency_ms", stats_.failover_latency_ms);
 }
 
 }  // namespace geoanon::routing

@@ -20,10 +20,6 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
-namespace geoanon::obs {
-class MetricsRegistry;
-}
-
 namespace geoanon::routing {
 
 using net::NodeId;
@@ -164,8 +160,6 @@ class LocationService {
     bool handle_stuck(const PacketPtr& pkt);
 
     const Stats& stats() const { return stats_; }
-    /// Fold this service's counters into the run metrics (ls.*).
-    void publish_metrics(obs::MetricsRegistry& reg) const;
     Mode mode() const { return mode_; }
     /// Number of rows currently stored at this node (server role).
     std::size_t store_size() const { return store_.size(); }

@@ -274,13 +274,44 @@ ScenarioResult ScenarioRunner::aggregate() {
     reg.observe_all("app.hops", hops_);
 
     reg.add_all(network_->channel().stats());  // phy.*
-    for (const auto& n : network_->nodes()) {  // phy.frames_* + mac.*
-        reg.add_all(n.radio().stats());
-        reg.add_all(n.mac().stats());
+    // Per-node layers: each one's counters summed over its nodes and
+    // published once, so its names appear iff some node runs it.
+    phy::Radio::Stats radio_sum;
+    mac::MacStats mac_sum;
+    for (const auto& n : network_->nodes()) {
+        radio_sum += n.radio().stats();
+        mac_sum += n.mac().stats();
     }
-    for (auto* a : agfw_agents_) a->publish_metrics(reg);   // agfw.* + ls.*
-    for (auto* g : gpsr_agents_) g->publish_metrics(reg);   // gpsr.* + ls.*
-    if (injector_) injector_->publish_metrics(reg);         // fault.*
+    if (!network_->nodes().empty()) {
+        reg.add_all(radio_sum);  // phy.frames_*
+        reg.add_all(mac_sum);    // mac.*
+    }
+    core::AgfwAgent::Stats agfw_sum;
+    routing::GpsrGreedyAgent::Stats gpsr_sum;
+    routing::LocationService::Stats ls_sum;  // failover samples kept in agent order
+    bool any_ls = false;
+    const auto add_ls = [&](const routing::LocationService* s) {
+        if (!s) return;
+        any_ls = true;
+        ls_sum += s->stats();
+        for (const double x : s->stats().failover_latency_ms.samples())
+            ls_sum.failover_latency_ms.add(x);
+    };
+    for (auto* a : agfw_agents_) {
+        agfw_sum += a->stats();
+        add_ls(a->location_service());
+    }
+    for (auto* g : gpsr_agents_) {
+        gpsr_sum += g->stats();
+        add_ls(g->location_service());
+    }
+    if (!agfw_agents_.empty()) reg.add_all(agfw_sum);  // agfw.*
+    if (!gpsr_agents_.empty()) reg.add_all(gpsr_sum);  // gpsr.*
+    if (any_ls) {
+        reg.add_all(ls_sum);  // ls.*
+        reg.observe_all("ls.failover.latency_ms", ls_sum.failover_latency_ms);
+    }
+    if (injector_) injector_->publish_metrics(reg);  // fault.*
     if (recorder_) {
         reg.add("trace.recorded", recorder_->recorded());
         reg.add("trace.evicted", recorder_->evicted());

@@ -9,12 +9,12 @@
 
 namespace geoanon::test_support {
 
-/// Subclasses define position_at; velocity is always zero.
+/// Subclasses define where(t), the position at t; velocity is always zero.
 class FreshLegMobility : public mobility::MobilityModel {
   public:
-    util::Vec2 velocity_at(util::SimTime) override { return {}; }
+    virtual util::Vec2 where(util::SimTime t) = 0;
     mobility::MotionSample motion_at(util::SimTime t) override {
-        const util::Vec2 p = position_at(t);
+        const util::Vec2 p = where(t);
         return mobility::MotionSample{t, t, t, p, p};
     }
 };
@@ -24,7 +24,7 @@ class TeleportMobility final : public FreshLegMobility {
   public:
     explicit TeleportMobility(util::Vec2 pos) : pos_(pos) {}
     void move_to(util::Vec2 pos) { pos_ = pos; }
-    util::Vec2 position_at(util::SimTime) override { return pos_; }
+    util::Vec2 where(util::SimTime) override { return pos_; }
 
   private:
     util::Vec2 pos_;

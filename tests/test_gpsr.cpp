@@ -131,7 +131,7 @@ TEST(Gpsr, MacFailureTriggersRerouteViaAlternate) {
     class Jumper final : public test_support::FreshLegMobility {
       public:
         explicit Jumper(Vec2 home) : home_(home) {}
-        Vec2 position_at(SimTime t) override {
+        Vec2 where(SimTime t) override {
             return t > SimTime::seconds(6) ? Vec2{home_.x, 5000.0} : home_;
         }
         Vec2 home_;

@@ -771,6 +771,17 @@ TEST(LintOutput, SelfValidationRejectsSchemaDrift) {
         "\"float-accum\",\"file\":\"a\",\"line\":1,\"message\":\"m\","
         "\"surprise\":true}]}",
         &error));
+    // A repeated key is ambiguous: which value did the reader keep?
+    EXPECT_FALSE(geoanon::lint::validate_findings_json(
+        "{\"tool\":\"geoanon_lint\",\"schema_version\":2,\"version\":2,"
+        "\"count\":0,\"count\":0,\"findings\":[]}",
+        &error));
+    EXPECT_NE(error.find("duplicate key"), std::string::npos) << error;
+    // Bytes after the document mean the output was cut or spliced.
+    const std::string valid = geoanon::lint::to_json({});
+    ASSERT_TRUE(geoanon::lint::validate_findings_json(valid, &error)) << error;
+    EXPECT_FALSE(geoanon::lint::validate_findings_json(valid + "{}", &error));
+    EXPECT_NE(error.find("trailing garbage"), std::string::npos) << error;
 }
 
 TEST(LintOutput, ScanOptionsFilterRules) {

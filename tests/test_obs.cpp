@@ -24,6 +24,7 @@
 #include "phy/channel.hpp"
 #include "routing/gpsr.hpp"
 #include "routing/location_service.hpp"
+#include "util/json.hpp"
 #include "workload/scenario.hpp"
 
 namespace {
@@ -165,6 +166,47 @@ TEST(Metrics, AddAllPublishesEachFieldUnderItsListedName) {
     EXPECT_EQ(snap.counter("mac.retries"), 14u);
     EXPECT_EQ(snap.counter("mac.rx_duplicates"), 4u);
     EXPECT_EQ(snap.counter("mac.rts_sent"), 0u);
+}
+
+/// `a += b` over two structs whose i-th listed counter holds bit 2i (in a)
+/// and bit 2i+1 (in b): every listed name must read 3 << 2i afterwards, so a
+/// field summed into another, or left out, shows.
+template <typename S>
+void expect_sum_by_field(S a, const S& b) {
+    S& sum = (a += b);
+    EXPECT_EQ(&sum, &a);
+    unsigned bit = 0;
+    sum.for_each([&](const char* name, std::uint64_t v) {
+        EXPECT_EQ(v, std::uint64_t{3} << bit) << name;
+        bit += 2;
+    });
+}
+
+TEST(Metrics, CounterStructsSumFieldByField) {
+#define GEOANON_TEST_BITS(field, name)       \
+    ASSERT_LT(bit + 1, 64u) << name;         \
+    a.field = std::uint64_t{1} << bit;       \
+    b.field = std::uint64_t{1} << (bit + 1); \
+    bit += 2;
+#define GEOANON_TEST_SUM(Type, LIST) \
+    {                                \
+        Type a;                      \
+        Type b;                      \
+        unsigned bit = 0;            \
+        LIST(GEOANON_TEST_BITS)      \
+        expect_sum_by_field(a, b);   \
+    }
+    GEOANON_TEST_SUM(core::AgfwAgent::Stats, GEOANON_AGFW_COUNTERS)
+    GEOANON_TEST_SUM(routing::LocationService::Stats, GEOANON_LS_COUNTERS)
+    GEOANON_TEST_SUM(routing::GpsrGreedyAgent::Stats, GEOANON_GPSR_COUNTERS)
+    GEOANON_TEST_SUM(mac::MacStats, GEOANON_MAC_COUNTERS)
+    GEOANON_TEST_SUM(phy::Radio::Stats, GEOANON_RADIO_COUNTERS)
+    GEOANON_TEST_SUM(phy::Channel::Stats, GEOANON_CHANNEL_COUNTERS)
+    GEOANON_TEST_SUM(fault::FaultInjector::Stats, GEOANON_FAULT_COUNTERS)
+    GEOANON_TEST_SUM(analysis::InvariantChecker::Counters, GEOANON_INV_COUNTERS)
+    GEOANON_TEST_SUM(adversary::AttackReport, GEOANON_ADV_COUNTERS)
+#undef GEOANON_TEST_SUM
+#undef GEOANON_TEST_BITS
 }
 
 // ---------------------------------------------------------------- flights
@@ -340,15 +382,15 @@ TEST(TraceExport, EveryEventTypeHasALayerCategory) {
         rec.record(SimTime::millis(1), Event{.type = t, .node = 0});
     const std::string json = obs::to_chrome_trace_json(rec.events(), obs::TraceMeta{});
 
-    obs::JsonValue doc;
+    util::JsonValue doc;
     std::string error;
-    ASSERT_TRUE(obs::parse_json(json, doc, error)) << error;
-    const obs::JsonValue* events = doc.find("traceEvents");
+    ASSERT_TRUE(util::parse_json(json, doc, error)) << error;
+    const util::JsonValue* events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_EQ(events->array.size(), std::size(obs::kAllEventTypes));
     const std::set<std::string> layers = {"phy", "mac", "net", "ant", "agfw", "ls", "fault"};
-    for (const obs::JsonValue& e : events->array) {
-        const obs::JsonValue* cat = e.find("cat");
+    for (const util::JsonValue& e : events->array) {
+        const util::JsonValue* cat = e.find("cat");
         ASSERT_NE(cat, nullptr);
         EXPECT_TRUE(layers.contains(cat->string))
             << e.find("name")->string << " has category " << cat->string;

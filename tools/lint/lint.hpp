@@ -114,7 +114,8 @@ inline constexpr std::uint64_t kJsonSchemaVersion = 2;
 std::string to_json(const std::vector<Finding>& findings);
 
 /// Self-validation of to_json output (the `--check` flag): parses `json` with
-/// a dependency-free parser and verifies the schema above, including
+/// util::parse_json (no repeated keys, no trailing bytes) and verifies the
+/// schema above, including
 /// schema_version == kJsonSchemaVersion and count == findings.length. On
 /// failure returns false and, when `error` is non-null, a one-line reason.
 bool validate_findings_json(const std::string& json, std::string* error);
